@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 from .aggregation import aggregated_demand, oversubscribes, supported_cells
 from .config import ConfigError, RunConfig, load_config, resolved_yaml
 from .hetnet_cost import TcoResult, compare_tco, generate_layout
-from .link_budget import LinkBudgetResult, evaluate_link
+from .link_budget import LinkBudgetResult, LossBreakdown, evaluate_link
 from .scenario import SweepResult, run_sweep
 
 EXIT_OK = 0
@@ -56,6 +56,18 @@ EVALUATE_COLUMNS = (
     "l_opt_db",
     "link_viable",
 )
+
+
+# CSV column -> LossBreakdown field, in the order both CSV layouts use.
+_LOSS_COLUMNS = {
+    "l_fog_db": "fog_db",
+    "l_rain_db": "rain_db",
+    "l_cloud_db": "cloud_db",
+    "l_sci_db": "scintillation_db",
+    "l_geo_db": "geometrical_db",
+    "l_poi_db": "pointing_db",
+    "l_opt_db": "optical_db",
+}
 
 
 class _UsageError(Exception):
@@ -93,21 +105,22 @@ def _write_bundle_common(config: RunConfig, summary: str) -> None:
         handle.write(summary)
 
 
+def _loss_cells(breakdown: LossBreakdown, header: Sequence[str]) -> list:
+    """The breakdown's entries for the l_*_db columns of a CSV header, in order.
+
+    The entries are floats for one evaluation, arrays for a sweep's columns.
+    """
+    return [getattr(breakdown, _LOSS_COLUMNS[name]) for name in header if name in _LOSS_COLUMNS]
+
+
 def _evaluate_row(label: str, config: RunConfig, result: LinkBudgetResult) -> tuple:
-    b = result.loss_breakdown
     return (
         label,
         config.geometry.nfp_altitude_m,
         result.data_rate_bps,
         result.link_margin_db,
         result.received_power_w,
-        b.fog_db,
-        b.rain_db,
-        b.cloud_db,
-        b.scintillation_db,
-        b.geometrical_db,
-        b.pointing_db,
-        b.optical_db,
+        *_loss_cells(result.loss_breakdown, EVALUATE_COLUMNS),
         result.link_viable,
     )
 
@@ -149,27 +162,16 @@ def cmd_evaluate(config: RunConfig) -> int:
     return EXIT_OK if result.link_viable else EXIT_LINK_FAILURE
 
 
-def _sweep_rows(sweep: SweepResult) -> list[tuple]:
-    rows = []
-    nan = float("nan")
-    for row in sweep.rows:
-        if row.result is None:
-            rows.append((row.value,) + (nan,) * (len(SWEEP_COLUMNS) - 1))
-        else:
-            b = row.result.loss_breakdown
-            rows.append(
-                (
-                    row.value,
-                    row.result.data_rate_bps,
-                    row.result.link_margin_db,
-                    b.fog_db,
-                    b.rain_db,
-                    b.cloud_db,
-                    b.scintillation_db,
-                    b.geometrical_db,
-                )
-            )
-    return rows
+def _sweep_rows(sweep: SweepResult) -> Iterable[tuple]:
+    c = sweep.columns
+    columns = (
+        sweep.values,
+        c.data_rate_bps,
+        c.link_margin_db,
+        *_loss_cells(c.loss_breakdown, SWEEP_COLUMNS),
+    )
+    # tolist() gives Python floats, whose repr is what the CSV holds; failed rows are NaN.
+    return zip(*(column.tolist() for column in columns))
 
 
 def _theta_tag(divergence_rad: float) -> str:
@@ -201,16 +203,17 @@ def cmd_sweep(config: RunConfig) -> int:
             _write_csv(
                 os.path.join(config.output_dir, filename), SWEEP_COLUMNS, _sweep_rows(sweep)
             )
-            n_errors = sum(1 for row in sweep.rows if row.error is not None)
+            failed = [
+                (value, error)
+                for value, error in zip(sweep.values.tolist(), sweep.errors)
+                if error is not None
+            ]
             summary_lines.append(
-                f"{filename}: {len(sweep.rows)} rows ({sweep.spec.variable} sweep)"
-                + (f", {n_errors} rows failed" if n_errors else "")
+                f"{filename}: {len(sweep.values)} rows ({sweep.spec.variable} sweep)"
+                + (f", {len(failed)} rows failed" if failed else "")
             )
-            for row in sweep.rows:
-                if row.error is not None:
-                    print(
-                        f"warning: {filename} @ {row.value!r}: {row.error}", file=sys.stderr
-                    )
+            for value, error in failed:
+                print(f"warning: {filename} @ {value!r}: {error}", file=sys.stderr)
     summary = "\n".join(summary_lines) + "\n"
     _write_bundle_common(config, summary)
     print(summary, end="")

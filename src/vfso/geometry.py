@@ -30,6 +30,10 @@ class LinkGeometry:
     receiver_radius_m: float
 
     def __post_init__(self) -> None:
+        for name in ("nfp_altitude_m", "elevation_rad", "divergence_rad", "receiver_radius_m"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.nfp_altitude_m <= 0:
             raise ValueError(f"nfp_altitude_m must be positive, got {self.nfp_altitude_m}")
         if not 0 < self.elevation_rad <= math.pi / 2:
@@ -69,7 +73,11 @@ def geometrical_capture_fraction(geometry: LinkGeometry) -> float:
 
 def geometrical_loss(geometry: LinkGeometry) -> float:
     """Beam-spread loss in dB, -10*log10(capture fraction); 0 dB when capped."""
-    fraction = geometrical_capture_fraction(geometry)
+    return capture_loss_db(geometrical_capture_fraction(geometry))
+
+
+def capture_loss_db(fraction: float) -> float:
+    """Loss in dB of a capture fraction in (0, 1]: -10*log10(fraction)."""
     if fraction == 1.0:
         return 0.0  # avoid IEEE -0.0 leaking into reports
     return -10.0 * math.log10(fraction)

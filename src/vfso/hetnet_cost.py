@@ -67,10 +67,32 @@ def generate_layout(
     return HetNetLayout(area=area, macro_positions=macro, small_positions=small, rng_seed=seed)
 
 
+# Small cells per block of the nearest-hub search: the search holds two
+# NEAREST_BLOCK_ROWS x n_macro float64 arrays at a time (8 MB at 1000 macros).
+NEAREST_BLOCK_ROWS = 512
+
+
 def nearest_macro_distances(layout: HetNetLayout) -> np.ndarray:
-    """Euclidean distance from each small cell to its nearest macro, in m."""
-    diff = layout.small_positions[:, None, :] - layout.macro_positions[None, :, :]
-    return np.sqrt((diff**2).sum(axis=-1)).min(axis=1)
+    """Euclidean distance from each small cell to its nearest macro, in m.
+
+    Exact brute force, one block of small cells at a time so memory stays
+    bounded however many small cells there are. The minimum is taken over
+    squared distances and the square root once per cell: sqrt is monotone
+    and correctly rounded, so the result equals the minimum of the per-pair
+    distances bit for bit.
+    """
+    small, macro = layout.small_positions, layout.macro_positions
+    macro_x, macro_y = macro[:, 0], macro[:, 1]
+    nearest = np.empty(len(small))
+    for start in range(0, len(small), NEAREST_BLOCK_ROWS):
+        block = small[start : start + NEAREST_BLOCK_ROWS]
+        dx = block[:, 0:1] - macro_x
+        dy = block[:, 1:2] - macro_y
+        dx *= dx
+        dy *= dy
+        dx += dy
+        dx.min(axis=1, out=nearest[start : start + NEAREST_BLOCK_ROWS])
+    return np.sqrt(nearest, out=nearest)
 
 
 # --- Technology cost parameters (defaults are North-American list prices) ---

@@ -16,9 +16,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
-from .atmosphere import AtmosphericLoss, WeatherScenario, total_atmospheric_loss
-from .geometry import LinkGeometry, geometrical_capture_fraction, geometrical_loss
+import numpy as np
+
+from .atmosphere import (
+    HV_BACKGROUND,
+    WeatherScenario,
+    cloud_visibility,
+    fog_attenuation,
+    mie_specific_attenuation,
+    rain_attenuation,
+    total_atmospheric_loss,
+)
+from .geometry import LinkGeometry, capture_loss_db, geometrical_capture_fraction
 
 DEFAULT_TARGET_RATE_BPS = 3.0e9
 
@@ -148,13 +159,18 @@ def received_power(
         raise ValueError(
             f"atmospheric_loss_db must be non-negative, got {atmospheric_loss_db}"
         )
+    return _received_power(tx, atmospheric_loss_db, geometrical_capture_fraction(geometry))
+
+
+def _received_power(tx: TransceiverParams, atmospheric_loss_db, capture_fraction):
+    # Plain arithmetic, so the losses may be floats or arrays alike.
     return (
         tx.transmit_power_w
         * tx.tx_efficiency
         * tx.rx_efficiency
         * 10.0 ** (-tx.pointing_loss_db / 10.0)
         * 10.0 ** (-atmospheric_loss_db / 10.0)
-        * geometrical_capture_fraction(geometry)
+        * capture_fraction
     )
 
 
@@ -162,9 +178,7 @@ def achievable_rate(
     tx: TransceiverParams, geometry: LinkGeometry, scenario: WeatherScenario
 ) -> float:
     """Achievable data rate in bit/s under the given weather."""
-    atm = total_atmospheric_loss(scenario, geometry, tx.wavelength_nm)
-    power_w = received_power(tx, geometry, atm.total_db)
-    return power_w / (photon_energy(tx.wavelength_nm) * tx.receiver_sensitivity_photons_per_bit)
+    return evaluate_link(tx, geometry, scenario).data_rate_bps
 
 
 def link_margin(rate_bps: float, target_rate_bps: float) -> float:
@@ -196,8 +210,9 @@ def evaluate_link(
     floating-point accuracy (optical lives in the efficiencies, geometrical
     in the capture fraction, each counted exactly once).
     """
-    atm: AtmosphericLoss = total_atmospheric_loss(scenario, geometry, tx.wavelength_nm)
-    power_w = received_power(tx, geometry, atm.total_db)
+    atm = total_atmospheric_loss(scenario, geometry, tx.wavelength_nm)
+    fraction = geometrical_capture_fraction(geometry)
+    power_w = _received_power(tx, atm.total_db, fraction)
     rate_bps = power_w / (
         photon_energy(tx.wavelength_nm) * tx.receiver_sensitivity_photons_per_bit
     )
@@ -206,7 +221,7 @@ def evaluate_link(
         rain_db=atm.rain_db,
         cloud_db=atm.cloud_db,
         scintillation_db=atm.scintillation_db,
-        geometrical_db=geometrical_loss(geometry),
+        geometrical_db=capture_loss_db(fraction),
         pointing_db=tx.pointing_loss_db,
         optical_db=optical_loss(tx.tx_efficiency, tx.rx_efficiency),
     )
@@ -215,5 +230,88 @@ def evaluate_link(
         received_power_w=power_w,
         data_rate_bps=rate_bps,
         link_margin_db=link_margin(rate_bps, target_rate_bps),
+        target_rate_bps=target_rate_bps,
+    )
+
+
+def evaluate_grid(
+    tx: TransceiverParams,
+    geometry: LinkGeometry,
+    scenario: WeatherScenario,
+    target_rate_bps: float = DEFAULT_TARGET_RATE_BPS,
+    *,
+    nfp_altitude_m: Optional[np.ndarray] = None,
+    divergence_rad: Optional[np.ndarray] = None,
+) -> LinkBudgetResult:
+    """evaluate_link over arrays of platform altitude and/or beam divergence.
+
+    The given arrays replace those fields of `geometry`, which supplies the
+    rest. Every array entry must pass the LinkGeometry checks (finite and
+    positive); the caller masks out the others, as run_sweep does.
+
+    Returns a LinkBudgetResult whose fields are arrays over the grid for
+    the terms that vary (capture fraction, cloud, scintillation, power, rate,
+    margin) and floats for those that do not (fog, rain, pointing, optics).
+    The constant terms come from the scalar functions, computed once. The
+    varying ones (slant path, capped capture fraction, pierced cloud depth,
+    Cn^2, scintillation) repeat the scalar formulas in numpy, operation for
+    operation, so every entry agrees with evaluate_link to within the
+    rounding of numpy's vectorised exp/log/pow (tests hold it to 1e-12).
+    """
+    if target_rate_bps <= 0:
+        raise ValueError(f"target_rate_bps must be positive, got {target_rate_bps}")
+    altitude = geometry.nfp_altitude_m if nfp_altitude_m is None else np.asarray(nfp_altitude_m)
+    divergence = geometry.divergence_rad if divergence_rad is None else np.asarray(divergence_rad)
+    elevation, wavelength = geometry.elevation_rad, tx.wavelength_nm
+    slant_factor = 1.0 / math.sin(elevation)  # as in atmosphere's layer crossings
+
+    path_m = altitude / math.sin(elevation)  # as in geometry.slant_path
+    ratio = (geometry.receiver_radius_m / (divergence * path_m / 2.0)) ** 2
+    fraction = np.minimum(1.0, ratio)
+    geometrical_db = np.where(fraction == 1.0, 0.0, -10.0 * np.log10(fraction))
+
+    fog_db = (
+        fog_attenuation(scenario.fog, elevation, wavelength) if scenario.fog is not None else 0.0
+    )
+    rain_db = rain_attenuation(scenario.rain, elevation) if scenario.rain is not None else 0.0
+    cloud_db = 0.0
+    for layer in scenario.clouds:
+        base, top = layer.base_altitude_m, layer.top_altitude_m
+        specific = mie_specific_attenuation(cloud_visibility(layer), wavelength)
+        cloud_db = cloud_db + specific * (np.clip(altitude, base, top) - base) / 1000.0 * slant_factor
+    turbulence = scenario.turbulence
+    if turbulence is None:
+        scintillation_db = 0.0
+    else:
+        h = altitude if turbulence.reference_altitude_m is None else turbulence.reference_altitude_m
+        cn2 = (
+            0.00594 * (turbulence.wind_speed_m_per_s / 27.0) ** 2 * (1e-5 * h) ** 10
+            * np.exp(-h / 1000.0)
+            + HV_BACKGROUND * np.exp(-h / 1500.0)
+            + turbulence.structure_constant_a * np.exp(-h / 100.0)
+        )
+        wavenumber = 2.0 * math.pi * 1e9 / wavelength
+        scintillation_db = 2.0 * np.sqrt(
+            23.17 * wavenumber ** (7.0 / 6.0) * cn2 * path_m ** (11.0 / 6.0)
+        )
+
+    atmospheric_db = fog_db + rain_db + cloud_db + scintillation_db
+    power_w = _received_power(tx, atmospheric_db, fraction)
+    rate_bps = power_w / (photon_energy(wavelength) * tx.receiver_sensitivity_photons_per_bit)
+    with np.errstate(divide="ignore"):  # a zero rate gives the -inf margin sentinel
+        margin_db = 10.0 * np.log10(rate_bps / target_rate_bps)
+    return LinkBudgetResult(
+        loss_breakdown=LossBreakdown(
+            fog_db=fog_db,
+            rain_db=rain_db,
+            cloud_db=cloud_db,
+            scintillation_db=scintillation_db,
+            geometrical_db=geometrical_db,
+            pointing_db=tx.pointing_loss_db,
+            optical_db=optical_loss(tx.tx_efficiency, tx.rx_efficiency),
+        ),
+        received_power_w=power_w,
+        data_rate_bps=rate_bps,
+        link_margin_db=margin_db,
         target_rate_bps=target_rate_bps,
     )

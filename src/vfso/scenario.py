@@ -13,7 +13,8 @@ one row per grid point; they are deterministic and rows are independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -29,9 +30,10 @@ from .geometry import LinkGeometry
 from .link_budget import (
     DEFAULT_TARGET_RATE_BPS,
     LinkBudgetResult,
+    LossBreakdown,
     TransceiverParams,
     efficiencies_from_optical_loss,
-    evaluate_link,
+    evaluate_grid,
 )
 
 # Altitude range the simulations sweep by default, in meters.
@@ -157,11 +159,56 @@ class SweepRow:
     error: Optional[str] = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """One sweep, held as columns over the grid.
+
+    values: the grid, one entry per row. columns: the link budget of every
+    row, a LinkBudgetResult whose fields are arrays over the grid (NaN on
+    failed rows), target_rate_bps aside. errors: the message of
+    each failed row, None elsewhere. rows presents the same data as one
+    SweepRow per grid point; equality compares rows.
+    """
+
     spec: SweepSpec
     scenario_label: str
-    rows: tuple[SweepRow, ...]
+    values: np.ndarray
+    columns: LinkBudgetResult
+    errors: tuple[Optional[str], ...]
+
+    @cached_property
+    def rows(self) -> tuple[SweepRow, ...]:
+        c = self.columns
+        losses = zip(*(getattr(c.loss_breakdown, f.name).tolist() for f in fields(LossBreakdown)))
+        per_point = zip(
+            self.values.tolist(),
+            self.errors,
+            losses,
+            c.received_power_w.tolist(),
+            c.data_rate_bps.tolist(),
+            c.link_margin_db.tolist(),
+        )
+        return tuple(
+            SweepRow(value=value, error=error)
+            if error is not None
+            else SweepRow(
+                value=value,
+                result=LinkBudgetResult(LossBreakdown(*loss), power, rate, margin, c.target_rate_bps),
+            )
+            for value, error, loss, power, rate, margin in per_point
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SweepResult):
+            return NotImplemented
+        return (self.spec, self.scenario_label, self.rows) == (
+            other.spec,
+            other.scenario_label,
+            other.rows,
+        )
+
+
+_SWEPT_FIELD = {"altitude": "nfp_altitude_m", "divergence": "divergence_rad"}
 
 
 def run_sweep(
@@ -173,19 +220,36 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the link at every grid point, all other parameters fixed.
 
-    A failing grid point is recorded as a row-level error instead of
-    aborting the sweep. Identical inputs produce identical results.
+    The whole grid is evaluated in one evaluate_grid call. A grid point
+    that cannot form a LinkGeometry (not finite, or not positive) is
+    recorded as a row-level error carrying LinkGeometry's own message
+    instead of aborting the sweep; its columns are NaN. Identical inputs
+    produce identical results.
     """
-    rows: list[SweepRow] = []
-    for value in spec.grid():
+    field = _SWEPT_FIELD[spec.variable]
+    values = np.array(spec.grid())
+    valid = np.isfinite(values) & (values > 0.0)  # LinkGeometry's rule for the swept field
+    errors: list[Optional[str]] = [None] * len(values)
+    for i in np.flatnonzero(~valid).tolist():
         try:
-            if spec.variable == "altitude":
-                point_geometry = replace(geometry, nfp_altitude_m=value)
-            else:
-                point_geometry = replace(geometry, divergence_rad=value)
-            result = evaluate_link(tx, point_geometry, scenario, target_rate_bps)
+            replace(geometry, **{field: values[i].item()})
         except ValueError as exc:
-            rows.append(SweepRow(value=value, error=str(exc)))
-        else:
-            rows.append(SweepRow(value=value, result=result))
-    return SweepResult(spec=spec, scenario_label=scenario.label, rows=tuple(rows))
+            errors[i] = str(exc)
+    grid = evaluate_grid(tx, geometry, scenario, target_rate_bps, **{field: values[valid]})
+
+    def column(entries):
+        out = np.full(len(values), np.nan)
+        out[valid] = entries
+        return out
+
+    b = grid.loss_breakdown
+    columns = LinkBudgetResult(
+        loss_breakdown=LossBreakdown(
+            *(column(getattr(b, f.name)) for f in fields(LossBreakdown))
+        ),
+        received_power_w=column(grid.received_power_w),
+        data_rate_bps=column(grid.data_rate_bps),
+        link_margin_db=column(grid.link_margin_db),
+        target_rate_bps=target_rate_bps,
+    )
+    return SweepResult(spec, scenario.label, values, columns, tuple(errors))

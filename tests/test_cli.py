@@ -182,6 +182,14 @@ class TestErrorsAndDeterminism:
         assert code == EXIT_USAGE
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override", ["geometry.divergence_rad=.nan", "geometry.nfp_altitude_m=.inf"]
+    )
+    def test_non_finite_geometry_exits_1(self, tmp_path, capsys, override):
+        code, _ = run(tmp_path, "evaluate", f"--set={override}")
+        assert code == EXIT_USAGE
+        assert "must be finite" in capsys.readouterr().err
+
     def test_unknown_command_exits_1(self, capsys):
         assert main(["fly"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err

@@ -130,3 +130,15 @@ class TestValidation:
     def test_rejects_invalid_geometry(self, kwargs):
         with pytest.raises(ValueError):
             geom(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "field", ["nfp_altitude_m", "elevation_rad", "divergence_rad", "receiver_radius_m"]
+    )
+    def test_rejects_non_finite_geometry(self, field, value):
+        kwargs = dict(
+            nfp_altitude_m=20000.0, elevation_rad=DEG45, divergence_rad=1e-3, receiver_radius_m=0.04
+        )
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            LinkGeometry(**kwargs)

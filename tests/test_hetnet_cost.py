@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vfso.hetnet_cost import (
+    NEAREST_BLOCK_ROWS,
     Area,
     CostParams,
     FiberCostParams,
@@ -55,6 +56,19 @@ class TestGenerateLayout:
         means = [nearest_macro_distances(default_layout(seed)).mean() for seed in range(100)]
         grand_mean = float(np.mean(means))
         assert grand_mean == pytest.approx(250.0, rel=0.10)
+
+    @pytest.mark.parametrize(
+        "n_small",
+        [7, NEAREST_BLOCK_ROWS, 3 * NEAREST_BLOCK_ROWS + 37],
+        ids=["below_one_block", "one_block", "blocks_plus_remainder"],
+    )
+    def test_nearest_macro_distances_equal_dense_brute_force(self, n_small):
+        layout = generate_layout(37, n_small, AREA, seed=n_small)
+        diff = layout.small_positions[:, None, :] - layout.macro_positions[None, :, :]
+        reference = np.sqrt((diff**2).sum(axis=-1)).min(axis=1)
+        got = nearest_macro_distances(layout)
+        assert np.array_equal(got, reference)
+        assert got.sum() == reference.sum()
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):

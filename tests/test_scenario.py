@@ -1,19 +1,22 @@
 """Tests of presets, reference defaults, and sweeps."""
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 
+import numpy as np
 import pytest
 
 from vfso.scenario import (
     ALTITUDE_SWEEP_BOUNDS_M,
     DEFAULT_CLOUD_PROFILE,
+    PRESET_NAMES,
     SweepSpec,
     default_parameters,
     preset,
     run_sweep,
 )
 from vfso.atmosphere import FogDescriptor
+from vfso.link_budget import evaluate_link
 
 TX, GEOMETRY, TURB = default_parameters()
 
@@ -169,3 +172,84 @@ class TestRunSweep:
         assert {row.value for row in failed} == {-1000.0, 0.0}
         assert {row.value for row in succeeded} == {1000.0, 2000.0}
         assert all("nfp_altitude_m" in row.error for row in failed)
+
+
+SWEPT_FIELD = {"altitude": "nfp_altitude_m", "divergence": "divergence_rad"}
+
+
+def per_point_reference(spec, scenario, tx, geometry):
+    """The sweep as one evaluate_link call per grid point: (value, result, error) rows."""
+    rows = []
+    for value in spec.grid():
+        try:
+            point = replace(geometry, **{SWEPT_FIELD[spec.variable]: value})
+        except ValueError as exc:
+            rows.append((value, None, str(exc)))
+        else:
+            rows.append((value, evaluate_link(tx, point, scenario), None))
+    return rows
+
+
+def budget_numbers(result):
+    b = result.loss_breakdown
+    return [getattr(b, f.name) for f in fields(b)] + [
+        result.received_power_w,
+        result.data_rate_bps,
+        result.link_margin_db,
+        result.target_rate_bps,
+    ]
+
+
+class TestSweepMatchesPerPointEvaluation:
+    GRIDS = {
+        # crosses the 1000-1048 m cloud deck in ~5 m steps and starts at
+        # non-positive altitudes, which are row errors
+        "altitude": SweepSpec("altitude", -1000.0, 20000.0, 4001),
+        "log_divergence": SweepSpec("divergence", 1e-7, 1e-1, 601, scale="log"),
+        "linear_divergence": SweepSpec("divergence", -1e-3, 1e-2, 221),
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_rows_agree_to_1e12(self, name, grid):
+        spec = self.GRIDS[grid]
+        scenario = preset(name)
+        sweep = run_sweep(spec, scenario, TX, GEOMETRY)
+        reference = per_point_reference(spec, scenario, TX, GEOMETRY)
+        assert len(sweep.rows) == len(reference)
+        for row, (value, result, error) in zip(sweep.rows, reference):
+            assert row.value == value
+            assert row.error == error
+            if result is None:
+                assert row.result is None
+                continue
+            assert row.result.link_viable == result.link_viable
+            for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
+                assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
+        if grid != "log_divergence":
+            assert any(error is not None for _, _, error in reference)
+
+
+@dataclass(frozen=True)
+class FixedGrid(SweepSpec):
+    """A sweep spec with a hand-written grid, to reach values no linspace yields."""
+
+    values: tuple = ()
+
+    def grid(self) -> list[float]:
+        return list(self.values)
+
+
+@pytest.mark.parametrize("variable", SWEPT_FIELD)
+def test_non_finite_grid_points_become_row_errors(variable):
+    field = SWEPT_FIELD[variable]
+    finite = getattr(GEOMETRY, field)
+    spec = FixedGrid(variable, 1.0, 2.0, 4, values=(math.nan, math.inf, -math.inf, finite))
+    result = run_sweep(spec, preset("cloud_and_fog"), TX, GEOMETRY)
+    assert [row.error for row in result.rows[:3]] == [
+        f"{field} must be finite, got {value}" for value in (math.nan, math.inf, -math.inf)
+    ]
+    assert result.rows[3].error is None
+    assert result.rows[3].result == evaluate_link(TX, GEOMETRY, preset("cloud_and_fog"))
+    assert np.isnan(result.columns.data_rate_bps[:3]).all()
+    assert np.isfinite(result.columns.data_rate_bps[3])
