@@ -33,6 +33,10 @@ class TrafficProfile:
             )
 
 
+# 50 Mbit/s per cell in the busy hour, 300 Mbit/s peak.
+DEFAULT_TRAFFIC = TrafficProfile(busy_rate_bps=50e6, peak_rate_bps=300e6)
+
+
 def aggregated_demand(n_cells: int, profile: TrafficProfile) -> float:
     """Backhaul traffic in bit/s generated by n_cells small cells.
 

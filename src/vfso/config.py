@@ -1,22 +1,30 @@
 """Run configuration: YAML documents validated into typed parameter objects.
 
 A config file is a YAML mapping; every key is optional and falls back to
-the reference defaults, unknown keys are rejected with their full path.
-``--set a.b.c=value`` overrides are deep-merged over the document before
-validation. The fully resolved configuration can be dumped back to YAML and
-re-fed as input, reproducing the same run.
+the library's own default objects (``default_parameters()``, the
+``DEFAULT_*`` constants, the cost dataclass defaults), unknown keys are
+rejected with their full path. ``--set a.b.c=value`` overrides are
+deep-merged over the document before validation. The fully resolved
+configuration can be dumped back to YAML and re-fed as input, reproducing
+the same run.
+
+Reading and writing both walk the dataclass fields of the default
+RunConfig: a section holds one key per field, a nested dataclass is a
+nested section, and each value is checked against its field's annotation
+before the constructor validates the whole object. The few fields that are
+spelled differently in YAML are listed in ``_SPECIAL`` and ``_FLATTENED``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Optional, Sequence
 
 import yaml
 
-from .aggregation import TrafficProfile
+from .aggregation import DEFAULT_TRAFFIC, TrafficProfile
 from .atmosphere import (
     CloudLayer,
     FogDescriptor,
@@ -25,24 +33,23 @@ from .atmosphere import (
     WeatherScenario,
 )
 from .geometry import LinkGeometry
-from .hetnet_cost import (
-    Area,
-    CostParams,
-    FiberCostParams,
-    RfNlosCostParams,
-    TerrestrialFsoCostParams,
-    VerticalFsoCostParams,
-)
-from .link_budget import TransceiverParams, efficiencies_from_optical_loss
+from .hetnet_cost import DEFAULT_AREA, Area, CostParams
+from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams, efficiencies_from_optical_loss
 from .scenario import (
-    ALTITUDE_SWEEP_BOUNDS_M,
-    DEFAULT_ALTITUDE_POINTS,
+    DEFAULT_CLOUD_PROFILE,
+    DEFAULT_FOG,
+    DEFAULT_RAIN,
+    DEFAULT_SWEEP,
+    DEFAULT_TURBULENCE,
     PRESET_NAMES,
     SweepSpec,
+    default_parameters,
     preset,
 )
 
 OUTPUT_DIR_ENV_VAR = "VFSO_OUTDIR"
+
+_DEFAULT_TRANSCEIVER, _DEFAULT_GEOMETRY, _ = default_parameters()
 
 
 class ConfigError(ValueError):
@@ -51,31 +58,45 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class CostConfig:
-    n_macro: int
-    n_small: int
-    area: Area
-    years: float
-    params: CostParams
+    """Layout size, area, horizon in years and technology prices of a cost run."""
+
+    n_macro: int = 100
+    n_small: int = 1000
+    area: Area = DEFAULT_AREA
+    years: float = 1.0
+    params: CostParams = field(default_factory=CostParams)
+
+    def __post_init__(self) -> None:
+        if self.n_macro <= 0 or self.n_small <= 0:
+            raise ValueError(f"cell counts must be positive, got {self.n_macro}/{self.n_small}")
+        if self.years < 0:
+            raise ValueError(f"years must be non-negative, got {self.years}")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one run needs, fully validated."""
+    """Everything one run needs, fully validated; the defaults are the reference run."""
 
-    output_dir: str
-    seed: int
-    target_rate_bps: float
-    transceiver: TransceiverParams
-    geometry: LinkGeometry
-    turbulence: TurbulenceDescriptor
-    fog: FogDescriptor
-    rain: RainDescriptor
-    clouds: tuple[CloudLayer, ...]
-    scenario_names: tuple[str, ...]
-    sweep: SweepSpec
-    divergence_values_rad: Optional[tuple[float, ...]]
-    traffic: TrafficProfile
-    cost: CostConfig
+    output_dir: str = "out"
+    seed: int = 0
+    target_rate_bps: float = DEFAULT_TARGET_RATE_BPS
+    transceiver: TransceiverParams = _DEFAULT_TRANSCEIVER
+    geometry: LinkGeometry = _DEFAULT_GEOMETRY
+    turbulence: TurbulenceDescriptor = DEFAULT_TURBULENCE
+    fog: FogDescriptor = DEFAULT_FOG
+    rain: RainDescriptor = DEFAULT_RAIN
+    clouds: tuple[CloudLayer, ...] = DEFAULT_CLOUD_PROFILE
+    scenario_names: tuple[str, ...] = PRESET_NAMES[:1]
+    sweep: SweepSpec = DEFAULT_SWEEP
+    divergence_values_rad: Optional[tuple[float, ...]] = None
+    traffic: TrafficProfile = DEFAULT_TRAFFIC
+    cost: CostConfig = field(default_factory=CostConfig)
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        if self.target_rate_bps <= 0:
+            raise ValueError(f"target_rate_bps must be positive, got {self.target_rate_bps}")
 
     def scenario(self, name: str) -> WeatherScenario:
         """Build one named preset with this config's weather components."""
@@ -91,7 +112,13 @@ class RunConfig:
         return [self.scenario(name) for name in self.scenario_names]
 
 
-# --- low-level helpers -------------------------------------------------------
+# --- scalar values -----------------------------------------------------------
+
+_ROOT = "config"
+
+
+def _join(path: str, key: str) -> str:
+    return key if path == _ROOT else f"{path}.{key}"
 
 
 def _mapping(raw: Any, path: str) -> dict:
@@ -108,328 +135,188 @@ def _reject_unknown(section: dict, path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s) {keys}")
 
 
-def _float(section: dict, key: str, default: float, path: str) -> float:
-    value = section.pop(key, default)
-    if isinstance(value, bool) or value is None:
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+def _number(raw: Any, path: str) -> float:
+    value = None
+    try:
         # YAML 1.1 leaves forms like "1e-6" as strings; accept them anyway.
-        try:
-            return float(value)
-        except ValueError:
-            pass
-    raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-
-
-def _int(section: dict, key: str, default: int, path: str) -> int:
-    value = section.pop(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
+        if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
+            value = float(raw)
+    except ValueError:
+        pass
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    if value is None:
+        raise ConfigError(f"{path}: expected a number, got {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: must be finite, got {raw!r}")
     return value
 
 
-def _str(section: dict, key: str, default: str, path: str) -> str:
-    value = section.pop(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
-    return value
+def _integer(raw: Any, path: str) -> int:
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ConfigError(f"{path}: expected an integer, got {raw!r}")
+    return raw
+
+
+def _string(raw: Any, path: str) -> str:
+    if not isinstance(raw, str):
+        raise ConfigError(f"{path}: expected a string, got {raw!r}")
+    return raw
+
+
+def _optional_number(raw: Any, path: str) -> Optional[float]:
+    return None if raw is None else _number(raw, path)
+
+
+# Field annotation -> reader of a value of that type.
+_SCALARS = {"float": _number, "int": _integer, "str": _string, "Optional[float]": _optional_number}
 
 
 def _build(factory, path: str):
     try:
         return factory()
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-# --- section parsers ---------------------------------------------------------
+# --- fields read by hand -------------------------------------------------------
 
 
-def _parse_transceiver(raw: dict) -> TransceiverParams:
-    sec = _mapping(raw.pop("transceiver", None), "transceiver")
-    explicit_etas = "tx_efficiency" in sec or "rx_efficiency" in sec
-    explicit_loss = "optical_loss_db" in sec
-    if explicit_etas and explicit_loss:
-        raise ConfigError(
-            "transceiver: give either optical_loss_db or the "
-            "tx_efficiency/rx_efficiency pair, not both"
-        )
-    if explicit_etas:
-        eta_t = _float(sec, "tx_efficiency", 1.0, "transceiver")
-        eta_r = _float(sec, "rx_efficiency", 1.0, "transceiver")
-    else:
-        loss_db = _float(sec, "optical_loss_db", 2.0, "transceiver")
-        eta_t, eta_r = _build(
-            lambda: efficiencies_from_optical_loss(loss_db), "transceiver.optical_loss_db"
-        )
-    power = _float(sec, "transmit_power_w", 0.2, "transceiver")
-    pointing = _float(sec, "pointing_loss_db", 2.0, "transceiver")
-    wavelength = _float(sec, "wavelength_nm", 1550.0, "transceiver")
-    sensitivity = _float(sec, "receiver_sensitivity_photons_per_bit", 100.0, "transceiver")
-    _reject_unknown(sec, "transceiver")
-    return _build(
-        lambda: TransceiverParams(
-            transmit_power_w=power,
-            tx_efficiency=eta_t,
-            rx_efficiency=eta_r,
-            wavelength_nm=wavelength,
-            pointing_loss_db=pointing,
-            receiver_sensitivity_photons_per_bit=sensitivity,
-        ),
-        "transceiver",
-    )
-
-
-def _parse_geometry(raw: dict) -> LinkGeometry:
-    sec = _mapping(raw.pop("geometry", None), "geometry")
-    altitude = _float(sec, "nfp_altitude_m", ALTITUDE_SWEEP_BOUNDS_M[1], "geometry")
-    elevation_deg = _float(sec, "elevation_deg", 45.0, "geometry")
-    divergence = _float(sec, "divergence_rad", 1e-3, "geometry")
-    radius = _float(sec, "receiver_radius_m", 0.04, "geometry")
-    _reject_unknown(sec, "geometry")
-    return _build(
-        lambda: LinkGeometry(
-            nfp_altitude_m=altitude,
-            elevation_rad=math.radians(elevation_deg),
-            divergence_rad=divergence,
-            receiver_radius_m=radius,
-        ),
-        "geometry",
-    )
-
-
-def _parse_turbulence(raw: dict) -> TurbulenceDescriptor:
-    sec = _mapping(raw.pop("turbulence", None), "turbulence")
-    wind = _float(sec, "wind_speed_m_per_s", 21.0, "turbulence")
-    constant_a = _float(sec, "structure_constant_a", 1.7e-14, "turbulence")
-    reference = sec.pop("reference_altitude_m", None)
-    if reference is not None:
-        sec["reference_altitude_m"] = reference
-        reference = _float(sec, "reference_altitude_m", 0.0, "turbulence")
-    _reject_unknown(sec, "turbulence")
-    return _build(
-        lambda: TurbulenceDescriptor(
-            wind_speed_m_per_s=wind,
-            structure_constant_a=constant_a,
-            reference_altitude_m=reference,
-        ),
-        "turbulence",
-    )
-
-
-def _parse_fog(raw: dict) -> FogDescriptor:
-    sec = _mapping(raw.pop("fog", None), "fog")
-    visibility_m = _float(sec, "visibility_m", 50.0, "fog")
-    thickness = _float(sec, "layer_thickness_m", 50.0, "fog")
-    _reject_unknown(sec, "fog")
-    return _build(
-        lambda: FogDescriptor(visibility_km=visibility_m / 1000.0, layer_thickness_m=thickness),
-        "fog",
-    )
-
-
-def _parse_rain(raw: dict) -> RainDescriptor:
-    sec = _mapping(raw.pop("rain", None), "rain")
-    rate = _float(sec, "rate_mm_per_hour", 50.0, "rain")
-    thickness = _float(sec, "layer_thickness_m", 1000.0, "rain")
-    _reject_unknown(sec, "rain")
-    return _build(
-        lambda: RainDescriptor(rate_mm_per_hour=rate, layer_thickness_m=thickness), "rain"
-    )
-
-
-_DEFAULT_CLOUDS_RAW = [
-    {
-        "base_altitude_m": 1000.0,
-        "thickness_m": 48.0,
-        "lwc_g_per_m3": 1.0,
-        "droplet_density_per_cm3": 250.0,
-    }
-]
-
-
-def _parse_clouds(raw: dict) -> tuple[CloudLayer, ...]:
-    value = raw.pop("clouds", None)
-    if value is None:
-        value = _DEFAULT_CLOUDS_RAW
-    if not isinstance(value, list):
-        raise ConfigError(f"clouds: expected a list of layers, got {type(value).__name__}")
-    layers = []
-    for i, entry in enumerate(value):
-        path = f"clouds[{i}]"
-        sec = _mapping(entry, path)
-        base = _float(sec, "base_altitude_m", 1000.0, path)
-        thickness = _float(sec, "thickness_m", 48.0, path)
-        lwc = _float(sec, "lwc_g_per_m3", 1.0, path)
-        density = _float(sec, "droplet_density_per_cm3", 250.0, path)
-        _reject_unknown(sec, path)
-        layers.append(
-            _build(
-                lambda: CloudLayer(
-                    base_altitude_m=base,
-                    thickness_m=thickness,
-                    lwc_g_per_m3=lwc,
-                    droplet_density_per_cm3=density,
-                ),
-                path,
+def _read_transceiver(default: TransceiverParams, raw: Any, path: str) -> TransceiverParams:
+    # optical_loss_db is a second spelling of the tx/rx efficiency pair.
+    section = _mapping(raw, path)
+    pair = {"tx_efficiency", "rx_efficiency"} & section.keys()
+    if "optical_loss_db" in section:
+        if pair:
+            raise ConfigError(
+                f"{path}: give either optical_loss_db or the "
+                "tx_efficiency/rx_efficiency pair, not both"
             )
-        )
-    return tuple(layers)
+        loss_path = _join(path, "optical_loss_db")
+        loss = _number(section.pop("optical_loss_db"), loss_path)
+        etas = _build(lambda: efficiencies_from_optical_loss(loss), loss_path)
+        section["tx_efficiency"], section["rx_efficiency"] = etas
+    elif pair:
+        for key in ("tx_efficiency", "rx_efficiency"):
+            section.setdefault(key, 1.0)  # the member left out is lossless
+    return _read(default, section, path)
 
 
-def _parse_scenarios(raw: dict) -> tuple[str, ...]:
-    value = raw.pop("scenarios", None)
-    if value is None:
-        value = ["clear_sky"]
-    if isinstance(value, str):
-        value = [value]
-    if not isinstance(value, list) or not value:
-        raise ConfigError("scenarios: expected a non-empty list of preset names")
-    names = []
-    for i, name in enumerate(value):
+def _read_clouds(default: tuple, raw: Any, path: str) -> tuple[CloudLayer, ...]:
+    if raw is None:
+        return default
+    if not isinstance(raw, list):
+        raise ConfigError(f"{path}: expected a list of layers, got {type(raw).__name__}")
+    # The keys a layer leaves out come from the default deck's layer.
+    layers = tuple(
+        _read(DEFAULT_CLOUD_PROFILE[0], layer, f"{path}[{i}]") for i, layer in enumerate(raw)
+    )
+    _build(lambda: WeatherScenario(path, clouds=layers), path)  # what every cloud preset checks
+    return layers
+
+
+def _read_scenarios(default: tuple, raw: Any, path: str) -> tuple[str, ...]:
+    if raw is None:
+        return default
+    names = [raw] if isinstance(raw, str) else raw
+    if not isinstance(names, list) or not names:
+        raise ConfigError(f"{path}: expected a non-empty list of preset names")
+    for i, name in enumerate(names):
         if name not in PRESET_NAMES:
             raise ConfigError(
-                f"scenarios[{i}]: unknown preset {name!r}; expected one of {PRESET_NAMES}"
+                f"{path}[{i}]: unknown preset {name!r}; expected one of {PRESET_NAMES}"
             )
-        if name in names:
-            raise ConfigError(f"scenarios[{i}]: duplicate preset {name!r}")
-        names.append(name)
+        if name in names[:i]:
+            raise ConfigError(f"{path}[{i}]: duplicate preset {name!r}")
     return tuple(names)
 
 
-def _parse_sweep(raw: dict) -> SweepSpec:
-    sec = _mapping(raw.pop("sweep", None), "sweep")
-    variable = _str(sec, "variable", "altitude", "sweep")
-    start = _float(sec, "start", ALTITUDE_SWEEP_BOUNDS_M[0], "sweep")
-    stop = _float(sec, "stop", ALTITUDE_SWEEP_BOUNDS_M[1], "sweep")
-    points = _int(sec, "points", DEFAULT_ALTITUDE_POINTS, "sweep")
-    scale = _str(sec, "scale", "linear", "sweep")
-    _reject_unknown(sec, "sweep")
-    return _build(
-        lambda: SweepSpec(variable=variable, start=start, stop=stop, points=points, scale=scale),
-        "sweep",
-    )
+def _read_divergences(default: Optional[tuple], raw: Any, path: str) -> Optional[tuple[float, ...]]:
+    if raw is None:
+        return default
+    if not isinstance(raw, list) or not raw:
+        raise ConfigError(f"{path}: expected a non-empty list of angles")
+    angles = []
+    for i, item in enumerate(raw):
+        angle = _number(item, f"{path}[{i}]")
+        _build(lambda: replace(_DEFAULT_GEOMETRY, divergence_rad=angle), f"{path}[{i}]")
+        angles.append(angle)
+    return tuple(angles)
 
 
-def _parse_divergence_values(raw: dict) -> Optional[tuple[float, ...]]:
-    value = raw.pop("divergence_values_rad", None)
-    if value is None:
-        return None
-    if not isinstance(value, list) or not value:
-        raise ConfigError("divergence_values_rad: expected a non-empty list of angles")
-    out = []
-    for i, item in enumerate(value):
-        holder = {"v": item}
-        out.append(_float(holder, "v", 0.0, f"divergence_values_rad[{i}]"))
-        if out[-1] <= 0:
-            raise ConfigError(f"divergence_values_rad[{i}]: must be positive, got {item!r}")
-    return tuple(out)
+def _converted(key: str, to_field, to_yaml):
+    return key, lambda default, raw, path: to_field(_number(raw, path)), to_yaml
 
 
-def _parse_traffic(raw: dict) -> TrafficProfile:
-    sec = _mapping(raw.pop("traffic", None), "traffic")
-    busy = _float(sec, "busy_rate_bps", 50e6, "traffic")
-    peak = _float(sec, "peak_rate_bps", 300e6, "traffic")
-    _reject_unknown(sec, "traffic")
-    return _build(lambda: TrafficProfile(busy_rate_bps=busy, peak_rate_bps=peak), "traffic")
+# --- the generic reader and writer ---------------------------------------------
 
 
-def _parse_cost(raw: dict) -> CostConfig:
-    sec = _mapping(raw.pop("cost", None), "cost")
-    n_macro = _int(sec, "n_macro", 100, "cost")
-    n_small = _int(sec, "n_small", 1000, "cost")
-    width = _float(sec, "area_width_m", 5000.0, "cost")
-    height = _float(sec, "area_height_m", 5000.0, "cost")
-    years = _float(sec, "years", 1.0, "cost")
-    if n_macro <= 0 or n_small <= 0:
-        raise ConfigError(f"cost: cell counts must be positive, got {n_macro}/{n_small}")
-    if years < 0:
-        raise ConfigError(f"cost.years: must be non-negative, got {years}")
+def _read(default, raw: Any, path: str):
+    """`default` with the entries of the mapping `raw` in place of its fields."""
+    section = _mapping(raw, path)
+    value = _fill(default, section, path)
+    _reject_unknown(section, path)
+    return value
 
-    rf = _mapping(sec.pop("rf_nlos", None), "cost.rf_nlos")
-    rf_params = _build(
-        lambda: RfNlosCostParams(
-            hub_unit_cost=_float(rf, "hub_unit_cost", 4000.0, "cost.rf_nlos"),
-            hub_install_cost=_float(rf, "hub_install_cost", 270.0, "cost.rf_nlos"),
-            module_unit_cost=_float(rf, "module_unit_cost", 2000.0, "cost.rf_nlos"),
-            module_install_cost=_float(rf, "module_install_cost", 140.0, "cost.rf_nlos"),
-            modules_per_hub=_int(rf, "modules_per_hub", 4, "cost.rf_nlos"),
-            spectrum_mhz=_float(rf, "spectrum_mhz", 40.0, "cost.rf_nlos"),
-            spectrum_cost_per_mhz_per_capita=_float(
-                rf, "spectrum_cost_per_mhz_per_capita", 0.007, "cost.rf_nlos"
-            ),
-            population=_int(rf, "population", 250_000, "cost.rf_nlos"),
-            pole_lease_per_site_year=_float(rf, "pole_lease_per_site_year", 1250.0, "cost.rf_nlos"),
-            power_maintenance_per_site_year=_float(
-                rf, "power_maintenance_per_site_year", 375.0, "cost.rf_nlos"
-            ),
-        ),
-        "cost.rf_nlos",
-    )
-    _reject_unknown(rf, "cost.rf_nlos")
 
-    fiber = _mapping(sec.pop("fiber", None), "cost.fiber")
-    fiber_params = _build(
-        lambda: FiberCostParams(
-            cable_cost_per_m=_float(fiber, "cable_cost_per_m", 10.0, "cost.fiber"),
-            install_cost_per_m=_float(fiber, "install_cost_per_m", 200.0, "cost.fiber"),
-            power_maintenance_per_link_year=_float(
-                fiber, "power_maintenance_per_link_year", 200.0, "cost.fiber"
-            ),
-            routing_factor=_float(fiber, "routing_factor", 1.0, "cost.fiber"),
-        ),
-        "cost.fiber",
-    )
-    _reject_unknown(fiber, "cost.fiber")
+def _fill(default, section: dict, path: str, prefix: str = ""):
+    """Like _read, but pops its keys from `section` and leaves the rest there."""
+    given = {}
+    for f in fields(default):
+        spec = (type(default), f.name)
+        current = getattr(default, f.name)
+        if spec in _FLATTENED:
+            given[f.name] = _fill(current, section, path, _FLATTENED[spec])
+            continue
+        key, reader, _ = _SPECIAL.get(spec, (f.name, None, None))
+        key = prefix + key
+        if key not in section:
+            continue
+        raw, key_path = section.pop(key), _join(path, key)
+        if reader is not None:
+            given[f.name] = reader(current, raw, key_path)
+        elif is_dataclass(current):
+            given[f.name] = _read(current, raw, key_path)
+        else:
+            given[f.name] = _SCALARS[f.type](raw, key_path)
+    return _build(lambda: replace(default, **given), path)
 
-    tfso = _mapping(sec.pop("terrestrial_fso", None), "cost.terrestrial_fso")
-    tfso_params = _build(
-        lambda: TerrestrialFsoCostParams(
-            equipment_cost_per_link=_float(
-                tfso, "equipment_cost_per_link", 15000.0, "cost.terrestrial_fso"
-            ),
-            planning_install_per_link=_float(
-                tfso, "planning_install_per_link", 5000.0, "cost.terrestrial_fso"
-            ),
-            power_maintenance_per_link_year=_float(
-                tfso, "power_maintenance_per_link_year", 8000.0, "cost.terrestrial_fso"
-            ),
-            nlos_fraction=_float(tfso, "nlos_fraction", 0.5, "cost.terrestrial_fso"),
-            nlos_hop_count=_int(tfso, "nlos_hop_count", 2, "cost.terrestrial_fso"),
-        ),
-        "cost.terrestrial_fso",
-    )
-    _reject_unknown(tfso, "cost.terrestrial_fso")
 
-    vfso_sec = _mapping(sec.pop("vertical_fso", None), "cost.vertical_fso")
-    vfso_params = _build(
-        lambda: VerticalFsoCostParams(
-            n_platforms=_int(vfso_sec, "n_platforms", 20, "cost.vertical_fso"),
-            platform_cost=_float(vfso_sec, "platform_cost", 50000.0, "cost.vertical_fso"),
-            cost_per_flight_hour=_float(
-                vfso_sec, "cost_per_flight_hour", 859.0, "cost.vertical_fso"
-            ),
-            flight_hours_per_year=_float(
-                vfso_sec, "flight_hours_per_year", 6925.0, "cost.vertical_fso"
-            ),
-        ),
-        "cost.vertical_fso",
-    )
-    _reject_unknown(vfso_sec, "cost.vertical_fso")
-    _reject_unknown(sec, "cost")
+def _emit(value: Any) -> Any:
+    if is_dataclass(value):
+        return _write(value, {})
+    if isinstance(value, tuple):
+        return [_emit(item) for item in value]
+    return value
 
-    area = _build(lambda: Area(width_m=width, height_m=height), "cost")
-    params = CostParams(
-        rf_nlos=rf_params,
-        fiber=fiber_params,
-        terrestrial_fso=tfso_params,
-        vertical_fso=vfso_params,
-    )
-    return CostConfig(n_macro=n_macro, n_small=n_small, area=area, years=years, params=params)
+
+def _write(obj, out: dict, prefix: str = "") -> dict:
+    for f in fields(obj):
+        spec = (type(obj), f.name)
+        value = getattr(obj, f.name)
+        if spec in _FLATTENED:
+            _write(value, out, _FLATTENED[spec])
+        else:
+            key, _, writer = _SPECIAL.get(spec, (f.name, None, _emit))
+            out[prefix + key] = writer(value)
+    return out
+
+
+# Fields spelled differently in YAML: (owner, field) -> (YAML key, reader, writer).
+# reader(default, raw, path) gives the field value, writer(value) the YAML value.
+_SPECIAL = {
+    (LinkGeometry, "elevation_rad"): _converted("elevation_deg", math.radians, math.degrees),
+    (FogDescriptor, "visibility_km"): _converted(
+        "visibility_m", lambda m: m / 1000.0, lambda km: km * 1000.0
+    ),
+    (RunConfig, "transceiver"): ("transceiver", _read_transceiver, _emit),
+    (RunConfig, "clouds"): ("clouds", _read_clouds, _emit),
+    (RunConfig, "scenario_names"): ("scenarios", _read_scenarios, _emit),
+    (RunConfig, "divergence_values_rad"): ("divergence_values_rad", _read_divergences, _emit),
+}
+
+# Nested dataclasses whose fields sit in the parent's section: (owner, field) -> key prefix.
+_FLATTENED = {(CostConfig, "area"): "area_", (CostConfig, "params"): ""}
 
 
 # --- public API ---------------------------------------------------------------
@@ -473,34 +360,8 @@ def _deep_merge(base: dict, extra: dict) -> dict:
 
 def config_from_mapping(document: Optional[dict]) -> RunConfig:
     """Validate a raw mapping into a RunConfig; empty input means all defaults."""
-    raw = _mapping(document, "config")
-    default_outdir = os.environ.get(OUTPUT_DIR_ENV_VAR, "out")
-    output_dir = _str(raw, "output_dir", default_outdir, "config")
-    seed = _int(raw, "seed", 0, "config")
-    if seed < 0:
-        raise ConfigError(f"seed: must be non-negative, got {seed}")
-    target = _float(raw, "target_rate_bps", 3.0e9, "config")
-    if target <= 0:
-        raise ConfigError(f"target_rate_bps: must be positive, got {target}")
-
-    config = RunConfig(
-        output_dir=output_dir,
-        seed=seed,
-        target_rate_bps=target,
-        transceiver=_parse_transceiver(raw),
-        geometry=_parse_geometry(raw),
-        turbulence=_parse_turbulence(raw),
-        fog=_parse_fog(raw),
-        rain=_parse_rain(raw),
-        clouds=_parse_clouds(raw),
-        scenario_names=_parse_scenarios(raw),
-        sweep=_parse_sweep(raw),
-        divergence_values_rad=_parse_divergence_values(raw),
-        traffic=_parse_traffic(raw),
-        cost=_parse_cost(raw),
-    )
-    _reject_unknown(raw, "config")
-    return config
+    default = RunConfig(output_dir=os.environ.get(OUTPUT_DIR_ENV_VAR, RunConfig.output_dir))
+    return _read(default, document, _ROOT)
 
 
 def load_config(path: Optional[str] = None, overrides: Sequence[str] = ()) -> RunConfig:
@@ -517,7 +378,7 @@ def load_config(path: Optional[str] = None, overrides: Sequence[str] = ()) -> Ru
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"config file {path!r} is not valid YAML: {exc}") from exc
-    merged = _deep_merge(_mapping(document, "config"), parse_overrides(overrides))
+    merged = _deep_merge(_mapping(document, _ROOT), parse_overrides(overrides))
     return config_from_mapping(merged)
 
 
@@ -527,120 +388,7 @@ def resolved_mapping(config: RunConfig) -> dict:
     Feeding this back through config_from_mapping reconstructs an equal
     RunConfig, which is what makes result bundles self-reproducing.
     """
-    return {
-        "output_dir": config.output_dir,
-        "seed": config.seed,
-        "target_rate_bps": config.target_rate_bps,
-        "transceiver": {
-            "transmit_power_w": config.transceiver.transmit_power_w,
-            "tx_efficiency": config.transceiver.tx_efficiency,
-            "rx_efficiency": config.transceiver.rx_efficiency,
-            "wavelength_nm": config.transceiver.wavelength_nm,
-            "pointing_loss_db": config.transceiver.pointing_loss_db,
-            "receiver_sensitivity_photons_per_bit": (
-                config.transceiver.receiver_sensitivity_photons_per_bit
-            ),
-        },
-        "geometry": {
-            "nfp_altitude_m": config.geometry.nfp_altitude_m,
-            "elevation_deg": math.degrees(config.geometry.elevation_rad),
-            "divergence_rad": config.geometry.divergence_rad,
-            "receiver_radius_m": config.geometry.receiver_radius_m,
-        },
-        "turbulence": {
-            "wind_speed_m_per_s": config.turbulence.wind_speed_m_per_s,
-            "structure_constant_a": config.turbulence.structure_constant_a,
-            "reference_altitude_m": config.turbulence.reference_altitude_m,
-        },
-        "fog": {
-            "visibility_m": config.fog.visibility_km * 1000.0,
-            "layer_thickness_m": config.fog.layer_thickness_m,
-        },
-        "rain": {
-            "rate_mm_per_hour": config.rain.rate_mm_per_hour,
-            "layer_thickness_m": config.rain.layer_thickness_m,
-        },
-        "clouds": [
-            {
-                "base_altitude_m": layer.base_altitude_m,
-                "thickness_m": layer.thickness_m,
-                "lwc_g_per_m3": layer.lwc_g_per_m3,
-                "droplet_density_per_cm3": layer.droplet_density_per_cm3,
-            }
-            for layer in config.clouds
-        ],
-        "scenarios": list(config.scenario_names),
-        "sweep": {
-            "variable": config.sweep.variable,
-            "start": config.sweep.start,
-            "stop": config.sweep.stop,
-            "points": config.sweep.points,
-            "scale": config.sweep.scale,
-        },
-        "divergence_values_rad": (
-            list(config.divergence_values_rad)
-            if config.divergence_values_rad is not None
-            else None
-        ),
-        "traffic": {
-            "busy_rate_bps": config.traffic.busy_rate_bps,
-            "peak_rate_bps": config.traffic.peak_rate_bps,
-        },
-        "cost": {
-            "n_macro": config.cost.n_macro,
-            "n_small": config.cost.n_small,
-            "area_width_m": config.cost.area.width_m,
-            "area_height_m": config.cost.area.height_m,
-            "years": config.cost.years,
-            "rf_nlos": {
-                "hub_unit_cost": config.cost.params.rf_nlos.hub_unit_cost,
-                "hub_install_cost": config.cost.params.rf_nlos.hub_install_cost,
-                "module_unit_cost": config.cost.params.rf_nlos.module_unit_cost,
-                "module_install_cost": config.cost.params.rf_nlos.module_install_cost,
-                "modules_per_hub": config.cost.params.rf_nlos.modules_per_hub,
-                "spectrum_mhz": config.cost.params.rf_nlos.spectrum_mhz,
-                "spectrum_cost_per_mhz_per_capita": (
-                    config.cost.params.rf_nlos.spectrum_cost_per_mhz_per_capita
-                ),
-                "population": config.cost.params.rf_nlos.population,
-                "pole_lease_per_site_year": (
-                    config.cost.params.rf_nlos.pole_lease_per_site_year
-                ),
-                "power_maintenance_per_site_year": (
-                    config.cost.params.rf_nlos.power_maintenance_per_site_year
-                ),
-            },
-            "fiber": {
-                "cable_cost_per_m": config.cost.params.fiber.cable_cost_per_m,
-                "install_cost_per_m": config.cost.params.fiber.install_cost_per_m,
-                "power_maintenance_per_link_year": (
-                    config.cost.params.fiber.power_maintenance_per_link_year
-                ),
-                "routing_factor": config.cost.params.fiber.routing_factor,
-            },
-            "terrestrial_fso": {
-                "equipment_cost_per_link": (
-                    config.cost.params.terrestrial_fso.equipment_cost_per_link
-                ),
-                "planning_install_per_link": (
-                    config.cost.params.terrestrial_fso.planning_install_per_link
-                ),
-                "power_maintenance_per_link_year": (
-                    config.cost.params.terrestrial_fso.power_maintenance_per_link_year
-                ),
-                "nlos_fraction": config.cost.params.terrestrial_fso.nlos_fraction,
-                "nlos_hop_count": config.cost.params.terrestrial_fso.nlos_hop_count,
-            },
-            "vertical_fso": {
-                "n_platforms": config.cost.params.vertical_fso.n_platforms,
-                "platform_cost": config.cost.params.vertical_fso.platform_cost,
-                "cost_per_flight_hour": config.cost.params.vertical_fso.cost_per_flight_hour,
-                "flight_hours_per_year": (
-                    config.cost.params.vertical_fso.flight_hours_per_year
-                ),
-            },
-        },
-    }
+    return _emit(config)
 
 
 def resolved_yaml(config: RunConfig) -> str:

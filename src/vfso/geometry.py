@@ -61,14 +61,18 @@ def beam_radius(divergence_rad: float, path_length_m: float) -> float:
 
 
 def geometrical_capture_fraction(geometry: LinkGeometry) -> float:
-    """Fraction of transmitted power collected by the aperture, in (0, 1].
+    """Fraction of transmitted power collected by the aperture, in [0, 1].
 
     Ratio of aperture to beam-footprint area, (r / r_B)^2, capped at 1:
     when the footprint is smaller than the aperture everything is collected,
-    the receiver cannot gather more power than was sent.
+    the receiver cannot gather more power than was sent. The radii are
+    compared before squaring, so a vanishing footprint cannot overflow; a
+    footprint vastly wider than the aperture underflows to 0.
     """
     r_b = beam_radius(geometry.divergence_rad, slant_path(geometry))
-    return min(1.0, (geometry.receiver_radius_m / r_b) ** 2)
+    if geometry.receiver_radius_m >= r_b:
+        return 1.0
+    return (geometry.receiver_radius_m / r_b) ** 2
 
 
 def geometrical_loss(geometry: LinkGeometry) -> float:
@@ -77,7 +81,9 @@ def geometrical_loss(geometry: LinkGeometry) -> float:
 
 
 def capture_loss_db(fraction: float) -> float:
-    """Loss in dB of a capture fraction in (0, 1]: -10*log10(fraction)."""
+    """Loss in dB of a capture fraction in [0, 1]: -10*log10(fraction), inf at 0."""
     if fraction == 1.0:
         return 0.0  # avoid IEEE -0.0 leaking into reports
+    if fraction == 0.0:
+        return math.inf
     return -10.0 * math.log10(fraction)

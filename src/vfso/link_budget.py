@@ -266,9 +266,12 @@ def evaluate_grid(
     slant_factor = 1.0 / math.sin(elevation)  # as in atmosphere's layer crossings
 
     path_m = altitude / math.sin(elevation)  # as in geometry.slant_path
-    ratio = (geometry.receiver_radius_m / (divergence * path_m / 2.0)) ** 2
-    fraction = np.minimum(1.0, ratio)
-    geometrical_db = np.where(fraction == 1.0, 0.0, -10.0 * np.log10(fraction))
+    # A vanishing footprint overflows the ratio (capped to 1 below), a vast
+    # one underflows it to 0 (an inf dB loss), as geometry's scalar path gives.
+    with np.errstate(over="ignore", divide="ignore"):
+        ratio = (geometry.receiver_radius_m / (divergence * path_m / 2.0)) ** 2
+        fraction = np.minimum(1.0, ratio)
+        geometrical_db = np.where(fraction == 1.0, 0.0, -10.0 * np.log10(fraction))
 
     fog_db = (
         fog_attenuation(scenario.fog, elevation, wavelength) if scenario.fog is not None else 0.0

@@ -150,6 +150,14 @@ class SweepSpec:
         return [float(x) for x in np.linspace(self.start, self.stop, self.points)]
 
 
+DEFAULT_SWEEP = SweepSpec(
+    variable="altitude",
+    start=ALTITUDE_SWEEP_BOUNDS_M[0],
+    stop=ALTITUDE_SWEEP_BOUNDS_M[1],
+    points=DEFAULT_ALTITUDE_POINTS,
+)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One grid point: the variable value plus either a result or an error."""

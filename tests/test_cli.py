@@ -190,6 +190,50 @@ class TestErrorsAndDeterminism:
         assert code == EXIT_USAGE
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, override, message",
+        [
+            ("evaluate", "transceiver.transmit_power_w=.inf", "transceiver.transmit_power_w: "),
+            ("evaluate", "fog.visibility_m=.nan", "fog.visibility_m: "),
+            (
+                "evaluate",
+                "turbulence.reference_altitude_m=.nan",
+                "turbulence.reference_altitude_m: ",
+            ),
+            ("evaluate", 'geometry.divergence_rad="inf"', "geometry.divergence_rad: "),
+            ("cost", "cost.area_width_m=.inf", "cost.area_width_m: "),
+            ("cost", "cost.years=.inf", "cost.years: "),
+            ("aggregate", "traffic.peak_rate_bps=-.inf", "traffic.peak_rate_bps: "),
+            ("sweep", "divergence_values_rad=[.nan]", "divergence_values_rad[0]: "),
+            (
+                "evaluate",
+                "clouds=[{base_altitude_m: 1000}, {base_altitude_m: 1010}]",
+                "clouds: cloud layers overlap",
+            ),
+        ],
+    )
+    def test_invalid_numbers_exit_1_without_traceback(
+        self, tmp_path, capsys, command, override, message
+    ):
+        code, outdir = run(tmp_path, command, f"--set={override}")
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {message}")
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize(
+        "divergence, expected", [("1e-300", EXIT_OK), ("1e300", EXIT_LINK_FAILURE)]
+    )
+    def test_extreme_divergence_is_answered(self, tmp_path, capsys, divergence, expected):
+        code, outdir = run(tmp_path, "evaluate", f"--set=geometry.divergence_rad={divergence}")
+        assert code == expected
+        row = read_csv(os.path.join(outdir, "evaluate.csv"))[0]
+        if expected == EXIT_OK:
+            assert row["l_geo_db"] == "0.0"
+        else:
+            cells = (row["l_geo_db"], row["data_rate_bps"], row["link_margin_db"])
+            assert cells == ("inf", "0.0", "-inf")
+
     def test_unknown_command_exits_1(self, capsys):
         assert main(["fly"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err

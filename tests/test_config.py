@@ -1,17 +1,35 @@
 """Tests of config loading, validation, overrides, and the resolved echo."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 
+from vfso.aggregation import DEFAULT_TRAFFIC
 from vfso.config import (
     ConfigError,
+    CostConfig,
+    RunConfig,
     config_from_mapping,
     load_config,
     parse_overrides,
     resolved_mapping,
     resolved_yaml,
 )
+from vfso.hetnet_cost import DEFAULT_AREA, CostParams
+from vfso.link_budget import DEFAULT_TARGET_RATE_BPS
+from vfso.scenario import (
+    DEFAULT_CLOUD_PROFILE,
+    DEFAULT_FOG,
+    DEFAULT_RAIN,
+    DEFAULT_SWEEP,
+    DEFAULT_TURBULENCE,
+    default_parameters,
+)
+
+REPO = Path(__file__).resolve().parent.parent
 
 
 class TestDefaults:
@@ -162,3 +180,166 @@ class TestResolvedEcho:
             "divergence_values_rad", "traffic", "cost",
         ):
             assert key in mapping
+
+
+# One float key per section, plus a nested cost section and a list entry.
+FLOAT_KEYS = [
+    "target_rate_bps",
+    "transceiver.transmit_power_w",
+    "transceiver.optical_loss_db",
+    "geometry.elevation_deg",
+    "geometry.divergence_rad",
+    "turbulence.reference_altitude_m",
+    "fog.visibility_m",
+    "rain.rate_mm_per_hour",
+    "sweep.start",
+    "traffic.busy_rate_bps",
+    "cost.area_width_m",
+    "cost.years",
+    "cost.fiber.routing_factor",
+]
+NON_FINITE = [".nan", ".inf", "-.inf", "nan", "inf", '"-inf"', "1e999"]
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("text", NON_FINITE)
+    @pytest.mark.parametrize("key", FLOAT_KEYS)
+    def test_rejected_with_the_key_path(self, key, text):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be finite"):
+            config_from_mapping(parse_overrides([f"{key}={text}"]))
+
+    @pytest.mark.parametrize("text", NON_FINITE)
+    def test_rejected_in_lists(self, text):
+        with pytest.raises(ConfigError, match=r"^divergence_values_rad\[1\]: must be finite"):
+            config_from_mapping(parse_overrides([f"divergence_values_rad=[1.0e-3, {text}]"]))
+        with pytest.raises(ConfigError, match=r"^clouds\[0\].thickness_m: must be finite"):
+            config_from_mapping(parse_overrides([f"clouds=[{{thickness_m: {text}}}]"]))
+
+    def test_integer_beyond_the_float_range(self):
+        with pytest.raises(ConfigError, match="^sweep.stop: must be finite"):
+            config_from_mapping({"sweep": {"stop": 10**400}})
+
+
+class TestWholeConfigValidatedAtLoad:
+    def test_overlapping_clouds(self):
+        clouds = [{"base_altitude_m": 1000.0}, {"base_altitude_m": 1010.0}]
+        with pytest.raises(ConfigError, match="^clouds: cloud layers overlap"):
+            config_from_mapping({"clouds": clouds})
+
+    def test_stacked_clouds_are_accepted(self):
+        clouds = [{"base_altitude_m": 1000.0}, {"base_altitude_m": 1048.0}]
+        config = config_from_mapping({"clouds": clouds, "scenarios": ["cloud_and_fog"]})
+        assert [layer.top_altitude_m for layer in config.scenarios()[0].clouds] == [1048.0, 1096.0]
+
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([1e-3, 0.0], r"^divergence_values_rad\[1\]: divergence_rad must be positive"),
+            ([-1e-3], r"^divergence_values_rad\[0\]: divergence_rad must be positive"),
+            (["wide"], r"^divergence_values_rad\[0\]: expected a number, got 'wide'$"),
+        ],
+    )
+    def test_each_divergence_must_make_a_geometry(self, values, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_mapping({"divergence_values_rad": values})
+
+    @pytest.mark.parametrize(
+        "cost, message",
+        [
+            ({"n_macro": 0}, "^cost: cell counts must be positive"),
+            ({"years": -1}, "^cost: years must be non-negative"),
+            ({"area_height_m": 0}, "^cost: area sides must be positive"),
+            ({"rf_nlos": {"population": 2.5}}, "^cost.rf_nlos.population: expected an integer"),
+        ],
+    )
+    def test_cost_section(self, cost, message):
+        with pytest.raises(ConfigError, match=message):
+            config_from_mapping({"cost": cost})
+
+    def test_cost_config_checks_itself(self):
+        with pytest.raises(ValueError, match="years must be non-negative"):
+            CostConfig(years=-1.0)
+
+
+class TestOneSourceOfDefaults:
+    def test_defaults_are_the_library_objects(self, monkeypatch):
+        monkeypatch.delenv("VFSO_OUTDIR", raising=False)
+        config = load_config()
+        tx, geometry, turbulence = default_parameters()
+        assert config.transceiver == tx
+        assert config.geometry == geometry
+        assert config.turbulence == turbulence == DEFAULT_TURBULENCE
+        assert config.fog == DEFAULT_FOG
+        assert config.rain == DEFAULT_RAIN
+        assert config.clouds == DEFAULT_CLOUD_PROFILE
+        assert config.target_rate_bps == DEFAULT_TARGET_RATE_BPS
+        assert config.traffic == DEFAULT_TRAFFIC
+        assert config.sweep == DEFAULT_SWEEP
+        assert config.cost.area == DEFAULT_AREA
+        assert config.cost.params == CostParams()
+        assert config == RunConfig()
+
+    def test_partial_cloud_layer_takes_the_default_layer(self):
+        config = config_from_mapping({"clouds": [{"base_altitude_m": 3000.0}]})
+        (layer,) = config.clouds
+        assert layer.thickness_m == DEFAULT_CLOUD_PROFILE[0].thickness_m
+        assert layer.lwc_g_per_m3 == DEFAULT_CLOUD_PROFILE[0].lwc_g_per_m3
+
+    def test_readme_configuration_block_is_the_defaults(self, monkeypatch):
+        monkeypatch.delenv("VFSO_OUTDIR", raising=False)
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Configuration\n", 1)[1]
+        block = re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1)
+        assert config_from_mapping(yaml.safe_load(block)) == load_config()
+
+
+EVERY_SECTION = [
+    "seed=3",
+    "target_rate_bps=2.5e9",
+    "transceiver.optical_loss_db=3",
+    "geometry.elevation_deg=60",
+    "turbulence.reference_altitude_m=500",
+    "fog.visibility_m=200",
+    "rain.rate_mm_per_hour=25",
+    "clouds=[{base_altitude_m: 800}, {base_altitude_m: 2000, lwc_g_per_m3: 0.5}]",
+    "scenarios=[clear_sky, rain_and_cloud]",
+    "sweep.points=9",
+    "divergence_values_rad=[1.0e-3, 2.0e-5]",
+    "traffic.busy_rate_bps=4.0e+7",
+    "cost.area_width_m=3000",
+    "cost.rf_nlos.population=90000",
+    "cost.fiber.routing_factor=1.3",
+    "cost.terrestrial_fso.nlos_hop_count=3",
+    "cost.vertical_fso.n_platforms=7",
+]
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize(
+        "path, overrides",
+        [
+            (None, []),
+            ("configs/fig2.cfg", []),
+            ("configs/fig3.cfg", []),
+            ("configs/fig4.cfg", []),
+            (None, EVERY_SECTION),
+            (None, ["transceiver.tx_efficiency=0.9"]),
+            (None, ["clouds=[]", "turbulence.reference_altitude_m=null"]),
+        ],
+    )
+    def test_echo_reproduces_the_config(self, path, overrides):
+        config = load_config(path and str(REPO / path), overrides)
+        assert config_from_mapping(resolved_mapping(config)) == config
+        assert config_from_mapping(yaml.safe_load(resolved_yaml(config))) == config
+
+    def test_every_section_override_lands(self):
+        config = load_config(None, EVERY_SECTION)
+        assert config.geometry.elevation_rad == math.radians(60.0)
+        assert config.fog.visibility_km == 0.2
+        assert config.cost.area.width_m == 3000.0
+        assert config.cost.params.vertical_fso.n_platforms == 7
+        assert resolved_mapping(config)["cost"]["area_width_m"] == 3000.0
+
+    def test_lone_efficiency_pairs_with_a_lossless_one(self):
+        config = config_from_mapping({"transceiver": {"tx_efficiency": 0.9}})
+        assert (config.transceiver.tx_efficiency, config.transceiver.rx_efficiency) == (0.9, 1.0)

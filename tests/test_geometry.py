@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from vfso.geometry import (
     LinkGeometry,
     beam_radius,
+    capture_loss_db,
     geometrical_capture_fraction,
     geometrical_loss,
     slant_path,
@@ -89,6 +90,13 @@ class TestCaptureFraction:
         )
 
 
+    def test_vanishing_footprint_does_not_overflow(self):
+        assert geometrical_capture_fraction(geom(theta=1e-300)) == 1.0
+
+    def test_vast_footprint_underflows_to_zero(self):
+        assert geometrical_capture_fraction(geom(theta=1e300)) == 0.0
+
+
 class TestGeometricalLoss:
     def test_reference_configuration(self):
         assert geometrical_loss(geom()) == pytest.approx(50.96910013008056, rel=1e-12)
@@ -100,6 +108,10 @@ class TestGeometricalLoss:
         assert geometrical_loss(geom(theta=1e-5)) == pytest.approx(
             10.969100130080566, rel=1e-12
         )
+
+    def test_nothing_captured_is_an_infinite_loss(self):
+        assert capture_loss_db(0.0) == math.inf
+        assert geometrical_loss(geom(theta=1e300)) == math.inf
 
     @given(st.floats(min_value=2e-4, max_value=1e-2), st.floats(min_value=1.1, max_value=8.0))
     def test_scaling_divergence_adds_20log10(self, theta, k):

@@ -253,3 +253,21 @@ def test_non_finite_grid_points_become_row_errors(variable):
     assert result.rows[3].result == evaluate_link(TX, GEOMETRY, preset("cloud_and_fog"))
     assert np.isnan(result.columns.data_rate_bps[:3]).all()
     assert np.isfinite(result.columns.data_rate_bps[3])
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_extreme_divergences_match_per_point_evaluation(name):
+    # 1e-300 rad: the footprint is far inside the aperture, so all is captured.
+    # 1e300 rad: the capture fraction underflows to 0, the margin is -inf.
+    spec = FixedGrid("divergence", 1.0, 2.0, 2, values=(1e-300, 1e300))
+    scenario = preset(name)
+    sweep = run_sweep(spec, scenario, TX, GEOMETRY)
+    reference = per_point_reference(spec, scenario, TX, GEOMETRY)
+    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
+        assert row.error is None and error is None
+        for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
+            assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
+    narrow, wide = (result for _, result, _ in reference)
+    assert narrow.loss_breakdown.geometrical_db == 0.0
+    assert (wide.loss_breakdown.geometrical_db, wide.data_rate_bps) == (math.inf, 0.0)
+    assert wide.link_margin_db == -math.inf
