@@ -57,6 +57,8 @@ def supported_cells(
     of the last cell (see oversubscribes). rounding='floor' gives the
     guaranteed-provisioning count instead.
     """
+    if not math.isfinite(link_rate_bps):
+        raise ValueError(f"link_rate_bps must be finite, got {link_rate_bps}")
     if link_rate_bps < 0:
         raise ValueError(f"link_rate_bps must be non-negative, got {link_rate_bps}")
     if rounding not in ("ceil", "floor"):

@@ -14,7 +14,8 @@ free-space-optical link:
 All losses are returned in positive dB. Thicknesses and altitudes enter the
 API in meters and are converted to km internally where the empirical
 formulas expect km. Everything in this module is a pure function; there is
-no shared state.
+no shared state. The terms that vary along a sweep grid are private
+functions of a math namespace `xp` (see geometry), called on floats here.
 """
 
 from __future__ import annotations
@@ -23,10 +24,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import LinkGeometry, slant_path
+from .geometry import _SCALAR_MATH, LinkGeometry, slant_path
 
 # Background term of the Hufnagel-Valley profile, m^(-2/3).
 HV_BACKGROUND = 2.7e-16
+
+# Cap on the altitude in the (1e-5 h)^10 wind term of the Hufnagel-Valley
+# profile. Beyond it exp(-h / 1000) is exactly 0.0, so the cap changes no Cn^2
+# value; it keeps the power from overflowing at extreme altitudes.
+HV_WIND_TERM_ALTITUDE_CAP_M = 1e6
 
 
 @dataclass(frozen=True)
@@ -243,12 +249,15 @@ def cloud_attenuation(
     nothing; a layer the platform sits inside contributes pro rata.
     """
     _check_no_overlap(layers)
+    return _cloud_db(layers, nfp_altitude_m, elevation_rad, wavelength_nm, _SCALAR_MATH)
+
+
+def _cloud_db(layers, nfp_altitude_m, elevation_rad, wavelength_nm, xp):
     factor = _slant_factor(elevation_rad)
     total = 0.0
     for layer in layers:
-        pierced_m = min(layer.top_altitude_m, nfp_altitude_m) - layer.base_altitude_m
-        if pierced_m <= 0.0:
-            continue
+        base = layer.base_altitude_m
+        pierced_m = xp.minimum(xp.maximum(nfp_altitude_m, base), layer.top_altitude_m) - base
         specific = mie_specific_attenuation(cloud_visibility(layer), wavelength_nm)
         total += specific * pierced_m / 1000.0 * factor
     return total
@@ -262,12 +271,16 @@ def refractive_index_structure(altitude_m: float, turbulence: TurbulenceDescript
     """
     if altitude_m < 0:
         raise ValueError(f"altitude_m must be non-negative, got {altitude_m}")
-    h = altitude_m
+    return _cn2(altitude_m, turbulence, _SCALAR_MATH)
+
+
+def _cn2(h, turbulence: TurbulenceDescriptor, xp):
     v = turbulence.wind_speed_m_per_s
+    wind_base = 1e-5 * xp.minimum(h, HV_WIND_TERM_ALTITUDE_CAP_M)
     return (
-        0.00594 * (v / 27.0) ** 2 * (1e-5 * h) ** 10 * math.exp(-h / 1000.0)
-        + HV_BACKGROUND * math.exp(-h / 1500.0)
-        + turbulence.structure_constant_a * math.exp(-h / 100.0)
+        0.00594 * (v / 27.0) ** 2 * wind_base**10 * xp.exp(-h / 1000.0)
+        + HV_BACKGROUND * xp.exp(-h / 1500.0)
+        + turbulence.structure_constant_a * xp.exp(-h / 100.0)
     )
 
 
@@ -283,10 +296,12 @@ def scintillation_loss(wavelength_nm: float, cn2: float, path_length_m: float) -
         raise ValueError(f"cn2 must be non-negative, got {cn2}")
     if path_length_m <= 0:
         raise ValueError(f"path_length_m must be positive, got {path_length_m}")
+    return _scintillation_db(wavelength_nm, cn2, path_length_m, _SCALAR_MATH)
+
+
+def _scintillation_db(wavelength_nm: float, cn2, path_length_m, xp):
     wavenumber = 2.0 * math.pi * 1e9 / wavelength_nm
-    return 2.0 * math.sqrt(
-        23.17 * wavenumber ** (7.0 / 6.0) * cn2 * path_length_m ** (11.0 / 6.0)
-    )
+    return 2.0 * xp.sqrt(23.17 * wavenumber ** (7.0 / 6.0) * cn2 * path_length_m ** (11.0 / 6.0))
 
 
 def total_atmospheric_loss(
@@ -298,29 +313,21 @@ def total_atmospheric_loss(
     scintillation term samples Cn^2 at the turbulence descriptor's reference
     altitude (platform altitude unless overridden) over the whole slant path.
     """
-    elevation = geometry.elevation_rad
-    fog_db = (
-        fog_attenuation(scenario.fog, elevation, wavelength_nm)
-        if scenario.fog is not None
-        else 0.0
+    altitude_m, elevation = geometry.nfp_altitude_m, geometry.elevation_rad
+    terms = _atmospheric_terms(
+        scenario, altitude_m, elevation, wavelength_nm, slant_path(geometry), _SCALAR_MATH
     )
-    rain_db = rain_attenuation(scenario.rain, elevation) if scenario.rain is not None else 0.0
-    cloud_db = cloud_attenuation(
-        scenario.clouds, geometry.nfp_altitude_m, elevation, wavelength_nm
-    )
-    if scenario.turbulence is not None:
-        reference_m = (
-            scenario.turbulence.reference_altitude_m
-            if scenario.turbulence.reference_altitude_m is not None
-            else geometry.nfp_altitude_m
-        )
-        cn2 = refractive_index_structure(reference_m, scenario.turbulence)
-        scintillation_db = scintillation_loss(wavelength_nm, cn2, slant_path(geometry))
-    else:
-        scintillation_db = 0.0
-    return AtmosphericLoss(
-        fog_db=fog_db,
-        rain_db=rain_db,
-        cloud_db=cloud_db,
-        scintillation_db=scintillation_db,
-    )
+    return AtmosphericLoss(*terms)
+
+
+def _atmospheric_terms(scenario, altitude_m, elevation, wavelength_nm, path_m, xp) -> tuple:
+    """(fog, rain, cloud, scintillation) dB; fog and rain are floats."""
+    fog, rain, turbulence = scenario.fog, scenario.rain, scenario.turbulence
+    fog_db = 0.0 if fog is None else fog_attenuation(fog, elevation, wavelength_nm)
+    rain_db = 0.0 if rain is None else rain_attenuation(rain, elevation)
+    cloud_db = _cloud_db(scenario.clouds, altitude_m, elevation, wavelength_nm, xp)
+    if turbulence is None:
+        return fog_db, rain_db, cloud_db, 0.0
+    reference_m = turbulence.reference_altitude_m
+    cn2 = _cn2(altitude_m if reference_m is None else reference_m, turbulence, xp)
+    return fog_db, rain_db, cloud_db, _scintillation_db(wavelength_nm, cn2, path_m, xp)

@@ -12,6 +12,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
+
+
+def _log10(x: float) -> float:
+    return -math.inf if x == 0.0 else math.log10(x)
+
+
+# The link budget's formulas are written once, as private functions of a math
+# namespace `xp`: numpy over a sweep grid, this stand-in for one point, which
+# would otherwise pay numpy's per-call overhead on every term.
+_SCALAR_MATH = SimpleNamespace(exp=math.exp, sqrt=math.sqrt, log10=_log10, minimum=min, maximum=max)
 
 
 @dataclass(frozen=True)
@@ -50,7 +61,11 @@ class LinkGeometry:
 
 def slant_path(geometry: LinkGeometry) -> float:
     """Length of the inclined path in meters: l = h / sin(phi)."""
-    return geometry.nfp_altitude_m / math.sin(geometry.elevation_rad)
+    return _slant_path(geometry.nfp_altitude_m, geometry.elevation_rad)
+
+
+def _slant_path(altitude_m, elevation_rad: float):
+    return altitude_m / math.sin(elevation_rad)
 
 
 def beam_radius(divergence_rad: float, path_length_m: float) -> float:
@@ -69,10 +84,15 @@ def geometrical_capture_fraction(geometry: LinkGeometry) -> float:
     compared before squaring, so a vanishing footprint cannot overflow; a
     footprint vastly wider than the aperture underflows to 0.
     """
-    r_b = beam_radius(geometry.divergence_rad, slant_path(geometry))
-    if geometry.receiver_radius_m >= r_b:
-        return 1.0
-    return (geometry.receiver_radius_m / r_b) ** 2
+    return _capture_fraction(
+        geometry.receiver_radius_m, geometry.divergence_rad, slant_path(geometry), _SCALAR_MATH
+    )
+
+
+def _capture_fraction(receiver_radius_m: float, divergence_rad, path_m, xp):
+    # Exactly 1 when the footprint fits inside the aperture; nothing large is squared.
+    footprint_radius_m = divergence_rad * path_m / 2.0
+    return (receiver_radius_m / xp.maximum(receiver_radius_m, footprint_radius_m)) ** 2
 
 
 def geometrical_loss(geometry: LinkGeometry) -> float:
@@ -82,8 +102,9 @@ def geometrical_loss(geometry: LinkGeometry) -> float:
 
 def capture_loss_db(fraction: float) -> float:
     """Loss in dB of a capture fraction in [0, 1]: -10*log10(fraction), inf at 0."""
-    if fraction == 1.0:
-        return 0.0  # avoid IEEE -0.0 leaking into reports
-    if fraction == 0.0:
-        return math.inf
-    return -10.0 * math.log10(fraction)
+    return _capture_loss_db(fraction, _SCALAR_MATH)
+
+
+def _capture_loss_db(fraction, xp):
+    # 0.0 - ... gives +0.0 at a full capture, not the IEEE -0.0 of -10 * 0.0.
+    return 0.0 - 10.0 * xp.log10(fraction)

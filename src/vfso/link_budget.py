@@ -20,16 +20,15 @@ from typing import Optional
 
 import numpy as np
 
-from .atmosphere import (
-    HV_BACKGROUND,
-    WeatherScenario,
-    cloud_visibility,
-    fog_attenuation,
-    mie_specific_attenuation,
-    rain_attenuation,
-    total_atmospheric_loss,
+from .atmosphere import WeatherScenario, _atmospheric_terms
+from .geometry import (
+    _SCALAR_MATH,
+    LinkGeometry,
+    _capture_fraction,
+    _capture_loss_db,
+    _slant_path,
+    geometrical_capture_fraction,
 )
-from .geometry import LinkGeometry, capture_loss_db, geometrical_capture_fraction
 
 DEFAULT_TARGET_RATE_BPS = 3.0e9
 
@@ -188,13 +187,19 @@ def link_margin(rate_bps: float, target_rate_bps: float) -> float:
     needed at the target rate. Zero rate yields -inf, the link-failure
     sentinel.
     """
+    if not math.isfinite(rate_bps):
+        raise ValueError(f"rate_bps must be finite, got {rate_bps}")
     if rate_bps < 0:
         raise ValueError(f"rate_bps must be non-negative, got {rate_bps}")
+    return _margin_db(rate_bps, target_rate_bps, _SCALAR_MATH)
+
+
+def _margin_db(rate_bps, target_rate_bps: float, xp):
+    if not math.isfinite(target_rate_bps):
+        raise ValueError(f"target_rate_bps must be finite, got {target_rate_bps}")
     if target_rate_bps <= 0:
         raise ValueError(f"target_rate_bps must be positive, got {target_rate_bps}")
-    if rate_bps == 0.0:
-        return -math.inf
-    return 10.0 * math.log10(rate_bps / target_rate_bps)
+    return 10.0 * xp.log10(rate_bps / target_rate_bps)
 
 
 def evaluate_link(
@@ -210,28 +215,8 @@ def evaluate_link(
     floating-point accuracy (optical lives in the efficiencies, geometrical
     in the capture fraction, each counted exactly once).
     """
-    atm = total_atmospheric_loss(scenario, geometry, tx.wavelength_nm)
-    fraction = geometrical_capture_fraction(geometry)
-    power_w = _received_power(tx, atm.total_db, fraction)
-    rate_bps = power_w / (
-        photon_energy(tx.wavelength_nm) * tx.receiver_sensitivity_photons_per_bit
-    )
-    breakdown = LossBreakdown(
-        fog_db=atm.fog_db,
-        rain_db=atm.rain_db,
-        cloud_db=atm.cloud_db,
-        scintillation_db=atm.scintillation_db,
-        geometrical_db=capture_loss_db(fraction),
-        pointing_db=tx.pointing_loss_db,
-        optical_db=optical_loss(tx.tx_efficiency, tx.rx_efficiency),
-    )
-    return LinkBudgetResult(
-        loss_breakdown=breakdown,
-        received_power_w=power_w,
-        data_rate_bps=rate_bps,
-        link_margin_db=link_margin(rate_bps, target_rate_bps),
-        target_rate_bps=target_rate_bps,
-    )
+    altitude_m, divergence_rad = geometry.nfp_altitude_m, geometry.divergence_rad
+    return _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad, _SCALAR_MATH)
 
 
 def evaluate_grid(
@@ -252,69 +237,33 @@ def evaluate_grid(
     Returns a LinkBudgetResult whose fields are arrays over the grid for
     the terms that vary (capture fraction, cloud, scintillation, power, rate,
     margin) and floats for those that do not (fog, rain, pointing, optics).
-    The constant terms come from the scalar functions, computed once. The
-    varying ones (slant path, capped capture fraction, pierced cloud depth,
-    Cn^2, scintillation) repeat the scalar formulas in numpy, operation for
-    operation, so every entry agrees with evaluate_link to within the
-    rounding of numpy's vectorised exp/log/pow (tests hold it to 1e-12).
+    It runs the very formulas of evaluate_link, on numpy arrays instead of
+    floats, so every entry agrees with evaluate_link to within the rounding
+    of numpy's vectorised exp/log/pow (tests hold it to 1e-12).
     """
-    if target_rate_bps <= 0:
-        raise ValueError(f"target_rate_bps must be positive, got {target_rate_bps}")
     altitude = geometry.nfp_altitude_m if nfp_altitude_m is None else np.asarray(nfp_altitude_m)
     divergence = geometry.divergence_rad if divergence_rad is None else np.asarray(divergence_rad)
-    elevation, wavelength = geometry.elevation_rad, tx.wavelength_nm
-    slant_factor = 1.0 / math.sin(elevation)  # as in atmosphere's layer crossings
-
-    path_m = altitude / math.sin(elevation)  # as in geometry.slant_path
-    # A vanishing footprint overflows the ratio (capped to 1 below), a vast
-    # one underflows it to 0 (an inf dB loss), as geometry's scalar path gives.
+    # A footprint too wide to represent overflows to inf and a zero capture
+    # or rate has log10 -inf: an inf dB loss and the -inf margin sentinel,
+    # which is what floats give in evaluate_link.
     with np.errstate(over="ignore", divide="ignore"):
-        ratio = (geometry.receiver_radius_m / (divergence * path_m / 2.0)) ** 2
-        fraction = np.minimum(1.0, ratio)
-        geometrical_db = np.where(fraction == 1.0, 0.0, -10.0 * np.log10(fraction))
+        return _budget(tx, geometry, scenario, target_rate_bps, altitude, divergence, np)
 
-    fog_db = (
-        fog_attenuation(scenario.fog, elevation, wavelength) if scenario.fog is not None else 0.0
+
+def _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad, xp):
+    """The budget at altitude(s) altitude_m and divergence(s) divergence_rad,
+    the rest of `geometry` fixed, in math namespace xp: numpy for arrays,
+    geometry._SCALAR_MATH for floats."""
+    elevation, wavelength = geometry.elevation_rad, tx.wavelength_nm
+    path_m = _slant_path(altitude_m, elevation)
+    fraction = _capture_fraction(geometry.receiver_radius_m, divergence_rad, path_m, xp)
+    losses = LossBreakdown(
+        *_atmospheric_terms(scenario, altitude_m, elevation, wavelength, path_m, xp),
+        geometrical_db=_capture_loss_db(fraction, xp),
+        pointing_db=tx.pointing_loss_db,
+        optical_db=optical_loss(tx.tx_efficiency, tx.rx_efficiency),
     )
-    rain_db = rain_attenuation(scenario.rain, elevation) if scenario.rain is not None else 0.0
-    cloud_db = 0.0
-    for layer in scenario.clouds:
-        base, top = layer.base_altitude_m, layer.top_altitude_m
-        specific = mie_specific_attenuation(cloud_visibility(layer), wavelength)
-        cloud_db = cloud_db + specific * (np.clip(altitude, base, top) - base) / 1000.0 * slant_factor
-    turbulence = scenario.turbulence
-    if turbulence is None:
-        scintillation_db = 0.0
-    else:
-        h = altitude if turbulence.reference_altitude_m is None else turbulence.reference_altitude_m
-        cn2 = (
-            0.00594 * (turbulence.wind_speed_m_per_s / 27.0) ** 2 * (1e-5 * h) ** 10
-            * np.exp(-h / 1000.0)
-            + HV_BACKGROUND * np.exp(-h / 1500.0)
-            + turbulence.structure_constant_a * np.exp(-h / 100.0)
-        )
-        wavenumber = 2.0 * math.pi * 1e9 / wavelength
-        scintillation_db = 2.0 * np.sqrt(
-            23.17 * wavenumber ** (7.0 / 6.0) * cn2 * path_m ** (11.0 / 6.0)
-        )
-
-    atmospheric_db = fog_db + rain_db + cloud_db + scintillation_db
-    power_w = _received_power(tx, atmospheric_db, fraction)
+    power_w = _received_power(tx, losses.atmospheric_db, fraction)
     rate_bps = power_w / (photon_energy(wavelength) * tx.receiver_sensitivity_photons_per_bit)
-    with np.errstate(divide="ignore"):  # a zero rate gives the -inf margin sentinel
-        margin_db = 10.0 * np.log10(rate_bps / target_rate_bps)
-    return LinkBudgetResult(
-        loss_breakdown=LossBreakdown(
-            fog_db=fog_db,
-            rain_db=rain_db,
-            cloud_db=cloud_db,
-            scintillation_db=scintillation_db,
-            geometrical_db=geometrical_db,
-            pointing_db=tx.pointing_loss_db,
-            optical_db=optical_loss(tx.tx_efficiency, tx.rx_efficiency),
-        ),
-        received_power_w=power_w,
-        data_rate_bps=rate_bps,
-        link_margin_db=margin_db,
-        target_rate_bps=target_rate_bps,
-    )
+    margin_db = _margin_db(rate_bps, target_rate_bps, xp)
+    return LinkBudgetResult(losses, power_w, rate_bps, margin_db, target_rate_bps)

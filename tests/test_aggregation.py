@@ -62,6 +62,11 @@ class TestSupportedCells:
         with pytest.raises(ValueError):
             supported_cells(1e9, PROFILE, rounding="round")
 
+    @pytest.mark.parametrize("rate", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_rate(self, rate):
+        with pytest.raises(ValueError, match=f"^link_rate_bps must be finite, got {rate}$"):
+            supported_cells(rate, PROFILE)
+
     @given(st.integers(min_value=0, max_value=10000), st.floats(min_value=1e3, max_value=1e9))
     def test_exact_multiples_count_exactly(self, k, busy):
         profile = TrafficProfile(busy_rate_bps=busy, peak_rate_bps=busy)

@@ -234,6 +234,14 @@ class TestErrorsAndDeterminism:
             cells = (row["l_geo_db"], row["data_rate_bps"], row["link_margin_db"])
             assert cells == ("inf", "0.0", "-inf")
 
+    def test_extreme_altitude_is_answered(self, tmp_path, capsys):
+        # (1e-5 h)^10 would overflow in the Cn^2 wind term; capped, Cn^2 is 0.
+        code, outdir = run(tmp_path, "evaluate", "--set=geometry.nfp_altitude_m=1e36")
+        assert code == EXIT_LINK_FAILURE
+        row = read_csv(os.path.join(outdir, "evaluate.csv"))[0]
+        assert row["l_sci_db"] == "0.0"
+        assert float(row["link_margin_db"]) == pytest.approx(-621.79, abs=0.01)
+
     def test_unknown_command_exits_1(self, capsys):
         assert main(["fly"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err

@@ -12,6 +12,7 @@ from vfso.link_budget import (
     LinkBudgetResult,
     TransceiverParams,
     achievable_rate,
+    evaluate_grid,
     evaluate_link,
     link_margin,
     optical_loss,
@@ -149,6 +150,25 @@ class TestLinkMargin:
             link_margin(-1.0, 3e9)
         with pytest.raises(ValueError):
             link_margin(1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "rate, target, message",
+        [
+            (math.nan, 3e9, "rate_bps must be finite, got nan"),
+            (math.inf, 3e9, "rate_bps must be finite, got inf"),
+            (1e9, math.nan, "target_rate_bps must be finite, got nan"),
+            (1e9, math.inf, "target_rate_bps must be finite, got inf"),
+        ],
+    )
+    def test_rejects_non_finite_input(self, rate, target, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            link_margin(rate, target)
+
+    @pytest.mark.parametrize("evaluate", [evaluate_link, evaluate_grid])
+    @pytest.mark.parametrize("target", [math.nan, math.inf])
+    def test_evaluations_reject_non_finite_target(self, evaluate, target):
+        with pytest.raises(ValueError, match="^target_rate_bps must be finite"):
+            evaluate(TX, GEOMETRY_20KM, CLEAR, target)
 
 
 class TestEvaluateLink:

@@ -15,7 +15,7 @@ from vfso.scenario import (
     preset,
     run_sweep,
 )
-from vfso.atmosphere import FogDescriptor
+from vfso.atmosphere import CloudLayer, FogDescriptor
 from vfso.link_budget import evaluate_link
 
 TX, GEOMETRY, TURB = default_parameters()
@@ -208,12 +208,33 @@ class TestSweepMatchesPerPointEvaluation:
         "log_divergence": SweepSpec("divergence", 1e-7, 1e-1, 601, scale="log"),
         "linear_divergence": SweepSpec("divergence", -1e-3, 1e-2, 221),
     }
+    # The presets, plus Cn^2 sampled at a fixed altitude, no turbulence at
+    # all, and a second cloud layer that the altitude grid also crosses.
+    SCENARIOS = {
+        **{name: preset(name) for name in PRESET_NAMES},
+        "reference_altitude": preset(
+            "cloud_and_fog", turbulence=replace(TURB, reference_altitude_m=2500.0)
+        ),
+        "no_turbulence": replace(preset("rain_and_cloud"), label="no_turbulence", turbulence=None),
+        "two_cloud_layers": preset(
+            "cloud_and_fog",
+            clouds=(
+                *DEFAULT_CLOUD_PROFILE,
+                CloudLayer(
+                    base_altitude_m=3000.0,
+                    thickness_m=500.0,
+                    lwc_g_per_m3=0.5,
+                    droplet_density_per_cm3=100.0,
+                ),
+            ),
+        ),
+    }
 
     @pytest.mark.parametrize("grid", GRIDS)
-    @pytest.mark.parametrize("name", PRESET_NAMES)
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_rows_agree_to_1e12(self, name, grid):
         spec = self.GRIDS[grid]
-        scenario = preset(name)
+        scenario = self.SCENARIOS[name]
         sweep = run_sweep(spec, scenario, TX, GEOMETRY)
         reference = per_point_reference(spec, scenario, TX, GEOMETRY)
         assert len(sweep.rows) == len(reference)
@@ -271,3 +292,20 @@ def test_extreme_divergences_match_per_point_evaluation(name):
     assert narrow.loss_breakdown.geometrical_db == 0.0
     assert (wide.loss_breakdown.geometrical_db, wide.data_rate_bps) == (math.inf, 0.0)
     assert wide.link_margin_db == -math.inf
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_extreme_altitudes_match_per_point_evaluation(name):
+    # (1e-5 h)^10 in the Cn^2 wind term would overflow at both altitudes;
+    # capped, Cn^2 is 0 and so is the scintillation loss. No RuntimeWarning
+    # may be raised (pytest turns it into an error).
+    spec = FixedGrid("altitude", 1.0, 2.0, 2, values=(1e36, 1e100))
+    scenario = preset(name)
+    sweep = run_sweep(spec, scenario, TX, GEOMETRY)
+    reference = per_point_reference(spec, scenario, TX, GEOMETRY)
+    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
+        assert row.error is None and error is None
+        for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
+            assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
+        assert result.loss_breakdown.scintillation_db == 0.0
+        assert not result.link_viable
