@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .geometry import _require_finite
+
 # Relative slack when deciding that R / R_busy is "exactly" an integer, so
 # that float noise in an exact multiple cannot bump the ceiling up by one.
 _INTEGER_SNAP_RTOL = 1e-9
@@ -24,6 +26,7 @@ class TrafficProfile:
     peak_rate_bps: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.busy_rate_bps <= 0:
             raise ValueError(f"busy_rate_bps must be positive, got {self.busy_rate_bps}")
         if self.peak_rate_bps < self.busy_rate_bps:

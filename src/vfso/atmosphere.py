@@ -21,10 +21,11 @@ functions of a math namespace `xp` (see geometry), called on floats here.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import _SCALAR_MATH, LinkGeometry, slant_path
+from .geometry import _SCALAR_MATH, LinkGeometry, _require_finite, slant_path
 
 # Background term of the Hufnagel-Valley profile, m^(-2/3).
 HV_BACKGROUND = 2.7e-16
@@ -43,6 +44,7 @@ class FogDescriptor:
     layer_thickness_m: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.visibility_km <= 0:
             raise ValueError(f"visibility_km must be positive, got {self.visibility_km}")
         if self.layer_thickness_m < 0:
@@ -59,6 +61,7 @@ class RainDescriptor:
     layer_thickness_m: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.rate_mm_per_hour < 0:
             raise ValueError(
                 f"rate_mm_per_hour must be non-negative, got {self.rate_mm_per_hour}"
@@ -83,6 +86,7 @@ class CloudLayer:
     droplet_density_per_cm3: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.base_altitude_m < 0:
             raise ValueError(
                 f"base_altitude_m must be non-negative, got {self.base_altitude_m}"
@@ -116,6 +120,7 @@ class TurbulenceDescriptor:
     reference_altitude_m: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.wind_speed_m_per_s < 0:
             raise ValueError(
                 f"wind_speed_m_per_s must be non-negative, got {self.wind_speed_m_per_s}"
@@ -301,7 +306,27 @@ def scintillation_loss(wavelength_nm: float, cn2: float, path_length_m: float) -
 
 def _scintillation_db(wavelength_nm: float, cn2, path_length_m, xp):
     wavenumber = 2.0 * math.pi * 1e9 / wavelength_nm
-    return 2.0 * xp.sqrt(23.17 * wavenumber ** (7.0 / 6.0) * cn2 * path_length_m ** (11.0 / 6.0))
+    scale = 23.17 * wavenumber ** (7.0 / 6.0)
+    # l^(11/6) overflows beyond a ~1.377e168 m path. Capping the power keeps
+    # 0 * inf out where Cn^2 = 0, which gives 0 dB; elsewhere an overflowed
+    # product is summed in logs instead, so every point where the direct
+    # product is finite keeps its exact value.
+    power = _power_or_inf(path_length_m, 11.0 / 6.0)
+    product = scale * cn2 * xp.minimum(power, sys.float_info.max)
+    exact = (xp.isfinite(power) & xp.isfinite(product)) | (cn2 == 0)
+    log_product = (
+        math.log(scale)
+        + xp.log(xp.maximum(cn2, math.ulp(0.0)))
+        + 11.0 / 6.0 * xp.log(path_length_m)
+    )
+    return 2.0 * xp.where(exact, xp.sqrt(product), xp.exp(0.5 * log_product))
+
+
+def _power_or_inf(base, exponent: float):
+    try:
+        return base**exponent
+    except OverflowError:  # a float power; a numpy one gives inf
+        return math.inf
 
 
 def total_atmospheric_loss(

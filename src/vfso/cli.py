@@ -4,7 +4,7 @@ Every run writes its outputs into the configured output directory together
 with ``resolved_config.yaml``, the fully resolved configuration echo;
 re-running any command on that echo reproduces the bundle byte for byte.
 CSV files are RFC-4180 style (header row, CRLF, UTF-8) with floats written
-in full double precision.
+as the shortest repr that round-trips the double.
 
 Exit codes: 0 success (and viable link for ``evaluate``), 1 usage or
 configuration error, 2 link failure (``evaluate`` only).
@@ -13,12 +13,13 @@ configuration error, 2 link failure (``evaluate`` only).
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import os
 import sys
 from dataclasses import replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .aggregation import aggregated_demand, oversubscribes, supported_cells
 from .config import ConfigError, RunConfig, load_config, resolved_yaml
@@ -29,6 +30,10 @@ from .scenario import SweepResult, run_sweep
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_LINK_FAILURE = 2
+
+# Rows formatted at a time by _write_csv, so the text of a large CSV is never
+# held all at once.
+CSV_CHUNK_ROWS = 2048
 
 SWEEP_COLUMNS = (
     "variable",
@@ -84,15 +89,41 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
-    return str(value)
+    text = str(value)
+    # Quoted as csv.writer's QUOTE_MINIMAL does.
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _format_column(chunk) -> list:
+    """The CSV cells of one column's chunk of rows."""
+    if not (isinstance(chunk, np.ndarray) and chunk.dtype == np.float64):
+        return [_fmt(cell) for cell in chunk]
+    # Keyed on the bit pattern, so -0.0 and 0.0 (and NaN payloads) stay distinct.
+    distinct, inverse = np.unique(chunk.view(np.uint64), return_inverse=True)
+    if 2 * len(distinct) > len(chunk):
+        return list(map(repr, chunk.tolist()))
+    # At least half the cells repeat (a weather term constant along the sweep):
+    # format each distinct value once.
+    texts = list(map(repr, distinct.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+    """Write a CSV from equal-length columns, byte for byte what csv.writer
+    writes for the rows of _fmt cells.
+
+    A float64 array column is formatted a chunk at a time as the repr of
+    each double; any other column (a list or tuple) cell by cell with _fmt.
+    """
+    n_rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(cell) for cell in row])
+        handle.write(",".join(map(_fmt, header)) + "\r\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            stop = start + CSV_CHUNK_ROWS
+            cells = [_format_column(column[start:stop]) for column in columns]
+            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def _write_bundle_common(config: RunConfig, summary: str) -> None:
@@ -156,22 +187,21 @@ def cmd_evaluate(config: RunConfig) -> int:
     _write_csv(
         os.path.join(config.output_dir, "evaluate.csv"),
         EVALUATE_COLUMNS,
-        [_evaluate_row(label, config, result)],
+        tuple(zip(_evaluate_row(label, config, result))),
     )
     print(report, end="")
     return EXIT_OK if result.link_viable else EXIT_LINK_FAILURE
 
 
-def _sweep_rows(sweep: SweepResult) -> Iterable[tuple]:
+def _sweep_columns(sweep: SweepResult) -> tuple:
+    # Float64 arrays over the grid; failed rows are NaN.
     c = sweep.columns
-    columns = (
+    return (
         sweep.values,
         c.data_rate_bps,
         c.link_margin_db,
         *_loss_cells(c.loss_breakdown, SWEEP_COLUMNS),
     )
-    # tolist() gives Python floats, whose repr is what the CSV holds; failed rows are NaN.
-    return zip(*(column.tolist() for column in columns))
 
 
 def _theta_tag(divergence_rad: float) -> str:
@@ -201,11 +231,11 @@ def cmd_sweep(config: RunConfig) -> int:
             filename = f"sweep_{scenario.label}{suffix}.csv"
             os.makedirs(config.output_dir, exist_ok=True)
             _write_csv(
-                os.path.join(config.output_dir, filename), SWEEP_COLUMNS, _sweep_rows(sweep)
+                os.path.join(config.output_dir, filename), SWEEP_COLUMNS, _sweep_columns(sweep)
             )
             failed = [
-                (value, error)
-                for value, error in zip(sweep.values.tolist(), sweep.errors)
+                (sweep.values[i].item(), error)
+                for i, error in enumerate(sweep.errors)
                 if error is not None
             ]
             summary_lines.append(
@@ -240,9 +270,10 @@ def cmd_cost(config: RunConfig) -> int:
     report = _cost_report(results, cost.years, config.seed)
     _write_bundle_common(config, report)
 
-    layout_rows = [("macro", x, y) for x, y in layout.macro_positions.tolist()]
-    layout_rows += [("small", x, y) for x, y in layout.small_positions.tolist()]
-    _write_csv(os.path.join(config.output_dir, "layout.csv"), ("kind", "x_m", "y_m"), layout_rows)
+    macro, small = layout.macro_positions, layout.small_positions
+    kinds = ["macro"] * len(macro) + ["small"] * len(small)
+    x, y = np.concatenate((macro, small)).T
+    _write_csv(os.path.join(config.output_dir, "layout.csv"), ("kind", "x_m", "y_m"), (kinds, x, y))
 
     item_rows = [
         (r.technology, item.label, item.kind, item.unit_cost, item.quantity, item.total)
@@ -252,7 +283,7 @@ def cmd_cost(config: RunConfig) -> int:
     _write_csv(
         os.path.join(config.output_dir, "cost_items.csv"),
         ("technology", "item", "kind", "unit_cost", "quantity", "total"),
-        item_rows,
+        tuple(zip(*item_rows)),
     )
     summary_rows = [
         (rank, r.technology, r.capex, r.opex_per_year, cost.years, r.tco(cost.years))
@@ -261,7 +292,7 @@ def cmd_cost(config: RunConfig) -> int:
     _write_csv(
         os.path.join(config.output_dir, "cost_summary.csv"),
         ("rank", "technology", "capex_usd", "opex_per_year_usd", "years", "tco_usd"),
-        summary_rows,
+        tuple(zip(*summary_rows)),
     )
     print(report, end="")
     return EXIT_OK
@@ -306,18 +337,16 @@ def cmd_aggregate(config: RunConfig) -> int:
             "oversubscribed",
             "aggregated_demand_bps",
         ),
-        [
-            (
-                label,
-                rate,
-                config.traffic.busy_rate_bps,
-                config.traffic.peak_rate_bps,
-                cells_ceil,
-                cells_floor,
-                oversub,
-                demand,
-            )
-        ],
+        (
+            (label,),
+            (rate,),
+            (config.traffic.busy_rate_bps,),
+            (config.traffic.peak_rate_bps,),
+            (cells_ceil,),
+            (cells_floor,),
+            (oversub,),
+            (demand,),
+        ),
     )
     print(report, end="")
     return EXIT_OK

@@ -11,7 +11,7 @@ divergence angle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 
 
@@ -19,10 +19,40 @@ def _log10(x: float) -> float:
     return -math.inf if x == 0.0 else math.log10(x)
 
 
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:  # numpy gives inf
+        return math.inf
+
+
+def _where(condition: bool, if_true: float, if_false: float) -> float:
+    return if_true if condition else if_false
+
+
 # The link budget's formulas are written once, as private functions of a math
 # namespace `xp`: numpy over a sweep grid, this stand-in for one point, which
 # would otherwise pay numpy's per-call overhead on every term.
-_SCALAR_MATH = SimpleNamespace(exp=math.exp, sqrt=math.sqrt, log10=_log10, minimum=min, maximum=max)
+_SCALAR_MATH = SimpleNamespace(
+    exp=_exp,
+    log=math.log,
+    log10=_log10,
+    sqrt=math.sqrt,
+    isfinite=math.isfinite,
+    minimum=min,
+    maximum=max,
+    where=_where,
+)
+
+
+def _require_finite(instance) -> None:
+    """Raise a ValueError naming the first NaN or infinite field of a dataclass
+    of numbers. Unset optional (None) fields are skipped. A bound such as
+    `x <= 0` lets NaN through, so constructors check this first."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -41,10 +71,7 @@ class LinkGeometry:
     receiver_radius_m: float
 
     def __post_init__(self) -> None:
-        for name in ("nfp_altitude_m", "elevation_rad", "divergence_rad", "receiver_radius_m"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+        _require_finite(self)
         if self.nfp_altitude_m <= 0:
             raise ValueError(f"nfp_altitude_m must be positive, got {self.nfp_altitude_m}")
         if not 0 < self.elevation_rad <= math.pi / 2:

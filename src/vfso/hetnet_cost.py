@@ -26,6 +26,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .geometry import _require_finite
+
 
 @dataclass(frozen=True)
 class Area:
@@ -33,6 +35,7 @@ class Area:
     height_m: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.width_m <= 0 or self.height_m <= 0:
             raise ValueError(f"area sides must be positive, got {self.width_m} x {self.height_m}")
 

@@ -26,6 +26,7 @@ from .geometry import (
     LinkGeometry,
     _capture_fraction,
     _capture_loss_db,
+    _require_finite,
     _slant_path,
     geometrical_capture_fraction,
 )
@@ -59,6 +60,7 @@ class TransceiverParams:
     receiver_sensitivity_photons_per_bit: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.transmit_power_w <= 0:
             raise ValueError(f"transmit_power_w must be positive, got {self.transmit_power_w}")
         for name in ("tx_efficiency", "rx_efficiency"):
@@ -245,7 +247,8 @@ def evaluate_grid(
     divergence = geometry.divergence_rad if divergence_rad is None else np.asarray(divergence_rad)
     # A footprint too wide to represent overflows to inf and a zero capture
     # or rate has log10 -inf: an inf dB loss and the -inf margin sentinel,
-    # which is what floats give in evaluate_link.
+    # which is what floats give in evaluate_link. The scintillation term's
+    # l^(11/6) may overflow too; it replaces those points itself.
     with np.errstate(over="ignore", divide="ignore"):
         return _budget(tx, geometry, scenario, target_rate_bps, altitude, divergence, np)
 

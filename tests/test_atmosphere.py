@@ -325,6 +325,31 @@ class TestScintillationLoss:
         got = scintillation_loss(1550.0, cn2, 5000.0 / math.sin(DEG45))
         assert got == pytest.approx(0.8059186101328517, rel=1e-12)
 
+    @given(
+        st.floats(min_value=0.0, max_value=1e-10),
+        st.floats(min_value=1e-3, max_value=1.7e308),
+    )
+    @example(cn2=1e-17, path=1.377e168)  # just below where l^(11/6) overflows
+    @example(cn2=1e-17, path=1.378e168)  # just above it
+    @example(cn2=0.0, path=1e300)
+    @example(cn2=5e-324, path=1e300)
+    def test_direct_formula_wherever_it_is_finite(self, cn2, path):
+        # Where the direct product overflows (a path beyond ~1.377e168 m), the
+        # loss is the same product summed in logs; where Cn^2 is 0 it is 0 dB.
+        scale = 23.17 * (2.0 * math.pi * 1e9 / 1550.0) ** (7.0 / 6.0)
+        got = scintillation_loss(1550.0, cn2, path)
+        try:
+            direct = 2.0 * math.sqrt(scale * cn2 * path ** (11.0 / 6.0))
+        except OverflowError:
+            direct = math.inf
+        if math.isfinite(direct):
+            assert got == direct
+        elif cn2 == 0.0:
+            assert got == 0.0
+        else:
+            in_logs = 0.5 * (math.log(scale) + math.log(cn2) + 11.0 / 6.0 * math.log(path))
+            assert got == pytest.approx(2.0 * math.exp(in_logs), rel=1e-12)
+
 
 GEOMETRY_20KM = LinkGeometry(
     nfp_altitude_m=20000.0, elevation_rad=DEG45, divergence_rad=1e-3, receiver_radius_m=0.04

@@ -1,12 +1,20 @@
 """Tests of the command-line interface: exit codes, CSV bundles, determinism."""
 
 import csv
+import io
 import math
 import os
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from vfso import cli
 from vfso.cli import EXIT_LINK_FAILURE, EXIT_OK, EXIT_USAGE, main
+from vfso.config import load_config
+from vfso.hetnet_cost import generate_layout
+from vfso.scenario import run_sweep
 
 
 def run(tmp_path, *argv):
@@ -242,6 +250,15 @@ class TestErrorsAndDeterminism:
         assert row["l_sci_db"] == "0.0"
         assert float(row["link_margin_db"]) == pytest.approx(-621.79, abs=0.01)
 
+    @pytest.mark.parametrize("altitude", ["1e200", "1e300"])
+    def test_overflowing_slant_path_is_answered(self, tmp_path, capsys, altitude):
+        # l^(11/6) in the scintillation term overflows; Cn^2 is 0 there, so 0 dB.
+        code, outdir = run(tmp_path, "evaluate", f"--set=geometry.nfp_altitude_m={altitude}")
+        assert code in (EXIT_OK, EXIT_LINK_FAILURE)
+        assert capsys.readouterr().err == ""
+        row = read_csv(os.path.join(outdir, "evaluate.csv"))[0]
+        assert row["l_sci_db"] == "0.0"
+
     def test_unknown_command_exits_1(self, capsys):
         assert main(["fly"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
@@ -275,3 +292,140 @@ class TestErrorsAndDeterminism:
             a = open(os.path.join(outdir1, name), "rb").read()
             b = open(os.path.join(outdir2, name), "rb").read()
             assert a == b, name
+
+
+def row_writer_bytes(header, rows):
+    """The reference rendering of a table: csv.writer over per-cell strings
+    (bools as true/false, floats as repr, anything else as str)."""
+
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([cell(value) for value in row])
+    return buffer.getvalue().encode("utf-8")
+
+
+def column_writer_bytes(tmp_path, header, columns):
+    path = tmp_path / "out.csv"
+    cli._write_csv(str(path), header, columns)
+    return path.read_bytes()
+
+
+def as_rows(columns):
+    return zip(*(c.tolist() if isinstance(c, np.ndarray) else c for c in columns))
+
+
+SPECIAL_FLOATS = [
+    math.nan,
+    -math.nan,
+    math.inf,
+    -math.inf,
+    0.0,
+    -0.0,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,  # smallest normal
+    2.225073858507201e-308,  # largest subnormal
+    1.7976931348623157e308,
+    0.1,
+    1e16,
+    123456.789,
+]
+# No NUL: csv.writer before Python 3.11 refuses it ("need to escape").
+TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from([",", '"', "\r", "\n", " ", "a"]),
+        st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"),
+    ),
+    max_size=6,
+)
+SMALL_CHUNK = 5
+
+
+def column_strategy(n_rows):
+    floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    # A small pool makes most values repeat, which the writer formats per distinct value.
+    pooled = st.lists(floats, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)
+    )
+    return st.one_of(
+        st.lists(floats, min_size=n_rows, max_size=n_rows).map(np.array),
+        pooled.map(np.array),
+        st.lists(st.integers(), min_size=n_rows, max_size=n_rows),
+        st.lists(st.booleans(), min_size=n_rows, max_size=n_rows),
+        st.lists(TEXT, min_size=n_rows, max_size=n_rows),
+        st.lists(st.one_of(floats, st.integers(), st.booleans(), TEXT), min_size=n_rows, max_size=n_rows),
+    )
+
+
+@st.composite
+def tables(draw):
+    n_rows = draw(st.sampled_from([1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3]))
+    n_columns = draw(st.integers(min_value=2, max_value=5))
+    header = draw(st.lists(TEXT, min_size=n_columns, max_size=n_columns))
+    return header, [draw(column_strategy(n_rows)) for _ in range(n_columns)]
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+class TestColumnWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(tables())
+    def test_matches_csv_writer(self, csv_dir, table):
+        header, columns = table
+        with mock.patch.object(cli, "CSV_CHUNK_ROWS", SMALL_CHUNK):
+            got = column_writer_bytes(csv_dir, header, columns)
+        assert got == row_writer_bytes(header, as_rows(columns))
+
+    # 1, chunk - 1, chunk, chunk + 1 and 2 * chunk + 3 rows
+    @pytest.mark.parametrize("chunks, extra_rows", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_matches_csv_writer_at_the_real_chunk_size(self, tmp_path, chunks, extra_rows):
+        n_rows = chunks * cli.CSV_CHUNK_ROWS + extra_rows
+        rng = np.random.default_rng(n_rows)
+        distinct = rng.standard_normal(n_rows) * 10.0 ** rng.integers(-320, 300, n_rows)
+        repeated = rng.choice(np.array(SPECIAL_FLOATS), n_rows)
+        texts = rng.choice(["a,b", 'say "hi"', "line\r\nbreak", "plain", ""], n_rows).tolist()
+        columns = [distinct, repeated, texts, rng.integers(-9, 9, n_rows).tolist()]
+        header = ["distinct", "repeated", "text", "int"]
+        got = column_writer_bytes(tmp_path, header, columns)
+        assert got == row_writer_bytes(header, as_rows(columns))
+
+    def test_fig2_sweeps_match_csv_writer(self, tmp_path):
+        fig2 = os.path.join(os.path.dirname(__file__), "..", "configs", "fig2.cfg")
+        code, outdir = run(tmp_path, "sweep", "--config", fig2)
+        assert code == EXIT_OK
+        config = load_config(fig2)
+        for scenario in config.scenarios():
+            sweep = run_sweep(
+                config.sweep, scenario, config.transceiver, config.geometry, config.target_rate_bps
+            )
+            c, b = sweep.columns, sweep.columns.loss_breakdown
+            columns = (
+                sweep.values, c.data_rate_bps, c.link_margin_db,
+                b.fog_db, b.rain_db, b.cloud_db, b.scintillation_db, b.geometrical_db,
+            )
+            with open(os.path.join(outdir, f"sweep_{scenario.label}.csv"), "rb") as handle:
+                assert handle.read() == row_writer_bytes(cli.SWEEP_COLUMNS, as_rows(columns))
+
+    def test_layout_matches_csv_writer(self, tmp_path):
+        code, outdir = run(
+            tmp_path, "cost", "--set=cost.n_macro=1000", "--set=cost.n_small=2000", "--set=seed=3"
+        )
+        assert code == EXIT_OK
+        config = load_config(None, ["cost.n_macro=1000", "cost.n_small=2000", "seed=3"])
+        layout = generate_layout(1000, 2000, config.cost.area, 3)
+        rows = [("macro", x, y) for x, y in layout.macro_positions.tolist()]
+        rows += [("small", x, y) for x, y in layout.small_positions.tolist()]
+        with open(os.path.join(outdir, "layout.csv"), "rb") as handle:
+            assert handle.read() == row_writer_bytes(("kind", "x_m", "y_m"), rows)

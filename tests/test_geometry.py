@@ -1,10 +1,15 @@
 """Tests of slant-path and beam-spread geometry."""
 
 import math
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
 
+from vfso.aggregation import TrafficProfile
+from vfso.atmosphere import CloudLayer, FogDescriptor, RainDescriptor, TurbulenceDescriptor
+from vfso.hetnet_cost import Area
+from vfso.link_budget import TransceiverParams
 from vfso.geometry import (
     LinkGeometry,
     beam_radius,
@@ -154,3 +159,39 @@ class TestValidation:
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LinkGeometry(**kwargs)
+
+
+# One valid instance of every constructor that takes numbers; the property
+# below makes one field of one of them non-finite.
+VALID_KWARGS = {
+    LinkGeometry: dict(
+        nfp_altitude_m=20000.0, elevation_rad=DEG45, divergence_rad=1e-3, receiver_radius_m=0.04
+    ),
+    FogDescriptor: dict(visibility_km=0.05, layer_thickness_m=50.0),
+    RainDescriptor: dict(rate_mm_per_hour=50.0, layer_thickness_m=1000.0),
+    CloudLayer: dict(
+        base_altitude_m=1000.0, thickness_m=48.0, lwc_g_per_m3=1.0, droplet_density_per_cm3=250.0
+    ),
+    TurbulenceDescriptor: dict(
+        wind_speed_m_per_s=21.0, structure_constant_a=1.7e-14, reference_altitude_m=3000.0
+    ),
+    TransceiverParams: dict(
+        transmit_power_w=0.2,
+        tx_efficiency=0.9,
+        rx_efficiency=0.9,
+        wavelength_nm=1550.0,
+        pointing_loss_db=2.0,
+        receiver_sensitivity_photons_per_bit=100.0,
+    ),
+    TrafficProfile: dict(busy_rate_bps=50e6, peak_rate_bps=300e6),
+    Area: dict(width_m=5000.0, height_m=5000.0),
+}
+
+
+@given(st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_every_constructor_rejects_non_finite_fields(data, value):
+    cls = data.draw(st.sampled_from(list(VALID_KWARGS)), label="class")
+    field = data.draw(st.sampled_from([f.name for f in fields(cls)]), label="field")
+    kwargs = {**VALID_KWARGS[cls], field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+        cls(**kwargs)

@@ -296,10 +296,11 @@ def test_extreme_divergences_match_per_point_evaluation(name):
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_extreme_altitudes_match_per_point_evaluation(name):
-    # (1e-5 h)^10 in the Cn^2 wind term would overflow at both altitudes;
-    # capped, Cn^2 is 0 and so is the scintillation loss. No RuntimeWarning
-    # may be raised (pytest turns it into an error).
-    spec = FixedGrid("altitude", 1.0, 2.0, 2, values=(1e36, 1e100))
+    # (1e-5 h)^10 in the Cn^2 wind term would overflow at every altitude here,
+    # and l^(11/6) at the last two; capped, Cn^2 is 0 and so is the
+    # scintillation loss. No RuntimeWarning may be raised (pytest turns it
+    # into an error).
+    spec = FixedGrid("altitude", 1.0, 2.0, 4, values=(1e36, 1e100, 1e200, 1e300))
     scenario = preset(name)
     sweep = run_sweep(spec, scenario, TX, GEOMETRY)
     reference = per_point_reference(spec, scenario, TX, GEOMETRY)
@@ -309,3 +310,18 @@ def test_extreme_altitudes_match_per_point_evaluation(name):
             assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
         assert result.loss_breakdown.scintillation_db == 0.0
         assert not result.link_viable
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_overflowed_scintillation_matches_per_point_evaluation(name):
+    # Cn^2 sampled at 1 km stays positive while l^(11/6) overflows beyond a
+    # ~1.377e168 m path: the loss is then summed in logs, finite in both paths.
+    scenario = preset(name, turbulence=replace(TURB, reference_altitude_m=1000.0))
+    spec = FixedGrid("altitude", 1.0, 2.0, 4, values=(1e168, 1e169, 1e200, 1e300))
+    sweep = run_sweep(spec, scenario, TX, GEOMETRY)
+    reference = per_point_reference(spec, scenario, TX, GEOMETRY)
+    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
+        assert row.error is None and error is None
+        for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
+            assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
+        assert 0.0 < result.loss_breakdown.scintillation_db < math.inf
