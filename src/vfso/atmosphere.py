@@ -280,13 +280,27 @@ def refractive_index_structure(altitude_m: float, turbulence: TurbulenceDescript
 
 
 def _cn2(h, turbulence: TurbulenceDescriptor, xp):
-    v = turbulence.wind_speed_m_per_s
-    wind_base = 1e-5 * xp.minimum(h, HV_WIND_TERM_ALTITUDE_CAP_M)
     return (
-        0.00594 * (v / 27.0) ** 2 * wind_base**10 * xp.exp(-h / 1000.0)
+        _hv_wind_term(turbulence.wind_speed_m_per_s, h, xp)
         + HV_BACKGROUND * xp.exp(-h / 1500.0)
         + turbulence.structure_constant_a * xp.exp(-h / 100.0)
     )
+
+
+def _hv_wind_term(wind_speed: float, h, xp):
+    """0.00594 (v / 27)^2 (1e-5 h)^10 exp(-h / 1000), the base capped."""
+    wind_base = 1e-5 * xp.minimum(h, HV_WIND_TERM_ALTITUDE_CAP_M)
+    scale = 0.00594 * _power_or_inf(wind_speed / 27.0, 2)
+    # The capped base^10 is at most 1e10. Below ~4.7e151 m/s of wind no factor
+    # can overflow at any altitude and the product is formed directly; beyond
+    # it, where (v / 27)^2 or its product with base^10 would be inf (and inf
+    # times an underflowed exp NaN), the same product is summed in logs. A
+    # zero base then gives exp of a huge negative number, exactly 0.
+    if scale * (1e-5 * HV_WIND_TERM_ALTITUDE_CAP_M) ** 10 < math.inf:
+        return scale * wind_base**10 * xp.exp(-h / 1000.0)
+    log_base = xp.log(xp.maximum(wind_base, math.ulp(0.0)))
+    log_scale = math.log(0.00594) + 2.0 * math.log(wind_speed / 27.0)
+    return xp.exp(log_scale + 10.0 * log_base - h / 1000.0)
 
 
 def scintillation_loss(wavelength_nm: float, cn2: float, path_length_m: float) -> float:

@@ -21,7 +21,8 @@ literally the sum of their items.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -45,12 +46,25 @@ DEFAULT_AREA = Area(width_m=5000.0, height_m=5000.0)
 
 @dataclass(frozen=True)
 class HetNetLayout:
-    """One deployment snapshot: macro and small cell coordinates in meters."""
+    """One deployment snapshot: macro and small cell coordinates in meters.
+
+    Each position array is stored as float64 of shape (n, 2), n >= 1, and
+    every coordinate is finite.
+    """
 
     area: Area
     macro_positions: np.ndarray
     small_positions: np.ndarray
     rng_seed: int
+
+    def __post_init__(self) -> None:
+        for name in ("macro_positions", "small_positions"):
+            points = np.asarray(getattr(self, name), dtype=float)
+            if points.ndim != 2 or points.shape[0] == 0 or points.shape[1] != 2:
+                raise ValueError(f"{name} must have shape (n, 2) with n >= 1, got {points.shape}")
+            if not np.isfinite(points).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, points)
 
 
 def generate_layout(
@@ -70,35 +84,88 @@ def generate_layout(
     return HetNetLayout(area=area, macro_positions=macro, small_positions=small, rng_seed=seed)
 
 
-# Small cells per block of the nearest-hub search: the search holds two
-# NEAREST_BLOCK_ROWS x n_macro float64 arrays at a time (8 MB at 1000 macros).
-NEAREST_BLOCK_ROWS = 512
+# Small cells per tile of the nearest-hub search. Besides an index over the
+# cells and a few n_macro-long vectors, the search holds two
+# NEAREST_TILE_CELLS x (macros kept) arrays at a time.
+NEAREST_TILE_CELLS = 128
 
 
 def nearest_macro_distances(layout: HetNetLayout) -> np.ndarray:
     """Euclidean distance from each small cell to its nearest macro, in m.
 
-    Exact brute force, one block of small cells at a time so memory stays
-    bounded however many small cells there are. The minimum is taken over
-    squared distances and the square root once per cell: sqrt is monotone
-    and correctly rounded, so the result equals the minimum of the per-pair
-    distances bit for bit.
+    Exact, and equal bit for bit to a brute force over every (cell, macro)
+    pair. The cells are cut into tiles of NEAREST_TILE_CELLS neighbours:
+    strips of equal count in y, each sorted by x. A tile compares its cells
+    only with the macros that can be nearest to one of them. The minimum is
+    taken over squared distances and the square root once per cell: sqrt is
+    monotone and correctly rounded, so the result equals the minimum of the
+    per-pair distances.
     """
     small, macro = layout.small_positions, layout.macro_positions
-    macro_x, macro_y = macro[:, 0], macro[:, 1]
+    macro_x, macro_y = macro.T.copy()
     nearest = np.empty(len(small))
-    for start in range(0, len(small), NEAREST_BLOCK_ROWS):
-        block = small[start : start + NEAREST_BLOCK_ROWS]
-        dx = block[:, 0:1] - macro_x
-        dy = block[:, 1:2] - macro_y
-        dx *= dx
-        dy *= dy
-        dx += dy
-        dx.min(axis=1, out=nearest[start : start + NEAREST_BLOCK_ROWS])
+    strip = NEAREST_TILE_CELLS * max(1, math.isqrt(len(small) // NEAREST_TILE_CELLS))
+    by_y = np.argsort(small[:, 1])
+    for strip_start in range(0, len(small), strip):
+        cells = by_y[strip_start : strip_start + strip]
+        cells = cells[np.argsort(small[cells, 0])]
+        strip_x, strip_y = small[cells].T
+        for start in range(0, len(cells), NEAREST_TILE_CELLS):
+            end = start + NEAREST_TILE_CELLS
+            nearest[cells[start:end]] = _tile_nearest_squared(
+                strip_x[start:end], strip_y[start:end], macro_x, macro_y
+            )
     return np.sqrt(nearest, out=nearest)
 
 
+def _tile_nearest_squared(x, y, macro_x, macro_y) -> np.ndarray:
+    """Least squared distance from each cell (x, y) of a tile to a macro.
+
+    The pairs computed are fl(fl(dx)^2 + fl(dy)^2), as by brute force. A
+    macro is skipped only if that can never be the least for any cell, and
+    this holds in floating point, not just in exact arithmetic: rounding to
+    nearest is monotone, so a <= b gives fl(a) <= fl(b) at every step.
+    - gap2(m), the squared gap from macro m to the tile's bounding box, is
+      built from the box edges: fl(x0 - mx) <= fl(cx - mx) for every cell
+      x0 <= cx, and likewise on each side and axis, so gap2(m) <= d2(c, m).
+    - bound, the squared distance from one macro p to the box corner
+      farthest from it, is built the same way, so d2(c, p) <= bound.
+    So the macro m* nearest to any cell c has gap2(m*) <= d2(c, m*)
+    <= d2(c, p) <= bound, and keeping every macro with gap2 <= bound keeps
+    it. No slack is needed; overflow to inf keeps the order too. If every
+    macro lies far from the tile, all are kept.
+    """
+    x0, x1, y0, y1 = x.min(), x.max(), y.min(), y.max()
+    gap_x = np.maximum(x0 - macro_x, macro_x - x1)
+    gap_y = np.maximum(y0 - macro_y, macro_y - y1)
+    np.maximum(gap_x, 0.0, out=gap_x)
+    np.maximum(gap_y, 0.0, out=gap_y)
+    gap_x *= gap_x
+    gap_y *= gap_y
+    gap_x += gap_y
+    # p: a macro nearest to the box, so the bound is small.
+    p = gap_x.argmin()
+    far_x = max(macro_x[p] - x0, x1 - macro_x[p])
+    far_y = max(macro_y[p] - y0, y1 - macro_y[p])
+    keep = gap_x <= far_x * far_x + far_y * far_y
+    dx = macro_x[keep][:, None] - x
+    dy = macro_y[keep][:, None] - y
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx.min(axis=0)
+
+
 # --- Technology cost parameters (defaults are North-American list prices) ---
+
+
+def _require_non_negative(instance) -> None:
+    """Raise a ValueError naming the first non-finite or negative field."""
+    _require_finite(instance)
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if value < 0:
+            raise ValueError(f"{f.name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +181,11 @@ class RfNlosCostParams:
     pole_lease_per_site_year: float = 1250.0
     power_maintenance_per_site_year: float = 375.0
 
+    def __post_init__(self) -> None:
+        _require_non_negative(self)
+        if self.modules_per_hub < 1:
+            raise ValueError(f"modules_per_hub must be >= 1, got {self.modules_per_hub}")
+
 
 @dataclass(frozen=True)
 class FiberCostParams:
@@ -122,6 +194,9 @@ class FiberCostParams:
     power_maintenance_per_link_year: float = 200.0
     # Street-routing multiplier on the Euclidean cell-to-hub distance.
     routing_factor: float = 1.0
+
+    def __post_init__(self) -> None:
+        _require_non_negative(self)
 
 
 @dataclass(frozen=True)
@@ -132,6 +207,13 @@ class TerrestrialFsoCostParams:
     nlos_fraction: float = 0.5
     nlos_hop_count: int = 2
 
+    def __post_init__(self) -> None:
+        _require_non_negative(self)
+        if self.nlos_fraction > 1:
+            raise ValueError(f"nlos_fraction must be in [0, 1], got {self.nlos_fraction}")
+        if self.nlos_hop_count < 1:
+            raise ValueError(f"nlos_hop_count must be >= 1, got {self.nlos_hop_count}")
+
 
 @dataclass(frozen=True)
 class VerticalFsoCostParams:
@@ -140,6 +222,9 @@ class VerticalFsoCostParams:
     cost_per_flight_hour: float = 859.0
     # ~79% duty cycle; set to 8760 for uninterrupted 24/7 operation.
     flight_hours_per_year: float = 6925.0
+
+    def __post_init__(self) -> None:
+        _require_non_negative(self)
 
 
 @dataclass(frozen=True)
@@ -234,8 +319,6 @@ def nlos_cell_indices(
     replacement; the stream is derived from the layout seed so the same
     layout always yields the same subset.
     """
-    if not 0 <= params.nlos_fraction <= 1:
-        raise ValueError(f"nlos_fraction must be in [0, 1], got {params.nlos_fraction}")
     n_small = len(layout.small_positions)
     n_nlos = round(params.nlos_fraction * n_small)
     rng = np.random.default_rng([layout.rng_seed, 1])
@@ -250,8 +333,6 @@ def cost_terrestrial_fso(
     Cells with line of sight to their hub need one link; the non-LOS subset
     (see nlos_cell_indices) needs nlos_hop_count chained links each.
     """
-    if params.nlos_hop_count < 1:
-        raise ValueError(f"nlos_hop_count must be >= 1, got {params.nlos_hop_count}")
     n_small = len(layout.small_positions)
     n_nlos = len(nlos_cell_indices(layout, params))
     n_links = (n_small - n_nlos) + n_nlos * params.nlos_hop_count

@@ -146,8 +146,8 @@ class SweepSpec:
 
     def grid(self) -> list[float]:
         if self.scale == "log":
-            return [float(x) for x in np.geomspace(self.start, self.stop, self.points)]
-        return [float(x) for x in np.linspace(self.start, self.stop, self.points)]
+            return np.geomspace(self.start, self.stop, self.points).tolist()
+        return np.linspace(self.start, self.stop, self.points).tolist()
 
 
 DEFAULT_SWEEP = SweepSpec(

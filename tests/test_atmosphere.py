@@ -6,6 +6,7 @@ expressions in the property tests.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -309,6 +310,33 @@ class TestRefractiveIndexStructure:
             + 1.7e-14 * math.exp(-h / 100.0)
         )
         assert refractive_index_structure(h, TURB) == pytest.approx(oracle, rel=1e-12)
+
+    @given(v=st.floats(min_value=0.0, max_value=1e300), h=st.floats(min_value=0.0, max_value=1e7))
+    @example(v=4.6e151, h=1e5)  # just below the speed where a factor could overflow
+    @example(v=4.8e151, h=1e5)  # just above it: the product is summed in logs
+    @example(v=4.6e151, h=8e5)  # direct: exp(-h / 1000) underflows to 0, and so does the term
+    @example(v=1e154, h=8e5)  # (v / 27)^2 * base^10 alone is inf, exp(-h / 1000) is 0
+    @example(v=1e200, h=0.0)  # a zero base: no inf * 0
+    @example(v=1e200, h=8e5)  # exp(-h / 1000) underflows: no inf * 0
+    @example(v=1e200, h=2e4)  # beyond the float range: inf
+    def test_wind_term_at_any_speed(self, v, h):
+        # Below ~4.697e151 m/s the direct product is kept bit for bit. Beyond
+        # it the product is summed in logs, and matches the formula taken in
+        # 40-digit decimals, which cannot overflow.
+        turbulence = TurbulenceDescriptor(wind_speed_m_per_s=v, structure_constant_a=0.0)
+        got = refractive_index_structure(h, turbulence)
+        base = 1e-5 * min(h, 1e6)
+        background = 2.7e-16 * math.exp(-h / 1500.0)
+        if v < 4.69e151:
+            direct = 0.00594 * (v / 27.0) ** 2 * base**10 * math.exp(-h / 1000.0)
+            assert got == direct + background + 0.0
+        elif v > 4.70e151:
+            with localcontext() as ctx:
+                ctx.prec = 40
+                wind = Decimal("0.00594") * (Decimal(v) / 27) ** 2 * Decimal(base) ** 10
+                exact = float(wind * (Decimal(-h) / 1000).exp() + Decimal(background))
+            assert math.isclose(got, exact, rel_tol=1e-12, abs_tol=1e-300), (got, exact)
+        assert not math.isnan(got)
 
 
 class TestScintillationLoss:

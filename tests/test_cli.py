@@ -211,6 +211,27 @@ class TestErrorsAndDeterminism:
             ("evaluate", 'geometry.divergence_rad="inf"', "geometry.divergence_rad: "),
             ("cost", "cost.area_width_m=.inf", "cost.area_width_m: "),
             ("cost", "cost.years=.inf", "cost.years: "),
+            (
+                "cost",
+                "cost.fiber.install_cost_per_m=-5",
+                "cost.fiber: install_cost_per_m must be non-negative",
+            ),
+            ("cost", "cost.rf_nlos.modules_per_hub=0", "cost.rf_nlos: modules_per_hub must be >= 1"),
+            (
+                "cost",
+                "cost.terrestrial_fso.nlos_fraction=1.5",
+                "cost.terrestrial_fso: nlos_fraction must be in [0, 1]",
+            ),
+            (
+                "cost",
+                "cost.terrestrial_fso.nlos_hop_count=0",
+                "cost.terrestrial_fso: nlos_hop_count must be >= 1",
+            ),
+            (
+                "cost",
+                "cost.vertical_fso.n_platforms=-1",
+                "cost.vertical_fso: n_platforms must be non-negative",
+            ),
             ("aggregate", "traffic.peak_rate_bps=-.inf", "traffic.peak_rate_bps: "),
             ("sweep", "divergence_values_rad=[.nan]", "divergence_values_rad[0]: "),
             (
@@ -258,6 +279,20 @@ class TestErrorsAndDeterminism:
         assert capsys.readouterr().err == ""
         row = read_csv(os.path.join(outdir, "evaluate.csv"))[0]
         assert row["l_sci_db"] == "0.0"
+
+    def test_overflowing_wind_term_is_answered(self, tmp_path, capsys):
+        # (v / 27)^2 in the Cn^2 wind term overflows; Cn^2 is inf at 20 km.
+        code, outdir = run(tmp_path, "evaluate", "--set=turbulence.wind_speed_m_per_s=1e200")
+        assert code == EXIT_LINK_FAILURE
+        row = read_csv(os.path.join(outdir, "evaluate.csv"))[0]
+        assert (row["l_sci_db"], row["link_margin_db"]) == ("inf", "-inf")
+        code, outdir = run(
+            tmp_path / "sweep", "sweep", "--set=turbulence.wind_speed_m_per_s=1e200"
+        )
+        assert code == EXIT_OK
+        rows = read_csv(os.path.join(outdir, "sweep_clear_sky.csv"))
+        assert rows and all("nan" not in row.values() for row in rows)
+        assert capsys.readouterr().err == ""
 
     def test_unknown_command_exits_1(self, capsys):
         assert main(["fly"]) == EXIT_USAGE

@@ -1,15 +1,18 @@
 """Tests of HetNet layout generation and per-technology costing."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vfso.hetnet_cost import (
-    NEAREST_BLOCK_ROWS,
+    NEAREST_TILE_CELLS,
     Area,
     CostParams,
     FiberCostParams,
+    HetNetLayout,
     RfNlosCostParams,
     TerrestrialFsoCostParams,
     VerticalFsoCostParams,
@@ -28,6 +31,102 @@ AREA = Area(width_m=5000.0, height_m=5000.0)
 
 def default_layout(seed=0):
     return generate_layout(100, 1000, AREA, seed)
+
+
+def layout_of(macro, small):
+    return HetNetLayout(AREA, macro, small, rng_seed=0)
+
+
+def dense_nearest(layout):
+    """The oracle: brute force over every (cell, macro) pair at once."""
+    diff = layout.small_positions[:, None, :] - layout.macro_positions[None, :, :]
+    return np.sqrt((diff**2).sum(axis=-1)).min(axis=1)
+
+
+def assert_equals_brute_force(layout):
+    got = nearest_macro_distances(layout)
+    reference = dense_nearest(layout)
+    assert np.array_equal(got, reference)
+    assert got.sum() == reference.sum()
+
+
+def grid_points(n_side, step, offset=0.0):
+    axis = offset + step * np.arange(n_side)
+    return np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+
+
+class TestNearestMacroDistances:
+    """The tiled search against the dense brute force, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "n_small",
+        [7, NEAREST_TILE_CELLS, NEAREST_TILE_CELLS + 1, 3 * NEAREST_TILE_CELLS + 37, 5000],
+        ids=["below_one_tile", "one_tile", "one_tile_plus_one", "tiles_plus_remainder", "strips"],
+    )
+    def test_uniform_layouts(self, n_small):
+        assert_equals_brute_force(generate_layout(37, n_small, AREA, seed=n_small))
+
+    @pytest.mark.parametrize("n_small", [1, 7, NEAREST_TILE_CELLS + 1, 2000])
+    def test_single_macro(self, n_small):
+        assert_equals_brute_force(generate_layout(1, n_small, AREA, seed=3))
+
+    def test_every_macro_at_one_point(self):
+        small = generate_layout(1, 2000, AREA, seed=4).small_positions
+        assert_equals_brute_force(layout_of(np.full((50, 2), 1234.5), small))
+
+    @pytest.mark.parametrize("side_m", [1.0, 1e6])
+    def test_tiny_and_huge_areas(self, side_m):
+        area = Area(width_m=side_m, height_m=side_m)
+        assert_equals_brute_force(generate_layout(300, 3000, area, seed=5))
+
+    def test_cells_on_tile_edges(self):
+        # A regular lattice: many cells share a coordinate, so tile boxes
+        # meet and cells lie on their edges; macros sit on the same lines.
+        small = grid_points(60, 10.0)
+        macro = grid_points(7, 100.0, offset=-5.0)
+        assert_equals_brute_force(layout_of(np.concatenate((macro, small[::97])), small))
+
+    def test_duplicate_cells_and_macros(self):
+        layout = generate_layout(20, 300, AREA, seed=6)
+        small = np.repeat(layout.small_positions, 3, axis=0)
+        macro = np.concatenate((layout.macro_positions, layout.macro_positions, small[:5]))
+        assert_equals_brute_force(layout_of(macro, small))
+
+    def test_macros_clustered_far_from_every_cell(self):
+        # Every macro is about equally far from every tile, so the bound
+        # keeps them all: the search degenerates to a full scan.
+        rng = np.random.default_rng(7)
+        small = rng.uniform(0.0, 100.0, size=(1500, 2))
+        macro = 1e6 + rng.uniform(0.0, 1.0, size=(40, 2))
+        assert_equals_brute_force(layout_of(macro, small))
+
+    def test_overflowing_distances(self):
+        # Squares beyond the float range are inf in both searches alike.
+        rng = np.random.default_rng(8)
+        small = rng.uniform(-1.0, 1.0, size=(700, 2)) * 1.5e308
+        macro = rng.uniform(-1.0, 1.0, size=(30, 2)) * 1.5e308
+        with np.errstate(over="ignore"):
+            assert_equals_brute_force(layout_of(macro, small))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n_macro=st.integers(1, 40),
+        n_small=st.integers(1, 700),
+        scale_exponent=st.integers(-200, 150),
+        tie_share=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_layouts(self, n_macro, n_small, scale_exponent, tie_share, seed):
+        # Coordinates mix small integers (ties, duplicates, shared edges) and
+        # arbitrary floats, at scales from subnormal squares to 1e300.
+        rng = np.random.default_rng(seed)
+
+        def points(n):
+            tied = rng.integers(-8, 9, size=(n, 2)).astype(float)
+            free = rng.uniform(-1e3, 1e3, size=(n, 2))
+            return np.where(rng.random((n, 2)) < tie_share, tied, free) * 10.0**scale_exponent
+
+        assert_equals_brute_force(layout_of(points(n_macro), points(n_small)))
 
 
 class TestGenerateLayout:
@@ -56,19 +155,6 @@ class TestGenerateLayout:
         means = [nearest_macro_distances(default_layout(seed)).mean() for seed in range(100)]
         grand_mean = float(np.mean(means))
         assert grand_mean == pytest.approx(250.0, rel=0.10)
-
-    @pytest.mark.parametrize(
-        "n_small",
-        [7, NEAREST_BLOCK_ROWS, 3 * NEAREST_BLOCK_ROWS + 37],
-        ids=["below_one_block", "one_block", "blocks_plus_remainder"],
-    )
-    def test_nearest_macro_distances_equal_dense_brute_force(self, n_small):
-        layout = generate_layout(37, n_small, AREA, seed=n_small)
-        diff = layout.small_positions[:, None, :] - layout.macro_positions[None, :, :]
-        reference = np.sqrt((diff**2).sum(axis=-1)).min(axis=1)
-        got = nearest_macro_distances(layout)
-        assert np.array_equal(got, reference)
-        assert got.sum() == reference.sum()
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -250,3 +336,61 @@ class TestCompareTco:
         for seed in range(25):
             results = compare_tco(default_layout(seed), CostParams(), years=1.0)
             assert [r.technology for r in results] == expected
+
+
+class TestValidation:
+    GOOD_POSITIONS = {"macro_positions": np.zeros((1, 2)), "small_positions": np.ones((2, 2))}
+
+    @pytest.mark.parametrize("name", GOOD_POSITIONS)
+    @pytest.mark.parametrize(
+        "positions",
+        [np.empty((0, 2)), np.zeros((3, 3)), np.zeros(4), np.zeros((2, 1, 2)), [[0.0, math.nan]],
+         [[math.inf, 0.0]], [[0.0, -math.inf]]],
+        ids=["empty", "three_columns", "flat", "three_dims", "nan", "inf", "minus_inf"],
+    )
+    def test_layout_rejects_bad_positions(self, name, positions):
+        given = {**self.GOOD_POSITIONS, name: positions}
+        with pytest.raises(ValueError, match=name):
+            HetNetLayout(AREA, rng_seed=0, **given)
+
+    def test_layout_stores_float_arrays(self):
+        layout = HetNetLayout(AREA, [[1, 2]], [[3, 4], [5, 6]], rng_seed=0)
+        assert layout.macro_positions.dtype == np.float64
+        assert layout.small_positions.shape == (2, 2)
+        assert nearest_macro_distances(layout).tolist() == [math.sqrt(8.0), math.sqrt(32.0)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            (params, f.name)
+            for params in (
+                RfNlosCostParams, FiberCostParams, TerrestrialFsoCostParams, VerticalFsoCostParams
+            )
+            for f in fields(params)
+        ],
+    )
+    def test_cost_params_reject_non_finite_and_negative(self, params, name, bad):
+        with pytest.raises(ValueError, match=name):
+            params(**{name: bad})
+
+    @pytest.mark.parametrize(
+        "params, values, message",
+        [
+            (RfNlosCostParams, {"modules_per_hub": 0}, "modules_per_hub must be >= 1"),
+            (TerrestrialFsoCostParams, {"nlos_hop_count": 0}, "nlos_hop_count must be >= 1"),
+            (TerrestrialFsoCostParams, {"nlos_fraction": 1.5}, r"nlos_fraction must be in \[0, 1\]"),
+        ],
+    )
+    def test_cost_params_reject_out_of_domain_counts(self, params, values, message):
+        with pytest.raises(ValueError, match=message):
+            params(**values)
+
+    def test_nan_fiber_price_is_rejected_before_any_ranking(self):
+        with pytest.raises(ValueError, match="cable_cost_per_m must be finite"):
+            CostParams(fiber=FiberCostParams(cable_cost_per_m=math.nan, install_cost_per_m=-5.0))
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_nlos_fraction_bounds_are_accepted(self, fraction):
+        params = TerrestrialFsoCostParams(nlos_fraction=fraction)
+        assert len(nlos_cell_indices(default_layout(), params)) == 1000 * fraction

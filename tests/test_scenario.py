@@ -106,6 +106,12 @@ class TestSweepSpec:
         grid = spec.grid()
         assert grid == pytest.approx([1e-6, 1e-5, 1e-4, 1e-3], rel=1e-12)
 
+    @pytest.mark.parametrize("scale, space", [("linear", np.linspace), ("log", np.geomspace)])
+    def test_grid_is_a_list_of_python_floats(self, scale, space):
+        grid = SweepSpec("divergence", 1e-6, 1e-2, 1001, scale=scale).grid()
+        assert type(grid) is list and all(type(x) is float for x in grid)
+        assert grid == [float(x) for x in space(1e-6, 1e-2, 1001)]
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -209,13 +215,17 @@ class TestSweepMatchesPerPointEvaluation:
         "linear_divergence": SweepSpec("divergence", -1e-3, 1e-2, 221),
     }
     # The presets, plus Cn^2 sampled at a fixed altitude, no turbulence at
-    # all, and a second cloud layer that the altitude grid also crosses.
+    # all, extreme winds, and a second cloud layer that the altitude grid
+    # also crosses.
     SCENARIOS = {
         **{name: preset(name) for name in PRESET_NAMES},
         "reference_altitude": preset(
             "cloud_and_fog", turbulence=replace(TURB, reference_altitude_m=2500.0)
         ),
         "no_turbulence": replace(preset("rain_and_cloud"), label="no_turbulence", turbulence=None),
+        # Winds whose Cn^2 wind term is summed in logs: finite, and inf.
+        "wind_1e152": preset("cloud_and_fog", turbulence=replace(TURB, wind_speed_m_per_s=1e152)),
+        "wind_1e200": preset("clear_sky", turbulence=replace(TURB, wind_speed_m_per_s=1e200)),
         "two_cloud_layers": preset(
             "cloud_and_fog",
             clouds=(
