@@ -110,19 +110,46 @@ def _format_column(chunk) -> list:
     return list(map(texts.__getitem__, inverse.tolist()))
 
 
-def _write_csv(path: str, header: Sequence[str], columns: Sequence[Sequence]) -> None:
+def _reused_or_formatted(chunk, key, reuse: Optional[dict]) -> list:
+    """_format_column(chunk), taken from the reuse map where it can be.
+
+    The map holds, per (column index, first row), the bytes of the last
+    float64 chunk written there and its cells joined by commas (a float repr
+    never contains one). Equal bytes are equal doubles with equal reprs.
+    Equal values are not: 0.0 == -0.0, and repr prints them differently.
+    """
+    if reuse is None or not (isinstance(chunk, np.ndarray) and chunk.dtype == np.float64):
+        return _format_column(chunk)
+    data = chunk.tobytes()
+    stored = reuse.get(key)
+    if stored is not None and stored[0] == data:
+        return stored[1].split(",")
+    cells = _format_column(chunk)
+    reuse[key] = (data, ",".join(cells))
+    return cells
+
+
+def _write_csv(
+    path: str, header: Sequence[str], columns: Sequence[Sequence], reuse: Optional[dict] = None
+) -> None:
     """Write a CSV from equal-length columns, byte for byte what csv.writer
     writes for the rows of _fmt cells.
 
     A float64 array column is formatted a chunk at a time as the repr of
     each double; any other column (a list or tuple) cell by cell with _fmt.
+    Calls that share a reuse map (one per command, starting empty) format a
+    float64 chunk only when it differs from the last one written at the same
+    column and rows; the map then holds one entry per chunk of one file.
     """
     n_rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(",".join(map(_fmt, header)) + "\r\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
             stop = start + CSV_CHUNK_ROWS
-            cells = [_format_column(column[start:stop]) for column in columns]
+            cells = [
+                _reused_or_formatted(column[start:stop], (index, start), reuse)
+                for index, column in enumerate(columns)
+            ]
             handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
@@ -218,6 +245,9 @@ def cmd_sweep(config: RunConfig) -> int:
     else:
         variants.append(("", config))
 
+    # Weather leaves the grid and the geometric (and, along altitude, the
+    # scintillation) columns unchanged, so most files repeat those chunks.
+    reuse: dict = {}
     summary_lines = []
     for suffix, variant in variants:
         for scenario in variant.scenarios():
@@ -231,7 +261,10 @@ def cmd_sweep(config: RunConfig) -> int:
             filename = f"sweep_{scenario.label}{suffix}.csv"
             os.makedirs(config.output_dir, exist_ok=True)
             _write_csv(
-                os.path.join(config.output_dir, filename), SWEEP_COLUMNS, _sweep_columns(sweep)
+                os.path.join(config.output_dir, filename),
+                SWEEP_COLUMNS,
+                _sweep_columns(sweep),
+                reuse,
             )
             failed = [
                 (sweep.values[i].item(), error)

@@ -39,6 +39,14 @@ class Area:
         _require_finite(self)
         if self.width_m <= 0 or self.height_m <= 0:
             raise ValueError(f"area sides must be positive, got {self.width_m} x {self.height_m}")
+        # Bounds every squared distance the nearest-hub search forms between
+        # points of the area, so none overflows to inf.
+        width, height = float(self.width_m), float(self.height_m)
+        if not math.isfinite(width * width + height * height):
+            raise ValueError(
+                "width_m * width_m + height_m * height_m must be finite, "
+                f"got {self.width_m} x {self.height_m}"
+            )
 
 
 DEFAULT_AREA = Area(width_m=5000.0, height_m=5000.0)

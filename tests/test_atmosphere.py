@@ -45,7 +45,7 @@ class TestKruseSizeExponent:
 
     def test_low_visibility_branch(self):
         # 0.585 * 0.05^(1/3)
-        assert kruse_size_exponent(0.05) == pytest.approx(0.21551584267046264, rel=1e-12)
+        assert kruse_size_exponent(0.05) == pytest.approx(0.21551584267046264, rel=1e-12, abs=0)
 
     def test_boundaries_belong_to_middle_branch(self):
         assert kruse_size_exponent(6.0) == 1.3
@@ -199,7 +199,7 @@ class TestCloudVisibility:
             droplet_density_per_cm3=250.0,
         )
         # 1.002 * 250^(-0.6473)
-        assert cloud_visibility(layer) == pytest.approx(0.02809837174133454, rel=1e-12)
+        assert cloud_visibility(layer) == pytest.approx(0.02809837174133454, rel=1e-12, abs=0)
 
     def test_unit_density(self):
         layer = CloudLayer(
@@ -213,7 +213,7 @@ class TestCloudVisibility:
             base_altitude_m=0.0, thickness_m=1.0, lwc_g_per_m3=1.0,
             droplet_density_per_cm3=100.0,
         )
-        assert cloud_visibility(layer) == pytest.approx(0.05084727948388112, rel=1e-12)
+        assert cloud_visibility(layer) == pytest.approx(0.05084727948388112, rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("lwc,density", [(0.0, 250.0), (-1.0, 250.0), (1.0, 0.0)])
     def test_rejects_non_positive_microphysics(self, lwc, density):
@@ -280,15 +280,15 @@ class TestRefractiveIndexStructure:
     def test_ground_level_drops_wind_term(self):
         # 2.7e-16 + A at h = 0
         got = refractive_index_structure(0.0, TURB)
-        assert got == pytest.approx(2.7e-16 + 1.7e-14, rel=1e-15)
+        assert got == pytest.approx(2.7e-16 + 1.7e-14, rel=1e-15, abs=0)
 
     def test_at_20_km(self):
         got = refractive_index_structure(20000.0, TURB)
-        assert got == pytest.approx(7.5885388163675675e-19, rel=1e-12)
+        assert got == pytest.approx(7.5885388163675675e-19, rel=1e-12, abs=0)
 
     def test_at_5_km(self):
         got = refractive_index_structure(5000.0, TURB)
-        assert got == pytest.approx(1.1996401011379935e-17, rel=1e-12)
+        assert got == pytest.approx(1.1996401011379935e-17, rel=1e-12, abs=0)
 
     def test_vanishes_at_extreme_altitude(self):
         assert refractive_index_structure(1e6, TURB) < 1e-30
@@ -309,7 +309,7 @@ class TestRefractiveIndexStructure:
             + 2.7e-16 * math.exp(-h / 1500.0)
             + 1.7e-14 * math.exp(-h / 100.0)
         )
-        assert refractive_index_structure(h, TURB) == pytest.approx(oracle, rel=1e-12)
+        assert refractive_index_structure(h, TURB) == pytest.approx(oracle, rel=1e-12, abs=0)
 
     @given(v=st.floats(min_value=0.0, max_value=1e300), h=st.floats(min_value=0.0, max_value=1e7))
     @example(v=4.6e151, h=1e5)  # just below the speed where a factor could overflow
@@ -343,7 +343,7 @@ class TestScintillationLoss:
     def test_20_km_slant(self):
         cn2 = refractive_index_structure(20000.0, TURB)
         got = scintillation_loss(1550.0, cn2, 20000.0 / math.sin(DEG45))
-        assert got == pytest.approx(0.7223257588578063, rel=1e-12)
+        assert got == pytest.approx(0.7223257588578063, rel=1e-12, abs=0)
 
     def test_no_turbulence_is_lossless(self):
         assert scintillation_loss(1550.0, 0.0, 28284.0) == 0.0
@@ -351,7 +351,7 @@ class TestScintillationLoss:
     def test_5_km_slant(self):
         cn2 = refractive_index_structure(5000.0, TURB)
         got = scintillation_loss(1550.0, cn2, 5000.0 / math.sin(DEG45))
-        assert got == pytest.approx(0.8059186101328517, rel=1e-12)
+        assert got == pytest.approx(0.8059186101328517, rel=1e-12, abs=0)
 
     @given(
         st.floats(min_value=0.0, max_value=1e-10),
@@ -389,7 +389,7 @@ class TestTotalAtmosphericLoss:
         scenario = WeatherScenario(label="clear", turbulence=TURB)
         loss = total_atmospheric_loss(scenario, GEOMETRY_20KM, 1550.0)
         assert loss.fog_db == loss.rain_db == loss.cloud_db == 0.0
-        assert loss.total_db == pytest.approx(0.7223257588578063, rel=1e-12)
+        assert loss.total_db == pytest.approx(0.7223257588578063, rel=1e-12, abs=0)
 
     def test_dense_fog_adds_to_scintillation(self):
         scenario = WeatherScenario(
@@ -418,7 +418,7 @@ class TestTotalAtmosphericLoss:
         assert loss.fog_db > 0 and loss.rain_db > 0 and loss.cloud_db > 0
         assert loss.scintillation_db > 0
         assert loss.total_db == pytest.approx(
-            loss.fog_db + loss.rain_db + loss.cloud_db + loss.scintillation_db, rel=1e-15
+            loss.fog_db + loss.rain_db + loss.cloud_db + loss.scintillation_db, rel=1e-15, abs=0
         )
 
     def test_turbulence_reference_altitude_override(self):
@@ -429,7 +429,7 @@ class TestTotalAtmosphericLoss:
         loss = total_atmospheric_loss(scenario, GEOMETRY_20KM, 1550.0)
         cn2 = refractive_index_structure(5000.0, fixed)
         expected = scintillation_loss(1550.0, cn2, 20000.0 / math.sin(DEG45))
-        assert loss.scintillation_db == pytest.approx(expected, rel=1e-15)
+        assert loss.scintillation_db == pytest.approx(expected, rel=1e-15, abs=0)
 
 
 class TestDescriptorValidation:

@@ -163,6 +163,27 @@ class TestCost:
             )
             assert float(row["capex_usd"]) == pytest.approx(capex, rel=1e-12)
 
+    def test_overflowing_area_diagonal_exits_1(self, tmp_path, capsys):
+        code, outdir = run(
+            tmp_path, "cost", "--set=cost.area_width_m=1e160", "--set=cost.area_height_m=1e160"
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "config error: cost: width_m * width_m + height_m * height_m must be finite, "
+            "got 1e+160 x 1e+160\n"
+        )
+        assert not os.path.exists(outdir)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_area_costs_finitely(self, tmp_path, capsys):
+        code, outdir = run(
+            tmp_path, "cost", "--set=cost.area_width_m=9e153", "--set=cost.area_height_m=9e153"
+        )
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        summary = read_csv(os.path.join(outdir, "cost_summary.csv"))
+        assert all(math.isfinite(float(row["tco_usd"])) for row in summary)
+
 
 class TestAggregate:
     def test_reports_supported_cells(self, tmp_path, capsys):
@@ -409,6 +430,40 @@ def tables(draw):
     return header, [draw(column_strategy(n_rows)) for _ in range(n_columns)]
 
 
+# Cells with the same repr whose bits differ, or with different reprs whose
+# values compare equal: a chunk that holds one where the last file held the
+# other must not take the last file's cells.
+NAN_WITH_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+TWINS = [(0.0, -0.0), (-0.0, 0.0), (math.nan, -math.nan), (math.nan, NAN_WITH_PAYLOAD)]
+
+
+@st.composite
+def sweep_files(draw):
+    """The float64 columns of a run of CSV files that share a reuse map. Each
+    column of a file after the first repeats the last file's, repeats it but
+    for twin cells, or is new; row counts span more than one chunk and are
+    not a multiple of it."""
+    n_rows = draw(st.sampled_from([SMALL_CHUNK + 1, 2 * SMALL_CHUNK - 1, 2 * SMALL_CHUNK + 3]))
+    n_columns = draw(st.integers(min_value=1, max_value=3))
+    floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    column = st.lists(floats, min_size=n_rows, max_size=n_rows).map(np.array)
+    files = [[draw(column) for _ in range(n_columns)]]
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        columns = []
+        for last in files[-1]:
+            kind = draw(st.sampled_from(["same", "twins", "new"]))
+            if kind == "new":
+                columns.append(draw(column))
+                continue
+            current = last.copy()
+            if kind == "twins":
+                for row in draw(st.sets(st.integers(0, n_rows - 1), min_size=1, max_size=3)):
+                    last[row], current[row] = draw(st.sampled_from(TWINS))
+            columns.append(current)
+        files.append(columns)
+    return files
+
+
 @pytest.fixture(scope="module")
 def csv_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("csv")
@@ -464,3 +519,72 @@ class TestColumnWriter:
         rows += [("small", x, y) for x, y in layout.small_positions.tolist()]
         with open(os.path.join(outdir, "layout.csv"), "rb") as handle:
             assert handle.read() == row_writer_bytes(("kind", "x_m", "y_m"), rows)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sweep_files())
+    def test_reuse_map_writes_the_same_bytes(self, csv_dir, files):
+        header = [f"c{index}" for index in range(len(files[0]))]
+        reuse = {}
+        with mock.patch.object(cli, "CSV_CHUNK_ROWS", SMALL_CHUNK):
+            for columns in files:
+                path = csv_dir / "reused.csv"
+                cli._write_csv(str(path), header, columns, reuse)
+                assert path.read_bytes() == column_writer_bytes(csv_dir, header, columns)
+
+    def test_repeated_chunks_are_formatted_once(self, tmp_path):
+        n_rows = 2 * cli.CSV_CHUNK_ROWS + 3
+        grid = np.linspace(0.0, 1.0, n_rows)
+        zeros = np.zeros(n_rows)
+        reuse = {}
+        with mock.patch.object(cli, "_format_column", wraps=cli._format_column) as formatter:
+            cli._write_csv(str(tmp_path / "a.csv"), ["x", "y"], [grid, zeros], reuse)
+            assert formatter.call_count == 6
+            cli._write_csv(str(tmp_path / "b.csv"), ["x", "y"], [grid.copy(), -zeros], reuse)
+            assert formatter.call_count == 9
+        assert len(reuse) == 6
+        got = (tmp_path / "b.csv").read_bytes()
+        assert got == row_writer_bytes(["x", "y"], as_rows([grid, -zeros]))
+        assert b",-0.0\r\n" in got and b",0.0\r\n" not in got
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            ["--set=sweep.start=0", "--set=sweep.stop=20000"],  # row 0 fails
+            [
+                "--set=sweep.variable=divergence",
+                "--set=sweep.scale=log",
+                "--set=sweep.start=1e-6",
+                "--set=sweep.stop=1e-2",
+            ],
+        ],
+        ids=["altitude_from_0_m", "log_divergence"],
+    )
+    def test_sweep_bundle_matches_a_run_without_reuse(self, tmp_path, capsys, sweep):
+        argv = [
+            "sweep",
+            "--set=scenarios=[clear_sky, fog_dense, heavy_rain, cloud_and_fog, rain_and_cloud]",
+            "--set=sweep.points=10000",
+            *sweep,
+        ]
+        write_csv = cli._write_csv
+
+        def without_reuse(path, header, columns, reuse=None):
+            write_csv(path, header, columns)
+
+        with mock.patch.object(cli, "_format_column", wraps=cli._format_column) as formatter:
+            code, outdir = run(tmp_path / "reused", *argv)
+            assert code == EXIT_OK
+            reused_calls = formatter.call_count
+            with mock.patch.object(cli, "_write_csv", without_reuse):
+                code, plain_outdir = run(tmp_path / "plain", *argv)
+            assert code == EXIT_OK
+            plain_calls = formatter.call_count - reused_calls
+        assert reused_calls < plain_calls
+        names = sorted(os.listdir(outdir))
+        assert names == sorted(os.listdir(plain_outdir)) and len(names) == 7
+        for name in names:
+            if name != "resolved_config.yaml":  # differs in output_dir alone
+                with open(os.path.join(outdir, name), "rb") as a, open(
+                    os.path.join(plain_outdir, name), "rb"
+                ) as b:
+                    assert a.read() == b.read(), name

@@ -65,7 +65,7 @@ class TestDefaults:
 
     def test_optical_loss_resolves_to_even_split(self):
         config = load_config()
-        assert config.transceiver.tx_efficiency == pytest.approx(10 ** -0.1, rel=1e-12)
+        assert config.transceiver.tx_efficiency == pytest.approx(10 ** -0.1, rel=1e-12, abs=0)
         product = config.transceiver.tx_efficiency * config.transceiver.rx_efficiency
         assert -10 * math.log10(product) == pytest.approx(2.0, rel=1e-12)
 

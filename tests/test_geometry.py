@@ -56,7 +56,7 @@ class TestBeamRadius:
 
     def test_microradian_beam(self):
         assert beam_radius(1e-6, 28284.271247461904) == pytest.approx(
-            0.014142135623730953, rel=1e-12
+            0.014142135623730953, rel=1e-12, abs=0
         )
 
     def test_half_angle_times_length(self):
@@ -71,7 +71,7 @@ class TestBeamRadius:
 
 class TestCaptureFraction:
     def test_small_aperture_in_wide_beam(self):
-        assert geometrical_capture_fraction(geom()) == pytest.approx(8.0e-6, rel=1e-12)
+        assert geometrical_capture_fraction(geom()) == pytest.approx(8.0e-6, rel=1e-12, abs=0)
 
     def test_narrow_beam_is_capped_at_one(self):
         # 1 urad over 28.3 km gives a 14 mm footprint inside the 40 mm aperture

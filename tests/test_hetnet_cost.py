@@ -353,6 +353,23 @@ class TestValidation:
         with pytest.raises(ValueError, match=name):
             HetNetLayout(AREA, rng_seed=0, **given)
 
+    @pytest.mark.parametrize(
+        "width, height",
+        [(1e160, 1e160), (1e154, 1e154), (1.5e154, 1.0), (1.0, 1.5e154), (10**200, 1)],
+        ids=["both_1e160", "sum_overflows", "width_squared", "height_squared", "python_int"],
+    )
+    def test_area_rejects_an_overflowing_squared_diagonal(self, width, height):
+        with pytest.raises(ValueError, match=r"width_m \* width_m \+ height_m \* height_m"):
+            Area(width_m=width, height_m=height)
+
+    @pytest.mark.filterwarnings("error")
+    def test_largest_areas_give_finite_distances(self):
+        # 2 * 9e153^2 = 1.62e308: the squared diagonal is finite.
+        layout = generate_layout(30, 700, Area(width_m=9e153, height_m=9e153), seed=4)
+        distances = nearest_macro_distances(layout)
+        assert np.isfinite(distances).all() and distances.max() > 1e152
+        assert math.isfinite(cost_fiber(layout, FiberCostParams()).capex)
+
     def test_layout_stores_float_arrays(self):
         layout = HetNetLayout(AREA, [[1, 2]], [[3, 4], [5, 6]], rng_seed=0)
         assert layout.macro_positions.dtype == np.float64

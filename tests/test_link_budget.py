@@ -45,19 +45,19 @@ class TestOpticalLoss:
 class TestPhotonEnergy:
     def test_1550_nm(self):
         # 6.626e-34 * 3e8 / 1.55e-6
-        assert photon_energy(1550.0) == pytest.approx(1.2824516129032259e-19, rel=1e-12)
+        assert photon_energy(1550.0) == pytest.approx(1.2824516129032259e-19, rel=1e-12, abs=0)
 
     def test_inverse_proportionality(self):
-        assert photon_energy(775.0) == pytest.approx(2.0 * photon_energy(1550.0), rel=1e-12)
+        assert photon_energy(775.0) == pytest.approx(2.0 * photon_energy(1550.0), rel=1e-12, abs=0)
 
     def test_650_nm(self):
-        assert photon_energy(650.0) == pytest.approx(3.058153846153846e-19, rel=1e-12)
+        assert photon_energy(650.0) == pytest.approx(3.058153846153846e-19, rel=1e-12, abs=0)
 
 
 class TestReceivedPower:
     def test_clear_sky_reference(self):
         got = received_power(TX, GEOMETRY_20KM, 0.7223257588578063)
-        assert got == pytest.approx(5.393707695525116e-07, rel=1e-9)
+        assert got == pytest.approx(5.393707695525116e-07, rel=1e-9, abs=0)
 
     def test_huge_attenuation_underflows_to_zero(self):
         assert received_power(TX, GEOMETRY_20KM, 10000.0) == 0.0
@@ -71,7 +71,7 @@ class TestReceivedPower:
     def test_adding_decibels_divides_power(self, base_db, extra_db):
         a = received_power(TX, GEOMETRY_20KM, base_db)
         b = received_power(TX, GEOMETRY_20KM, base_db + extra_db)
-        assert b == pytest.approx(a * 10.0 ** (-extra_db / 10.0), rel=1e-9)
+        assert b == pytest.approx(a * 10.0 ** (-extra_db / 10.0), rel=1e-9, abs=0)
 
 
 class TestAchievableRate:

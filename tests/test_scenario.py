@@ -39,7 +39,7 @@ class TestDefaultParameters:
             2.0, rel=1e-12
         )
         assert GEOMETRY.divergence_rad == 1e-3
-        assert GEOMETRY.elevation_rad == pytest.approx(math.radians(45.0), rel=1e-15)
+        assert GEOMETRY.elevation_rad == pytest.approx(math.radians(45.0), rel=1e-15, abs=0)
         assert TURB.structure_constant_a == 1.7e-14
         assert ALTITUDE_SWEEP_BOUNDS_M == (1000.0, 20000.0)
 
@@ -104,7 +104,7 @@ class TestSweepSpec:
     def test_log_grid_hits_decades(self):
         spec = SweepSpec(variable="divergence", start=1e-6, stop=1e-3, points=4, scale="log")
         grid = spec.grid()
-        assert grid == pytest.approx([1e-6, 1e-5, 1e-4, 1e-3], rel=1e-12)
+        assert grid == pytest.approx([1e-6, 1e-5, 1e-4, 1e-3], rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("scale, space", [("linear", np.linspace), ("log", np.geomspace)])
     def test_grid_is_a_list_of_python_floats(self, scale, space):
