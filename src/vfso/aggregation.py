@@ -67,6 +67,11 @@ def supported_cells(
     if rounding not in ("ceil", "floor"):
         raise ValueError(f"rounding must be 'ceil' or 'floor', got {rounding!r}")
     quotient = link_rate_bps / profile.busy_rate_bps
+    if not math.isfinite(quotient):
+        raise ValueError(
+            "link_rate_bps / busy_rate_bps must be finite, "
+            f"got {link_rate_bps} / {profile.busy_rate_bps}"
+        )
     nearest = round(quotient)
     if abs(quotient - nearest) <= _INTEGER_SNAP_RTOL * max(1.0, abs(quotient)):
         return int(nearest)

@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import _SCALAR_MATH, LinkGeometry, _require_finite, slant_path
+from .geometry import _SCALAR_MATH, _require_finite
 
 # Background term of the Hufnagel-Valley profile, m^(-2/3).
 HV_BACKGROUND = 2.7e-16
@@ -154,20 +154,6 @@ class WeatherScenario:
             raise ValueError("label must be non-empty")
         object.__setattr__(self, "clouds", tuple(self.clouds))
         _check_no_overlap(self.clouds)
-
-
-@dataclass(frozen=True)
-class AtmosphericLoss:
-    """Per-mechanism atmospheric loss breakdown, all in dB."""
-
-    fog_db: float = 0.0
-    rain_db: float = 0.0
-    cloud_db: float = 0.0
-    scintillation_db: float = 0.0
-
-    @property
-    def total_db(self) -> float:
-        return self.fog_db + self.rain_db + self.cloud_db + self.scintillation_db
 
 
 def kruse_size_exponent(visibility_km: float) -> float:
@@ -320,16 +306,20 @@ def scintillation_loss(wavelength_nm: float, cn2: float, path_length_m: float) -
 
 def _scintillation_db(wavelength_nm: float, cn2, path_length_m, xp):
     wavenumber = 2.0 * math.pi * 1e9 / wavelength_nm
-    scale = 23.17 * wavenumber ** (7.0 / 6.0)
-    # l^(11/6) overflows beyond a ~1.377e168 m path. Capping the power keeps
-    # 0 * inf out where Cn^2 = 0, which gives 0 dB; elsewhere an overflowed
-    # product is summed in logs instead, so every point where the direct
-    # product is finite keeps its exact value.
+    scale = 23.17 * _power_or_inf(wavenumber, 7.0 / 6.0)
+    # k^(7/6) overflows below a ~3.8e-255 nm wavelength, and l^(11/6) beyond a
+    # ~1.377e168 m path. Capping both keeps 0 * inf out where Cn^2 = 0, which
+    # gives 0 dB; elsewhere an overflowed product is summed in logs instead,
+    # so every point where the direct product is finite keeps its exact
+    # value. The log of the scale is built from its factors, so it is finite
+    # even where k or k^(7/6) is not (or underflows, at ~1e290 nm).
+    cap = sys.float_info.max
     power = _power_or_inf(path_length_m, 11.0 / 6.0)
-    product = scale * cn2 * xp.minimum(power, sys.float_info.max)
-    exact = (xp.isfinite(power) & xp.isfinite(product)) | (cn2 == 0)
+    product = min(scale, cap) * cn2 * xp.minimum(power, cap)
+    exact = (math.isfinite(scale) & xp.isfinite(power) & xp.isfinite(product)) | (cn2 == 0)
     log_product = (
-        math.log(scale)
+        math.log(23.17)
+        + 7.0 / 6.0 * (math.log(2.0 * math.pi * 1e9) - math.log(wavelength_nm))
         + xp.log(xp.maximum(cn2, math.ulp(0.0)))
         + 11.0 / 6.0 * xp.log(path_length_m)
     )
@@ -341,22 +331,6 @@ def _power_or_inf(base, exponent: float):
         return base**exponent
     except OverflowError:  # a float power; a numpy one gives inf
         return math.inf
-
-
-def total_atmospheric_loss(
-    scenario: WeatherScenario, geometry: LinkGeometry, wavelength_nm: float
-) -> AtmosphericLoss:
-    """Full atmospheric budget for one scenario and link geometry.
-
-    Fog, rain and cloud terms use the geometry's elevation angle; the
-    scintillation term samples Cn^2 at the turbulence descriptor's reference
-    altitude (platform altitude unless overridden) over the whole slant path.
-    """
-    altitude_m, elevation = geometry.nfp_altitude_m, geometry.elevation_rad
-    terms = _atmospheric_terms(
-        scenario, altitude_m, elevation, wavelength_nm, slant_path(geometry), _SCALAR_MATH
-    )
-    return AtmosphericLoss(*terms)
 
 
 def _atmospheric_terms(scenario, altitude_m, elevation, wavelength_nm, path_m, xp) -> tuple:

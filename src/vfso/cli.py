@@ -338,7 +338,10 @@ def cmd_aggregate(config: RunConfig) -> int:
         config.transceiver, config.geometry, config.scenario(label), config.target_rate_bps
     )
     rate = result.data_rate_bps
-    cells_ceil = supported_cells(rate, config.traffic, rounding="ceil")
+    try:
+        cells_ceil = supported_cells(rate, config.traffic, rounding="ceil")
+    except ValueError as exc:  # a busy rate so small that the cell count overflows
+        raise ConfigError(f"traffic: {exc}") from exc
     cells_floor = supported_cells(rate, config.traffic, rounding="floor")
     oversub = oversubscribes(rate, config.traffic)
     demand = aggregated_demand(cells_ceil, config.traffic) if cells_ceil >= 1 else 0.0

@@ -32,7 +32,7 @@ from .atmosphere import (
     TurbulenceDescriptor,
     WeatherScenario,
 )
-from .geometry import LinkGeometry
+from .geometry import LinkGeometry, _require_finite
 from .hetnet_cost import DEFAULT_AREA, Area, CostParams
 from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams, efficiencies_from_optical_loss
 from .scenario import (
@@ -67,6 +67,7 @@ class CostConfig:
     params: CostParams = field(default_factory=CostParams)
 
     def __post_init__(self) -> None:
+        _require_finite(self, "n_macro", "n_small", "years")
         if self.n_macro <= 0 or self.n_small <= 0:
             raise ValueError(f"cell counts must be positive, got {self.n_macro}/{self.n_small}")
         if self.years < 0:
@@ -93,6 +94,7 @@ class RunConfig:
     cost: CostConfig = field(default_factory=CostConfig)
 
     def __post_init__(self) -> None:
+        _require_finite(self, "seed", "target_rate_bps")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.target_rate_bps <= 0:

@@ -45,14 +45,15 @@ _SCALAR_MATH = SimpleNamespace(
 )
 
 
-def _require_finite(instance) -> None:
+def _require_finite(instance, *names: str) -> None:
     """Raise a ValueError naming the first NaN or infinite field of a dataclass
-    of numbers. Unset optional (None) fields are skipped. A bound such as
+    of numbers, or of its fields `names` when given. Unset optional (None)
+    fields and Python ints, which are exact, are skipped. A bound such as
     `x <= 0` lets NaN through, so constructors check this first."""
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+    for name in names or [f.name for f in fields(instance)]:
+        value = getattr(instance, name)
+        if not (value is None or isinstance(value, int) or math.isfinite(value)):
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)

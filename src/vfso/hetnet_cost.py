@@ -10,7 +10,7 @@ snapshot then feeds four costings:
 * Fiber: every small cell trenched to its nearest macro hub; cable and
   trenching dominate.
 * Terrestrial FSO: one link per line-of-sight cell, multiple hops for the
-  (randomly chosen) non-LOS half.
+  non-LOS half.
 * Vertical FSO: a fleet of flying platforms priced by airframe plus
   per-flight-hour operations.
 
@@ -63,7 +63,6 @@ class HetNetLayout:
     area: Area
     macro_positions: np.ndarray
     small_positions: np.ndarray
-    rng_seed: int
 
     def __post_init__(self) -> None:
         for name in ("macro_positions", "small_positions"):
@@ -89,7 +88,7 @@ def generate_layout(
     extent = np.array([area.width_m, area.height_m])
     macro = rng.uniform(0.0, 1.0, size=(n_macro, 2)) * extent
     small = rng.uniform(0.0, 1.0, size=(n_small, 2)) * extent
-    return HetNetLayout(area=area, macro_positions=macro, small_positions=small, rng_seed=seed)
+    return HetNetLayout(area=area, macro_positions=macro, small_positions=small)
 
 
 # Small cells per tile of the nearest-hub search. Besides an index over the
@@ -318,31 +317,17 @@ def cost_fiber(layout: HetNetLayout, params: FiberCostParams = FiberCostParams()
     return _result("fiber", items)
 
 
-def nlos_cell_indices(
-    layout: HetNetLayout, params: TerrestrialFsoCostParams = TerrestrialFsoCostParams()
-) -> np.ndarray:
-    """Indices of the small cells assumed to lack line of sight to their hub.
-
-    A seeded draw of round(nlos_fraction * n_small) cells without
-    replacement; the stream is derived from the layout seed so the same
-    layout always yields the same subset.
-    """
-    n_small = len(layout.small_positions)
-    n_nlos = round(params.nlos_fraction * n_small)
-    rng = np.random.default_rng([layout.rng_seed, 1])
-    return np.sort(rng.choice(n_small, size=n_nlos, replace=False))
-
-
 def cost_terrestrial_fso(
     layout: HetNetLayout, params: TerrestrialFsoCostParams = TerrestrialFsoCostParams()
 ) -> TcoResult:
     """Terrestrial FSO costing.
 
-    Cells with line of sight to their hub need one link; the non-LOS subset
-    (see nlos_cell_indices) needs nlos_hop_count chained links each.
+    Cells with line of sight to their hub need one link; the
+    round(nlos_fraction * n_small) cells without it need nlos_hop_count
+    chained links each. Which cells lack it does not change the cost.
     """
     n_small = len(layout.small_positions)
-    n_nlos = len(nlos_cell_indices(layout, params))
+    n_nlos = round(params.nlos_fraction * n_small)
     n_links = (n_small - n_nlos) + n_nlos * params.nlos_hop_count
     items = [
         CostLineItem("FSO equipment", "capex", params.equipment_cost_per_link, n_links),

@@ -15,6 +15,7 @@ a negative margin means the link cannot carry the target traffic.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,14 +34,8 @@ from .geometry import (
 
 DEFAULT_TARGET_RATE_BPS = 3.0e9
 
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    planck_j_s: float = 6.626e-34
-    light_speed_m_per_s: float = 3.0e8
-
-
-CONSTANTS = PhysicalConstants()
+PLANCK_J_S = 6.626e-34
+LIGHT_SPEED_M_PER_S = 3.0e8
 
 
 @dataclass(frozen=True)
@@ -77,6 +72,16 @@ class TransceiverParams:
             raise ValueError(
                 "receiver_sensitivity_photons_per_bit must be positive, "
                 f"got {self.receiver_sensitivity_photons_per_bit}"
+            )
+        # Capture is at most 1, no loss is below 0 dB and rounding is monotone,
+        # so every rate _budget computes is at most this lossless one.
+        per_bit_j = photon_energy(self.wavelength_nm) * self.receiver_sensitivity_photons_per_bit
+        if not (per_bit_j > 0 and _received_power(self, 0.0, 1.0) / per_bit_j < math.inf):
+            raise ValueError(
+                "the lossless rate of transmit_power_w at wavelength_nm and "
+                "receiver_sensitivity_photons_per_bit must be finite, got "
+                f"{self.transmit_power_w} W at {self.wavelength_nm} nm and "
+                f"{self.receiver_sensitivity_photons_per_bit} photons/bit"
             )
 
 
@@ -126,7 +131,10 @@ def optical_loss(tx_efficiency: float, rx_efficiency: float) -> float:
     for name, eta in (("tx_efficiency", tx_efficiency), ("rx_efficiency", rx_efficiency)):
         if not 0 < eta <= 1:
             raise ValueError(f"{name} must be in (0, 1], got {eta}")
-    return -10.0 * math.log10(tx_efficiency * rx_efficiency)
+    product = tx_efficiency * rx_efficiency
+    if product < sys.float_info.min:  # under- or subnormal: sum the logs
+        return -10.0 * (math.log10(tx_efficiency) + math.log10(rx_efficiency))
+    return -10.0 * math.log10(product)
 
 
 def efficiencies_from_optical_loss(optical_loss_db: float) -> tuple[float, float]:
@@ -141,11 +149,12 @@ def efficiencies_from_optical_loss(optical_loss_db: float) -> tuple[float, float
     return eta, eta
 
 
-def photon_energy(wavelength_nm: float, constants: PhysicalConstants = CONSTANTS) -> float:
+def photon_energy(wavelength_nm: float) -> float:
     """Energy of one photon in joules, h*c/lambda."""
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength_nm must be positive, got {wavelength_nm}")
-    return constants.planck_j_s * constants.light_speed_m_per_s / (wavelength_nm * 1e-9)
+    wavelength_m = wavelength_nm * 1e-9
+    if not wavelength_m > 0:  # below ~2.5e-315 nm the meters underflow to 0
+        raise ValueError(f"wavelength_nm * 1e-9 must be positive, got {wavelength_nm}")
+    return PLANCK_J_S * LIGHT_SPEED_M_PER_S / wavelength_m
 
 
 def received_power(

@@ -26,7 +26,7 @@ from .atmosphere import (
     TurbulenceDescriptor,
     WeatherScenario,
 )
-from .geometry import LinkGeometry
+from .geometry import LinkGeometry, _require_finite
 from .link_budget import (
     DEFAULT_TARGET_RATE_BPS,
     LinkBudgetResult,
@@ -131,6 +131,7 @@ class SweepSpec:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
+        _require_finite(self, "start", "stop", "points")
         if self.variable not in ("altitude", "divergence"):
             raise ValueError(
                 f"variable must be 'altitude' or 'divergence', got {self.variable!r}"

@@ -67,6 +67,13 @@ class TestSupportedCells:
         with pytest.raises(ValueError, match=f"^link_rate_bps must be finite, got {rate}$"):
             supported_cells(rate, PROFILE)
 
+    def test_rejects_a_cell_count_beyond_the_float_range(self):
+        profile = TrafficProfile(busy_rate_bps=1e-300, peak_rate_bps=1e-300)
+        with pytest.raises(ValueError, match=r"^link_rate_bps / busy_rate_bps must be finite"):
+            supported_cells(42e9, profile)
+        with pytest.raises(ValueError, match=r"^link_rate_bps / busy_rate_bps must be finite"):
+            oversubscribes(42e9, profile)
+
     @given(st.integers(min_value=0, max_value=10000), st.floats(min_value=1e3, max_value=1e9))
     def test_exact_multiples_count_exactly(self, k, busy):
         profile = TrafficProfile(busy_rate_bps=busy, peak_rate_bps=busy)

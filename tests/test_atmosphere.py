@@ -25,9 +25,10 @@ from vfso.atmosphere import (
     rain_attenuation,
     refractive_index_structure,
     scintillation_loss,
-    total_atmospheric_loss,
 )
 from vfso.geometry import LinkGeometry
+from vfso.link_budget import evaluate_link
+from vfso.scenario import default_parameters
 
 from golden import FOG_TABLE_CELLS
 
@@ -353,6 +354,24 @@ class TestScintillationLoss:
         got = scintillation_loss(1550.0, cn2, 5000.0 / math.sin(DEG45))
         assert got == pytest.approx(0.8059186101328517, rel=1e-12, abs=0)
 
+    @pytest.mark.parametrize("wavelength_nm", [1e-260, 1e-300])
+    def test_overflowing_wavenumber_is_summed_in_logs(self, wavelength_nm):
+        # k^(7/6) (at 1e-260 nm) or k itself (at 1e-300 nm) overflows; the
+        # loss matches the formula taken in 40-digit decimals.
+        cn2, path = 1e-17, 20000.0 / math.sin(DEG45)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            k = 2 * Decimal(math.pi) * Decimal(10) ** 9 / Decimal(wavelength_nm)
+            product = Decimal("23.17") * k ** (Decimal(7) / 6) * Decimal(cn2)
+            exact = float(2 * (product * Decimal(path) ** (Decimal(11) / 6)).sqrt())
+        got = scintillation_loss(wavelength_nm, cn2, path)
+        assert math.isclose(got, exact, rel_tol=1e-12), (got, exact)
+        assert scintillation_loss(wavelength_nm, 0.0, path) == 0.0
+
+    def test_underflowing_scale_gives_0_db(self):
+        # 23.17 k^(7/6) underflows to 0 at 1e290 nm; the true loss is ~1e-167 dB.
+        assert scintillation_loss(1e290, 1e-17, 28284.0) == 0.0
+
     @given(
         st.floats(min_value=0.0, max_value=1e-10),
         st.floats(min_value=1e-3, max_value=1.7e308),
@@ -384,12 +403,18 @@ GEOMETRY_20KM = LinkGeometry(
 )
 
 
-class TestTotalAtmosphericLoss:
+def atmospheric_losses(scenario):
+    """The atmospheric terms of the budget at 20 km, 1550 nm."""
+    tx, _, _ = default_parameters()
+    return evaluate_link(tx, GEOMETRY_20KM, scenario).loss_breakdown
+
+
+class TestAtmosphericLossBreakdown:
     def test_clear_sky_is_scintillation_only(self):
         scenario = WeatherScenario(label="clear", turbulence=TURB)
-        loss = total_atmospheric_loss(scenario, GEOMETRY_20KM, 1550.0)
+        loss = atmospheric_losses(scenario)
         assert loss.fog_db == loss.rain_db == loss.cloud_db == 0.0
-        assert loss.total_db == pytest.approx(0.7223257588578063, rel=1e-12, abs=0)
+        assert loss.atmospheric_db == pytest.approx(0.7223257588578063, rel=1e-12, abs=0)
 
     def test_dense_fog_adds_to_scintillation(self):
         scenario = WeatherScenario(
@@ -397,14 +422,16 @@ class TestTotalAtmosphericLoss:
             fog=FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0),
             turbulence=TURB,
         )
-        loss = total_atmospheric_loss(scenario, GEOMETRY_20KM, 1550.0)
+        loss = atmospheric_losses(scenario)
         assert loss.fog_db == pytest.approx(19.195791967395415, rel=1e-12)
-        assert loss.total_db == pytest.approx(19.195791967395415 + 0.7223257588578063, rel=1e-12)
+        assert loss.atmospheric_db == pytest.approx(
+            19.195791967395415 + 0.7223257588578063, rel=1e-12
+        )
 
     def test_vacuum_path(self):
         scenario = WeatherScenario(label="vacuum")
-        loss = total_atmospheric_loss(scenario, GEOMETRY_20KM, 1550.0)
-        assert loss.total_db == 0.0
+        loss = atmospheric_losses(scenario)
+        assert loss.atmospheric_db == 0.0
 
     def test_components_are_kept_separately(self):
         scenario = WeatherScenario(
@@ -414,10 +441,10 @@ class TestTotalAtmosphericLoss:
             clouds=(CUMULUS,),
             turbulence=TURB,
         )
-        loss = total_atmospheric_loss(scenario, GEOMETRY_20KM, 1550.0)
+        loss = atmospheric_losses(scenario)
         assert loss.fog_db > 0 and loss.rain_db > 0 and loss.cloud_db > 0
         assert loss.scintillation_db > 0
-        assert loss.total_db == pytest.approx(
+        assert loss.atmospheric_db == pytest.approx(
             loss.fog_db + loss.rain_db + loss.cloud_db + loss.scintillation_db, rel=1e-15, abs=0
         )
 
@@ -426,7 +453,7 @@ class TestTotalAtmosphericLoss:
             wind_speed_m_per_s=21.0, structure_constant_a=1.7e-14, reference_altitude_m=5000.0
         )
         scenario = WeatherScenario(label="ref", turbulence=fixed)
-        loss = total_atmospheric_loss(scenario, GEOMETRY_20KM, 1550.0)
+        loss = atmospheric_losses(scenario)
         cn2 = refractive_index_structure(5000.0, fixed)
         expected = scintillation_loss(1550.0, cn2, 20000.0 / math.sin(DEG45))
         assert loss.scintillation_db == pytest.approx(expected, rel=1e-15, abs=0)

@@ -254,6 +254,23 @@ class TestErrorsAndDeterminism:
                 "cost.vertical_fso: n_platforms must be non-negative",
             ),
             ("aggregate", "traffic.peak_rate_bps=-.inf", "traffic.peak_rate_bps: "),
+            (
+                "aggregate",
+                "traffic={busy_rate_bps: 1e-300, peak_rate_bps: 1e-300}",
+                "traffic: link_rate_bps / busy_rate_bps must be finite",
+            ),
+            (
+                "evaluate",
+                "transceiver.wavelength_nm=5e-324",
+                "transceiver: wavelength_nm * 1e-9 must be positive",
+            ),
+            (
+                "evaluate",
+                "transceiver.receiver_sensitivity_photons_per_bit=5e-324",
+                "transceiver: the lossless rate",
+            ),
+            ("evaluate", "transceiver.transmit_power_w=1e300", "transceiver: the lossless rate"),
+            ("sweep", "transceiver.transmit_power_w=1e300", "transceiver: the lossless rate"),
             ("sweep", "divergence_values_rad=[.nan]", "divergence_values_rad[0]: "),
             (
                 "evaluate",
@@ -270,6 +287,36 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert not os.path.exists(outdir)
+
+    def test_underflowing_efficiencies_are_answered(self, tmp_path, capsys):
+        # 1e-200 * 1e-200 underflows: 4000 dB of optical loss, no power left.
+        code, outdir = run(
+            tmp_path,
+            "evaluate",
+            "--set=transceiver.tx_efficiency=1e-200",
+            "--set=transceiver.rx_efficiency=1e-200",
+        )
+        assert code == EXIT_LINK_FAILURE
+        assert capsys.readouterr().err == ""
+        row = read_csv(os.path.join(outdir, "evaluate.csv"))[0]
+        cells = (row["l_opt_db"], row["data_rate_bps"], row["link_margin_db"])
+        assert cells == ("4000.0", "0.0", "-inf")
+
+    def test_longest_wavelength_is_answered(self, tmp_path, capsys):
+        # 23.17 k^(7/6) underflows to 0 at 1e290 nm; the log of it is built
+        # from its factors. The sweep's last row is the evaluated point.
+        override = "--set=transceiver.wavelength_nm=1e290"
+        code, outdir = run(tmp_path, "evaluate", override)
+        assert code == EXIT_OK
+        point = read_csv(os.path.join(outdir, "evaluate.csv"))[0]
+        code, outdir = run(tmp_path / "sweep", "sweep", override)
+        assert code == EXIT_OK
+        last = read_csv(os.path.join(outdir, "sweep_clear_sky.csv"))[-1]
+        assert float(last["variable"]) == float(point["nfp_altitude_m"])
+        for key in ("data_rate_bps", "link_margin_db", "l_sci_db", "l_geo_db"):
+            assert math.isclose(float(last[key]), float(point[key]), rel_tol=1e-12), key
+        assert math.isfinite(float(point["link_margin_db"]))
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize(
         "divergence, expected", [("1e-300", EXIT_OK), ("1e300", EXIT_LINK_FAILURE)]

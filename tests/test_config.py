@@ -2,10 +2,14 @@
 
 import math
 import re
+import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, strategies as st
 
 from vfso.aggregation import DEFAULT_TRAFFIC
 from vfso.config import (
@@ -19,7 +23,7 @@ from vfso.config import (
     resolved_yaml,
 )
 from vfso.hetnet_cost import DEFAULT_AREA, CostParams
-from vfso.link_budget import DEFAULT_TARGET_RATE_BPS
+from vfso.link_budget import DEFAULT_TARGET_RATE_BPS, evaluate_grid, evaluate_link
 from vfso.scenario import (
     DEFAULT_CLOUD_PROFILE,
     DEFAULT_FOG,
@@ -218,6 +222,78 @@ class TestNonFiniteNumbers:
     def test_integer_beyond_the_float_range(self):
         with pytest.raises(ConfigError, match="^sweep.stop: must be finite"):
             config_from_mapping({"sweep": {"stop": 10**400}})
+
+
+# The numeric fields of the three constructors that also hold strings or
+# dataclasses, each with a valid instance.
+NUMERIC_FIELDS = [
+    (DEFAULT_SWEEP, "start"),
+    (DEFAULT_SWEEP, "stop"),
+    (DEFAULT_SWEEP, "points"),
+    (RunConfig(), "seed"),
+    (RunConfig(), "target_rate_bps"),
+    (CostConfig(), "n_macro"),
+    (CostConfig(), "n_small"),
+    (CostConfig(), "years"),
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "valid, name", NUMERIC_FIELDS, ids=[f"{type(v).__name__}.{n}" for v, n in NUMERIC_FIELDS]
+)
+def test_constructors_reject_non_finite_fields(valid, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+        replace(valid, **{name: value})
+
+
+# Each transceiver field over its whole domain of finite doubles, from the
+# smallest subnormal up to the largest finite value.
+TINIEST, LARGEST = math.ulp(0.0), sys.float_info.max
+TRANSCEIVER_DOMAIN = {
+    "transmit_power_w": (TINIEST, LARGEST),
+    "tx_efficiency": (TINIEST, 1.0),
+    "rx_efficiency": (TINIEST, 1.0),
+    "wavelength_nm": (TINIEST, LARGEST),
+    "pointing_loss_db": (0.0, LARGEST),
+    "receiver_sensitivity_photons_per_bit": (TINIEST, LARGEST),
+}
+DEFAULT_TRANSCEIVER = asdict(default_parameters()[0])
+
+
+def transceiver(**changes):
+    return {**DEFAULT_TRANSCEIVER, **changes}
+
+
+@given(
+    st.fixed_dictionaries(
+        {name: st.floats(low, high) for name, (low, high) in TRANSCEIVER_DOMAIN.items()}
+    )
+)
+@example(transceiver(tx_efficiency=1e-200, rx_efficiency=1e-200))
+@example(transceiver(wavelength_nm=1e290))
+@example(transceiver(wavelength_nm=1e-260))
+@example(transceiver(wavelength_nm=1e-300))
+@example(transceiver(wavelength_nm=TINIEST))
+@example(transceiver(receiver_sensitivity_photons_per_bit=TINIEST))
+@example(transceiver(transmit_power_w=1e300))
+@example(transceiver(transmit_power_w=LARGEST, receiver_sensitivity_photons_per_bit=LARGEST))
+def test_transceiver_gives_a_finite_answer_or_a_config_error(values):
+    overrides = [f"transceiver.{name}={value!r}" for name, value in values.items()]
+    try:
+        config = load_config(overrides=overrides)
+    except ConfigError as exc:
+        assert str(exc).startswith("transceiver: ")
+        return
+    args = (config.transceiver, config.geometry, config.scenario("clear_sky"))
+    point = evaluate_link(*args)
+    grid = evaluate_grid(*args, nfp_altitude_m=np.array([1e3, 2e4, 1e7]))
+    for power_w, rate_bps, margin_db in [
+        (point.received_power_w, point.data_rate_bps, point.link_margin_db),
+        *zip(grid.received_power_w, grid.data_rate_bps, grid.link_margin_db),
+    ]:
+        assert math.isfinite(power_w) and math.isfinite(rate_bps)
+        assert math.isfinite(margin_db) or margin_db == -math.inf
 
 
 class TestWholeConfigValidatedAtLoad:

@@ -23,7 +23,6 @@ from vfso.hetnet_cost import (
     cost_vertical_fso,
     generate_layout,
     nearest_macro_distances,
-    nlos_cell_indices,
 )
 
 AREA = Area(width_m=5000.0, height_m=5000.0)
@@ -34,7 +33,7 @@ def default_layout(seed=0):
 
 
 def layout_of(macro, small):
-    return HetNetLayout(AREA, macro, small, rng_seed=0)
+    return HetNetLayout(AREA, macro, small)
 
 
 def dense_nearest(layout):
@@ -191,9 +190,7 @@ class TestFiberCost:
         layout = generate_layout(1, 1, AREA, 0)
         macro = np.array([[1000.0, 1000.0]])
         small = np.array([[1300.0, 1000.0]])
-        layout = type(layout)(
-            area=AREA, macro_positions=macro, small_positions=small, rng_seed=0
-        )
+        layout = type(layout)(area=AREA, macro_positions=macro, small_positions=small)
         result = cost_fiber(layout)
         assert result.capex == pytest.approx(63000.0, rel=1e-12)
         assert result.opex_per_year == 200.0
@@ -201,9 +198,7 @@ class TestFiberCost:
     def test_zero_distance_cell_is_free_to_trench(self):
         layout = generate_layout(1, 1, AREA, 0)
         pos = np.array([[500.0, 500.0]])
-        layout = type(layout)(
-            area=AREA, macro_positions=pos, small_positions=pos.copy(), rng_seed=0
-        )
+        layout = type(layout)(area=AREA, macro_positions=pos, small_positions=pos.copy())
         result = cost_fiber(layout)
         assert result.capex == 0.0
 
@@ -241,19 +236,6 @@ class TestTerrestrialFsoCost:
     def test_one_year_tco_in_reported_band(self):
         result = cost_terrestrial_fso(default_layout())
         assert 42e6 <= result.tco(1.0) <= 44e6
-
-    def test_nlos_subset_is_seed_deterministic(self):
-        layout = default_layout(3)
-        a = nlos_cell_indices(layout)
-        b = nlos_cell_indices(layout)
-        assert np.array_equal(a, b)
-        assert len(a) == 500
-        assert len(np.unique(a)) == 500
-
-    def test_nlos_subset_varies_with_seed(self):
-        a = nlos_cell_indices(default_layout(1))
-        b = nlos_cell_indices(default_layout(2))
-        assert not np.array_equal(a, b)
 
 
 class TestVerticalFsoCost:
@@ -351,7 +333,7 @@ class TestValidation:
     def test_layout_rejects_bad_positions(self, name, positions):
         given = {**self.GOOD_POSITIONS, name: positions}
         with pytest.raises(ValueError, match=name):
-            HetNetLayout(AREA, rng_seed=0, **given)
+            HetNetLayout(AREA, **given)
 
     @pytest.mark.parametrize(
         "width, height",
@@ -371,7 +353,7 @@ class TestValidation:
         assert math.isfinite(cost_fiber(layout, FiberCostParams()).capex)
 
     def test_layout_stores_float_arrays(self):
-        layout = HetNetLayout(AREA, [[1, 2]], [[3, 4], [5, 6]], rng_seed=0)
+        layout = HetNetLayout(AREA, [[1, 2]], [[3, 4], [5, 6]])
         assert layout.macro_positions.dtype == np.float64
         assert layout.small_positions.shape == (2, 2)
         assert nearest_macro_distances(layout).tolist() == [math.sqrt(8.0), math.sqrt(32.0)]
@@ -407,7 +389,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="cable_cost_per_m must be finite"):
             CostParams(fiber=FiberCostParams(cable_cost_per_m=math.nan, install_cost_per_m=-5.0))
 
-    @pytest.mark.parametrize("fraction", [0.0, 1.0])
-    def test_nlos_fraction_bounds_are_accepted(self, fraction):
+    @pytest.mark.parametrize(
+        "n_small, fraction, links",
+        # round(0.5 * 5) is 2 under Python's round-half-even: 3 + 2 * 2 links.
+        [(1000, 0.0, 1000), (1000, 1.0, 2000), (5, 0.5, 7)],
+        ids=["0.0", "1.0", "half_of_5_rounds_to_even"],
+    )
+    def test_nlos_fraction_bounds_are_accepted(self, n_small, fraction, links):
         params = TerrestrialFsoCostParams(nlos_fraction=fraction)
-        assert len(nlos_cell_indices(default_layout(), params)) == 1000 * fraction
+        result = cost_terrestrial_fso(generate_layout(100, n_small, AREA, 0), params)
+        assert [item.quantity for item in result.line_items] == [links] * 3

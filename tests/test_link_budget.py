@@ -36,6 +36,11 @@ class TestOpticalLoss:
     def test_half_efficiencies(self):
         assert optical_loss(0.5, 0.5) == pytest.approx(6.020599913279624, rel=1e-12)
 
+    def test_underflowing_product_sums_the_logs(self):
+        # 1e-200 * 1e-200 underflows to 0.
+        assert optical_loss(1e-200, 1e-200) == pytest.approx(4000.0, rel=1e-15, abs=0)
+        assert optical_loss(1e-160, 1e-160) == pytest.approx(3200.0, rel=1e-15, abs=0)
+
     @pytest.mark.parametrize("eta", [0.0, -0.1, 1.1])
     def test_rejects_out_of_range_efficiency(self, eta):
         with pytest.raises(ValueError):
@@ -52,6 +57,10 @@ class TestPhotonEnergy:
 
     def test_650_nm(self):
         assert photon_energy(650.0) == pytest.approx(3.058153846153846e-19, rel=1e-12, abs=0)
+
+    def test_rejects_a_wavelength_that_underflows_in_meters(self):
+        with pytest.raises(ValueError, match=r"^wavelength_nm \* 1e-9 must be positive"):
+            photon_energy(5e-324)
 
 
 class TestReceivedPower:
@@ -257,3 +266,21 @@ class TestTransceiverValidation:
         base.update(kwargs)
         with pytest.raises(ValueError):
             TransceiverParams(**base)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"wavelength_nm": 5e-324}, r"wavelength_nm \* 1e-9 must be positive"),
+            ({"receiver_sensitivity_photons_per_bit": 5e-324}, "the lossless rate"),
+            ({"transmit_power_w": 1e300}, "the lossless rate"),
+            ({"wavelength_nm": 1e300}, "the lossless rate"),
+        ],
+    )
+    def test_rejects_an_infinite_lossless_rate(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            replace(TX, **kwargs)
+
+    def test_largest_power_is_accepted_where_its_rate_is_finite(self):
+        tx = replace(TX, transmit_power_w=1.7e308, receiver_sensitivity_photons_per_bit=1e300)
+        result = evaluate_link(tx, GEOMETRY_20KM, CLEAR)
+        assert math.isfinite(result.received_power_w) and 0.0 < result.data_rate_bps < math.inf

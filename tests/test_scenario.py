@@ -322,6 +322,24 @@ def test_extreme_altitudes_match_per_point_evaluation(name):
         assert not result.link_viable
 
 
+@pytest.mark.parametrize("wavelength_nm", [1e290, 1e-260, 1e-300])
+def test_extreme_wavelengths_match_per_point_evaluation(wavelength_nm):
+    # 23.17 k^(7/6) underflows to 0 at 1e290 nm, and k^(7/6) (at 1e-260 nm)
+    # or k itself (at 1e-300 nm) overflows. At 1e7 m Cn^2 is 0, and so is the
+    # loss, with no inf * 0 in either path.
+    tx = replace(TX, wavelength_nm=wavelength_nm)
+    spec = FixedGrid("altitude", 1.0, 2.0, 3, values=(1e3, 2e4, 1e7))
+    scenario = preset("clear_sky")
+    sweep = run_sweep(spec, scenario, tx, GEOMETRY)
+    reference = per_point_reference(spec, scenario, tx, GEOMETRY)
+    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
+        assert row.error is None and error is None
+        for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
+            assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
+        assert not math.isnan(result.link_margin_db)
+    assert reference[-1][1].loss_breakdown.scintillation_db == 0.0
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_overflowed_scintillation_matches_per_point_evaluation(name):
     # Cn^2 sampled at 1 km stays positive while l^(11/6) overflows beyond a
