@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import _require_finite
+from .geometry import _require_bounds
 
 # Relative slack when deciding that R / R_busy is "exactly" an integer, so
 # that float noise in an exact multiple cannot bump the ceiling up by one.
@@ -26,9 +26,7 @@ class TrafficProfile:
     peak_rate_bps: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.busy_rate_bps <= 0:
-            raise ValueError(f"busy_rate_bps must be positive, got {self.busy_rate_bps}")
+        _require_bounds(self, positive=("busy_rate_bps",))
         if self.peak_rate_bps < self.busy_rate_bps:
             raise ValueError(
                 f"peak_rate_bps ({self.peak_rate_bps}) must be >= "

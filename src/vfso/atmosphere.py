@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import _SCALAR_MATH, _require_finite
+from .geometry import _SCALAR_MATH, _exp, _require_bounds
 
 # Background term of the Hufnagel-Valley profile, m^(-2/3).
 HV_BACKGROUND = 2.7e-16
@@ -44,13 +44,7 @@ class FogDescriptor:
     layer_thickness_m: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.visibility_km <= 0:
-            raise ValueError(f"visibility_km must be positive, got {self.visibility_km}")
-        if self.layer_thickness_m < 0:
-            raise ValueError(
-                f"layer_thickness_m must be non-negative, got {self.layer_thickness_m}"
-            )
+        _require_bounds(self, positive=("visibility_km",), non_negative=("layer_thickness_m",))
 
 
 @dataclass(frozen=True)
@@ -61,15 +55,7 @@ class RainDescriptor:
     layer_thickness_m: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.rate_mm_per_hour < 0:
-            raise ValueError(
-                f"rate_mm_per_hour must be non-negative, got {self.rate_mm_per_hour}"
-            )
-        if self.layer_thickness_m < 0:
-            raise ValueError(
-                f"layer_thickness_m must be non-negative, got {self.layer_thickness_m}"
-            )
+        _require_bounds(self, non_negative=("rate_mm_per_hour", "layer_thickness_m"))
 
 
 @dataclass(frozen=True)
@@ -86,19 +72,11 @@ class CloudLayer:
     droplet_density_per_cm3: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.base_altitude_m < 0:
-            raise ValueError(
-                f"base_altitude_m must be non-negative, got {self.base_altitude_m}"
-            )
-        if self.thickness_m < 0:
-            raise ValueError(f"thickness_m must be non-negative, got {self.thickness_m}")
-        if self.lwc_g_per_m3 <= 0:
-            raise ValueError(f"lwc_g_per_m3 must be positive, got {self.lwc_g_per_m3}")
-        if self.droplet_density_per_cm3 <= 0:
-            raise ValueError(
-                f"droplet_density_per_cm3 must be positive, got {self.droplet_density_per_cm3}"
-            )
+        _require_bounds(
+            self,
+            positive=("lwc_g_per_m3", "droplet_density_per_cm3"),
+            non_negative=("base_altitude_m", "thickness_m"),
+        )
 
     @property
     def top_altitude_m(self) -> float:
@@ -120,19 +98,10 @@ class TurbulenceDescriptor:
     reference_altitude_m: Optional[float] = None
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.wind_speed_m_per_s < 0:
-            raise ValueError(
-                f"wind_speed_m_per_s must be non-negative, got {self.wind_speed_m_per_s}"
-            )
-        if self.structure_constant_a < 0:
-            raise ValueError(
-                f"structure_constant_a must be non-negative, got {self.structure_constant_a}"
-            )
-        if self.reference_altitude_m is not None and self.reference_altitude_m < 0:
-            raise ValueError(
-                f"reference_altitude_m must be non-negative, got {self.reference_altitude_m}"
-            )
+        _require_bounds(
+            self,
+            non_negative=("wind_speed_m_per_s", "structure_constant_a", "reference_altitude_m"),
+        )
 
 
 @dataclass(frozen=True)
@@ -182,8 +151,22 @@ def mie_specific_attenuation(visibility_km: float, wavelength_nm: float) -> floa
         raise ValueError(f"visibility_km must be positive, got {visibility_km}")
     if wavelength_nm <= 0:
         raise ValueError(f"wavelength_nm must be positive, got {wavelength_nm}")
+    return _mie_db_per_km(visibility_km, math.log(visibility_km), wavelength_nm)
+
+
+def _mie_db_per_km(visibility_km: float, log_visibility_km: float, wavelength_nm: float) -> float:
+    """mie_specific_attenuation, where visibility_km may also have underflowed
+    to 0 or overflowed to inf as long as its log is finite."""
+    # An underflowed visibility behaves as the least double does: an exponent
+    # of ~0 and an overflowing 3.91 / V, which the summed logs then price.
+    visibility_km = max(visibility_km, math.ulp(0.0))
     delta = kruse_size_exponent(visibility_km)
-    return 4.34 * (3.91 / visibility_km) * (wavelength_nm / 550.0) ** (-delta)
+    specific = 4.34 * (3.91 / visibility_km) * _power_or_inf(wavelength_nm / 550.0, -delta)
+    if specific < math.inf and visibility_km < math.inf:
+        return specific
+    # Overflowed, or an infinite visibility: the same product summed in logs.
+    log_power = delta * math.log(wavelength_nm / 550.0)
+    return 4.34 * _exp(math.log(3.91) - log_visibility_km - log_power)
 
 
 def _slant_factor(elevation_rad: float) -> float:
@@ -212,7 +195,15 @@ def cloud_visibility(layer: CloudLayer) -> float:
     V = 1.002 * (LWC * N_d)^(-0.6473): thicker, denser clouds are harder to
     see through.
     """
-    return 1.002 * (layer.lwc_g_per_m3 * layer.droplet_density_per_cm3) ** (-0.6473)
+    product = layer.lwc_g_per_m3 * layer.droplet_density_per_cm3
+    if 0.0 < product < math.inf:
+        return 1.002 * product ** (-0.6473)
+    return _exp(_log_cloud_visibility(layer))  # may itself overflow, or underflow to 0
+
+
+def _log_cloud_visibility(layer: CloudLayer) -> float:
+    log_product = math.log(layer.lwc_g_per_m3) + math.log(layer.droplet_density_per_cm3)
+    return math.log(1.002) - 0.6473 * log_product
 
 
 def _check_no_overlap(layers: Sequence[CloudLayer]) -> None:
@@ -249,7 +240,10 @@ def _cloud_db(layers, nfp_altitude_m, elevation_rad, wavelength_nm, xp):
     for layer in layers:
         base = layer.base_altitude_m
         pierced_m = xp.minimum(xp.maximum(nfp_altitude_m, base), layer.top_altitude_m) - base
-        specific = mie_specific_attenuation(cloud_visibility(layer), wavelength_nm)
+        log_visibility_km = _log_cloud_visibility(layer)
+        specific = _mie_db_per_km(cloud_visibility(layer), log_visibility_km, wavelength_nm)
+        if specific == math.inf:  # a layer the path stays below still adds 0 dB, not inf * 0
+            specific = xp.where(pierced_m > 0.0, specific, 0.0)
         total += specific * pierced_m / 1000.0 * factor
     return total
 

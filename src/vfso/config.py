@@ -31,10 +31,12 @@ from .atmosphere import (
     RainDescriptor,
     TurbulenceDescriptor,
     WeatherScenario,
+    _check_no_overlap,
 )
-from .geometry import LinkGeometry, _require_finite
+from .geometry import LinkGeometry, _require_bounds
 from .hetnet_cost import DEFAULT_AREA, Area, CostParams
 from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams, efficiencies_from_optical_loss
+from .link_budget import _lossless_rate_bps, link_margin
 from .scenario import (
     DEFAULT_CLOUD_PROFILE,
     DEFAULT_FOG,
@@ -67,11 +69,9 @@ class CostConfig:
     params: CostParams = field(default_factory=CostParams)
 
     def __post_init__(self) -> None:
-        _require_finite(self, "n_macro", "n_small", "years")
+        _require_bounds(self, non_negative=("years",))
         if self.n_macro <= 0 or self.n_small <= 0:
             raise ValueError(f"cell counts must be positive, got {self.n_macro}/{self.n_small}")
-        if self.years < 0:
-            raise ValueError(f"years must be non-negative, got {self.years}")
 
 
 @dataclass(frozen=True)
@@ -94,11 +94,13 @@ class RunConfig:
     cost: CostConfig = field(default_factory=CostConfig)
 
     def __post_init__(self) -> None:
-        _require_finite(self, "seed", "target_rate_bps")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.target_rate_bps <= 0:
-            raise ValueError(f"target_rate_bps must be positive, got {self.target_rate_bps}")
+        _require_bounds(self, non_negative=("seed",))
+        # Checks the target too. No rate exceeds the lossless one, so no margin reads +inf.
+        link_margin(_lossless_rate_bps(self.transceiver), self.target_rate_bps)
+        _check_no_overlap(self.clouds)
+        _check_scenarios(self.scenario_names, "scenario_names")
+        if self.divergence_values_rad is not None:
+            _check_divergences(self.divergence_values_rad, "divergence_values_rad")
 
     def scenario(self, name: str) -> WeatherScenario:
         """Build one named preset with this config's weather components."""
@@ -112,6 +114,25 @@ class RunConfig:
 
     def scenarios(self) -> list[WeatherScenario]:
         return [self.scenario(name) for name in self.scenario_names]
+
+
+# Rules for the list fields, shared by RunConfig and the loader (path: the YAML key).
+
+
+def _check_scenarios(names: Sequence, path: str) -> None:
+    if not names:
+        raise ConfigError(f"{path}: expected a non-empty list of preset names")
+    for i, name in enumerate(names):
+        _build(lambda: preset(name), f"{path}[{i}]")
+        if name in names[:i]:
+            raise ConfigError(f"{path}[{i}]: duplicate preset {name!r}")
+
+
+def _check_divergences(angles: Sequence, path: str) -> None:
+    if not angles:
+        raise ConfigError(f"{path}: expected a non-empty list of angles")
+    for i, angle in enumerate(angles):
+        _build(lambda: replace(_DEFAULT_GEOMETRY, divergence_rad=angle), f"{path}[{i}]")
 
 
 # --- scalar values -----------------------------------------------------------
@@ -213,7 +234,7 @@ def _read_clouds(default: tuple, raw: Any, path: str) -> tuple[CloudLayer, ...]:
     layers = tuple(
         _read(DEFAULT_CLOUD_PROFILE[0], layer, f"{path}[{i}]") for i, layer in enumerate(raw)
     )
-    _build(lambda: WeatherScenario(path, clouds=layers), path)  # what every cloud preset checks
+    _build(lambda: _check_no_overlap(layers), path)
     return layers
 
 
@@ -221,29 +242,18 @@ def _read_scenarios(default: tuple, raw: Any, path: str) -> tuple[str, ...]:
     if raw is None:
         return default
     names = [raw] if isinstance(raw, str) else raw
-    if not isinstance(names, list) or not names:
-        raise ConfigError(f"{path}: expected a non-empty list of preset names")
-    for i, name in enumerate(names):
-        if name not in PRESET_NAMES:
-            raise ConfigError(
-                f"{path}[{i}]: unknown preset {name!r}; expected one of {PRESET_NAMES}"
-            )
-        if name in names[:i]:
-            raise ConfigError(f"{path}[{i}]: duplicate preset {name!r}")
-    return tuple(names)
+    names = tuple(names) if isinstance(names, list) else ()
+    _check_scenarios(names, path)
+    return names
 
 
 def _read_divergences(default: Optional[tuple], raw: Any, path: str) -> Optional[tuple[float, ...]]:
     if raw is None:
         return default
-    if not isinstance(raw, list) or not raw:
-        raise ConfigError(f"{path}: expected a non-empty list of angles")
-    angles = []
-    for i, item in enumerate(raw):
-        angle = _number(item, f"{path}[{i}]")
-        _build(lambda: replace(_DEFAULT_GEOMETRY, divergence_rad=angle), f"{path}[{i}]")
-        angles.append(angle)
-    return tuple(angles)
+    items = raw if isinstance(raw, list) else []
+    angles = tuple(_number(item, f"{path}[{i}]") for i, item in enumerate(items))
+    _check_divergences(angles, path)
+    return angles
 
 
 def _converted(key: str, to_field, to_yaml):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from numbers import Real
 from types import SimpleNamespace
 
 
@@ -34,6 +35,7 @@ def _where(condition: bool, if_true: float, if_false: float) -> float:
 # namespace `xp`: numpy over a sweep grid, this stand-in for one point, which
 # would otherwise pay numpy's per-call overhead on every term.
 _SCALAR_MATH = SimpleNamespace(
+    any=bool,
     exp=_exp,
     log=math.log,
     log10=_log10,
@@ -45,15 +47,31 @@ _SCALAR_MATH = SimpleNamespace(
 )
 
 
-def _require_finite(instance, *names: str) -> None:
-    """Raise a ValueError naming the first NaN or infinite field of a dataclass
-    of numbers, or of its fields `names` when given. Unset optional (None)
-    fields and Python ints, which are exact, are skipped. A bound such as
-    `x <= 0` lets NaN through, so constructors check this first."""
-    for name in names or [f.name for f in fields(instance)]:
-        value = getattr(instance, name)
-        if not (value is None or isinstance(value, int) or math.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value}")
+def _require_finite(instance) -> None:
+    """Raise a ValueError naming the first NaN or infinite field of a dataclass.
+    Fields that hold no real number (None, a string, a nested object) and
+    Python ints, which are exact, are skipped. A bound such as `x <= 0` lets
+    NaN through, so constructors check this first."""
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if isinstance(value, Real) and not isinstance(value, int) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
+def _require_bounds(instance, positive=(), non_negative=()) -> None:
+    """A dataclass constructor's bound check: _require_finite, then, field by
+    field in declaration order, that each field named in `positive` is > 0
+    and each named in `non_negative` is >= 0. Unset optional (None) fields
+    are skipped. The ValueError names the first field that fails."""
+    _require_finite(instance)
+    for f in fields(instance):
+        value = getattr(instance, f.name)
+        if value is None:
+            continue
+        if f.name in positive and value <= 0:
+            raise ValueError(f"{f.name} must be positive, got {value}")
+        if f.name in non_negative and value < 0:
+            raise ValueError(f"{f.name} must be non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -72,18 +90,10 @@ class LinkGeometry:
     receiver_radius_m: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.nfp_altitude_m <= 0:
-            raise ValueError(f"nfp_altitude_m must be positive, got {self.nfp_altitude_m}")
+        _require_bounds(self, positive=("nfp_altitude_m", "divergence_rad", "receiver_radius_m"))
         if not 0 < self.elevation_rad <= math.pi / 2:
             raise ValueError(
                 f"elevation_rad must be in (0, pi/2], got {self.elevation_rad}"
-            )
-        if self.divergence_rad <= 0:
-            raise ValueError(f"divergence_rad must be positive, got {self.divergence_rad}")
-        if self.receiver_radius_m <= 0:
-            raise ValueError(
-                f"receiver_radius_m must be positive, got {self.receiver_radius_m}"
             )
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import _require_finite
+from .geometry import _require_bounds, _require_finite
 
 
 @dataclass(frozen=True)
@@ -166,15 +166,6 @@ def _tile_nearest_squared(x, y, macro_x, macro_y) -> np.ndarray:
 # --- Technology cost parameters (defaults are North-American list prices) ---
 
 
-def _require_non_negative(instance) -> None:
-    """Raise a ValueError naming the first non-finite or negative field."""
-    _require_finite(instance)
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        if value < 0:
-            raise ValueError(f"{f.name} must be non-negative, got {value}")
-
-
 @dataclass(frozen=True)
 class RfNlosCostParams:
     hub_unit_cost: float = 4000.0
@@ -189,7 +180,7 @@ class RfNlosCostParams:
     power_maintenance_per_site_year: float = 375.0
 
     def __post_init__(self) -> None:
-        _require_non_negative(self)
+        _require_bounds(self, non_negative=[f.name for f in fields(self)])
         if self.modules_per_hub < 1:
             raise ValueError(f"modules_per_hub must be >= 1, got {self.modules_per_hub}")
 
@@ -203,7 +194,7 @@ class FiberCostParams:
     routing_factor: float = 1.0
 
     def __post_init__(self) -> None:
-        _require_non_negative(self)
+        _require_bounds(self, non_negative=[f.name for f in fields(self)])
 
 
 @dataclass(frozen=True)
@@ -215,7 +206,7 @@ class TerrestrialFsoCostParams:
     nlos_hop_count: int = 2
 
     def __post_init__(self) -> None:
-        _require_non_negative(self)
+        _require_bounds(self, non_negative=[f.name for f in fields(self)])
         if self.nlos_fraction > 1:
             raise ValueError(f"nlos_fraction must be in [0, 1], got {self.nlos_fraction}")
         if self.nlos_hop_count < 1:
@@ -231,7 +222,7 @@ class VerticalFsoCostParams:
     flight_hours_per_year: float = 6925.0
 
     def __post_init__(self) -> None:
-        _require_non_negative(self)
+        _require_bounds(self, non_negative=[f.name for f in fields(self)])
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .geometry import (
     LinkGeometry,
     _capture_fraction,
     _capture_loss_db,
-    _require_finite,
+    _require_bounds,
     _slant_path,
     geometrical_capture_fraction,
 )
@@ -55,28 +55,13 @@ class TransceiverParams:
     receiver_sensitivity_photons_per_bit: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.transmit_power_w <= 0:
-            raise ValueError(f"transmit_power_w must be positive, got {self.transmit_power_w}")
-        for name in ("tx_efficiency", "rx_efficiency"):
-            eta = getattr(self, name)
-            if not 0 < eta <= 1:
-                raise ValueError(f"{name} must be in (0, 1], got {eta}")
-        if self.wavelength_nm <= 0:
-            raise ValueError(f"wavelength_nm must be positive, got {self.wavelength_nm}")
-        if self.pointing_loss_db < 0:
-            raise ValueError(
-                f"pointing_loss_db must be non-negative, got {self.pointing_loss_db}"
-            )
-        if self.receiver_sensitivity_photons_per_bit <= 0:
-            raise ValueError(
-                "receiver_sensitivity_photons_per_bit must be positive, "
-                f"got {self.receiver_sensitivity_photons_per_bit}"
-            )
-        # Capture is at most 1, no loss is below 0 dB and rounding is monotone,
-        # so every rate _budget computes is at most this lossless one.
-        per_bit_j = photon_energy(self.wavelength_nm) * self.receiver_sensitivity_photons_per_bit
-        if not (per_bit_j > 0 and _received_power(self, 0.0, 1.0) / per_bit_j < math.inf):
+        _require_bounds(
+            self,
+            positive=("transmit_power_w", "wavelength_nm", "receiver_sensitivity_photons_per_bit"),
+            non_negative=("pointing_loss_db",),
+        )
+        optical_loss(self.tx_efficiency, self.rx_efficiency)  # checks both efficiencies
+        if not _lossless_rate_bps(self) < math.inf:
             raise ValueError(
                 "the lossless rate of transmit_power_w at wavelength_nm and "
                 "receiver_sensitivity_photons_per_bit must be finite, got "
@@ -184,6 +169,13 @@ def _received_power(tx: TransceiverParams, atmospheric_loss_db, capture_fraction
     )
 
 
+def _lossless_rate_bps(tx: TransceiverParams) -> float:
+    """The rate at capture 1 and 0 dB of weather, inf where not finite. Capture is at most 1,
+    no loss is below 0 dB and rounding is monotone, so no rate _budget computes exceeds it."""
+    per_bit_j = photon_energy(tx.wavelength_nm) * tx.receiver_sensitivity_photons_per_bit
+    return _received_power(tx, 0.0, 1.0) / per_bit_j if per_bit_j > 0 else math.inf
+
+
 def achievable_rate(
     tx: TransceiverParams, geometry: LinkGeometry, scenario: WeatherScenario
 ) -> float:
@@ -196,7 +188,7 @@ def link_margin(rate_bps: float, target_rate_bps: float) -> float:
 
     10*log10(rate / target); equivalently received power over the power
     needed at the target rate. Zero rate yields -inf, the link-failure
-    sentinel.
+    sentinel. A target so small that the quotient overflows is rejected.
     """
     if not math.isfinite(rate_bps):
         raise ValueError(f"rate_bps must be finite, got {rate_bps}")
@@ -210,7 +202,10 @@ def _margin_db(rate_bps, target_rate_bps: float, xp):
         raise ValueError(f"target_rate_bps must be finite, got {target_rate_bps}")
     if target_rate_bps <= 0:
         raise ValueError(f"target_rate_bps must be positive, got {target_rate_bps}")
-    return 10.0 * xp.log10(rate_bps / target_rate_bps)
+    quotient = rate_bps / target_rate_bps
+    if xp.any(quotient == math.inf):  # the rates are finite: it overflowed, not a +inf margin
+        raise ValueError(f"target_rate_bps {target_rate_bps} overflows rate_bps / target_rate_bps")
+    return 10.0 * xp.log10(quotient)
 
 
 def evaluate_link(

@@ -131,7 +131,7 @@ class SweepSpec:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
-        _require_finite(self, "start", "stop", "points")
+        _require_finite(self)
         if self.variable not in ("altitude", "divergence"):
             raise ValueError(
                 f"variable must be 'altitude' or 'divergence', got {self.variable!r}"

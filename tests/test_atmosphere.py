@@ -6,8 +6,10 @@ expressions in the property tests.
 """
 
 import math
+import sys
 from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -27,7 +29,7 @@ from vfso.atmosphere import (
     scintillation_loss,
 )
 from vfso.geometry import LinkGeometry
-from vfso.link_budget import evaluate_link
+from vfso.link_budget import evaluate_grid, evaluate_link
 from vfso.scenario import default_parameters
 
 from golden import FOG_TABLE_CELLS
@@ -35,6 +37,12 @@ from golden import FOG_TABLE_CELLS
 DEG45 = math.radians(45.0)
 DEG90 = math.radians(90.0)
 TURB = TurbulenceDescriptor(wind_speed_m_per_s=21.0, structure_constant_a=1.7e-14)
+
+
+def close_or_both_beyond_floats(got, exact):
+    """Agreement to 1e-12, where inf stands for anything at the top of the float range."""
+    top = sys.float_info.max
+    return got == exact or math.isclose(min(got, top), min(exact, top), rel_tol=1e-12)
 
 
 class TestKruseSizeExponent:
@@ -103,6 +111,28 @@ class TestMieSpecificAttenuation:
         # the strict decrease is only resolvable beyond that.
         if hi >= lo * (1 + 1e-9):
             assert mie_specific_attenuation(v, lo) > mie_specific_attenuation(v, hi)
+
+
+    @given(st.floats(math.ulp(0.0), 1.7e308), st.floats(1e-310, 1.7e308))
+    @example(v=10.0, lam=1e-300)  # the power overflows: truly inf
+    @example(v=1e300, lam=1e-300)  # the power overflows, the product is finite
+    @example(v=1e-320, lam=1550.0)  # 3.91 / V overflows
+    def test_direct_formula_wherever_it_is_finite(self, v, lam):
+        delta = kruse_size_exponent(v)
+        try:
+            direct = 4.34 * (3.91 / v) * (lam / 550.0) ** (-delta)
+        except OverflowError:
+            direct = math.inf
+        got = mie_specific_attenuation(v, lam)
+        if math.isfinite(direct):
+            assert got == direct
+        else:
+            with localcontext() as ctx:
+                ctx.prec = 40
+                # lambda / 550 as the formula rounds it (subnormal below ~1.2e-305 nm)
+                power = Decimal(lam / 550.0) ** Decimal(-delta)
+                exact = float(Decimal("4.34") * Decimal("3.91") / Decimal(v) * power)
+            assert close_or_both_beyond_floats(got, exact), (got, exact)
 
 
 class TestFogAttenuation:
@@ -235,6 +265,23 @@ class TestCloudVisibility:
         assert cloud_visibility(thick) < cloud_visibility(thin)
 
 
+    @given(st.floats(math.ulp(0.0), 1.7e308), st.floats(math.ulp(0.0), 1.7e308))
+    @example(lwc=1e-200, density=1e-200)  # the product underflows; V is ~8e258 km
+    @example(lwc=1e200, density=1e200)  # the product overflows; V is ~1.2e-259 km
+    @example(lwc=1e300, density=1e300)  # V underflows to 0
+    @example(lwc=1e-240, density=1e-240)  # V overflows to inf
+    def test_direct_formula_wherever_the_product_is_finite(self, lwc, density):
+        got = cloud_visibility(CloudLayer(0.0, 1.0, lwc, density))
+        if 0.0 < lwc * density < math.inf:
+            assert got == 1.002 * (lwc * density) ** (-0.6473)
+        else:
+            with localcontext() as ctx:
+                ctx.prec = 40
+                product = Decimal(lwc) * Decimal(density)
+                exact = float(Decimal("1.002") * product ** Decimal("-0.6473"))
+            assert close_or_both_beyond_floats(got, exact), (got, exact)
+
+
 CUMULUS = CloudLayer(
     base_altitude_m=1000.0, thickness_m=48.0, lwc_g_per_m3=1.0, droplet_density_per_cm3=250.0
 )
@@ -256,6 +303,19 @@ class TestCloudAttenuation:
         full = cloud_attenuation([CUMULUS], 20000.0, DEG45, 1550.0)
         half = cloud_attenuation([CUMULUS], 1024.0, DEG45, 1550.0)
         assert half == pytest.approx(full / 2.0, rel=1e-12)
+
+    def test_opaque_layer_adds_0_db_below_its_base(self):
+        # The visibility underflows to 0: inf dB/km, but only where pierced.
+        opaque = CloudLayer(1000.0, 48.0, 1e300, 1e300)
+        assert cloud_attenuation([opaque], 500.0, DEG45, 1550.0) == 0.0
+        assert cloud_attenuation([opaque], 1000.0, DEG45, 1550.0) == 0.0
+        assert cloud_attenuation([opaque], 1024.0, DEG45, 1550.0) == math.inf
+        scenario = WeatherScenario("opaque", clouds=(opaque,))
+        tx, geometry, _ = default_parameters()
+        altitudes = np.array([500.0, 1000.0, 1024.0, 20000.0])
+        grid = evaluate_grid(tx, geometry, scenario, nfp_altitude_m=altitudes)
+        assert grid.loss_breakdown.cloud_db.tolist() == [0.0, 0.0, math.inf, math.inf]
+        assert grid.link_margin_db[2:].tolist() == [-math.inf, -math.inf]
 
     def test_rejects_overlapping_layers(self):
         other = CloudLayer(

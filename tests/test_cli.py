@@ -22,6 +22,10 @@ def run(tmp_path, *argv):
     return main(list(argv) + [f"--set=output_dir={outdir}"]), outdir
 
 
+def cloud_override(lwc, density):
+    return f"clouds=[{{lwc_g_per_m3: {lwc}, droplet_density_per_cm3: {density}}}]"
+
+
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
@@ -272,6 +276,8 @@ class TestErrorsAndDeterminism:
             ("evaluate", "transceiver.transmit_power_w=1e300", "transceiver: the lossless rate"),
             ("sweep", "transceiver.transmit_power_w=1e300", "transceiver: the lossless rate"),
             ("sweep", "divergence_values_rad=[.nan]", "divergence_values_rad[0]: "),
+            ("evaluate", "target_rate_bps=1e-300", "config: target_rate_bps 1e-300 overflows"),
+            ("sweep", "target_rate_bps=1e-300", "config: target_rate_bps 1e-300 overflows"),
             (
                 "evaluate",
                 "clouds=[{base_altitude_m: 1000}, {base_altitude_m: 1010}]",
@@ -287,6 +293,32 @@ class TestErrorsAndDeterminism:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {message}")
         assert not os.path.exists(outdir)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # (lambda / 550)^(-delta) overflows in the Mie term: inf dB of fog.
+            ["scenarios=[fog_dense]", "transceiver.wavelength_nm=1e-300", "fog.visibility_m=1e4"],
+            # LWC * N_d underflows: a cloud visibility of ~8e258 km.
+            ["scenarios=[cloud_and_fog]", cloud_override("1e-200", "1e-200")],
+            # LWC * N_d overflows and the visibility underflows to 0: inf dB of cloud.
+            ["scenarios=[cloud_and_fog]", cloud_override("1e300", "1e300")],
+        ],
+    )
+    def test_weather_at_the_float_edges_is_answered(self, tmp_path, capsys, overrides):
+        settings = [f"--set={override}" for override in overrides]
+        code, outdir = run(tmp_path, "evaluate", *settings)
+        assert code == EXIT_LINK_FAILURE
+        point = read_csv(os.path.join(outdir, "evaluate.csv"))[0]
+        code, outdir = run(tmp_path / "sweep", "sweep", *settings)
+        assert code == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = read_csv(os.path.join(outdir, f"sweep_{point['scenario']}.csv"))
+        assert all("nan" not in row.values() for row in rows)
+        # The first row sits at the cloud base, the last at the evaluated 20 km.
+        assert rows[0]["l_cloud_db"] == "0.0"
+        for key in ("l_fog_db", "l_cloud_db", "link_margin_db"):
+            assert math.isclose(float(rows[-1][key]), float(point[key]), rel_tol=1e-12), key
 
     def test_underflowing_efficiencies_are_answered(self, tmp_path, capsys):
         # 1e-200 * 1e-200 underflows: 4000 dB of optical loss, no power left.

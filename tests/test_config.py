@@ -23,13 +23,19 @@ from vfso.config import (
     resolved_yaml,
 )
 from vfso.hetnet_cost import DEFAULT_AREA, CostParams
-from vfso.link_budget import DEFAULT_TARGET_RATE_BPS, evaluate_grid, evaluate_link
+from vfso.link_budget import (
+    DEFAULT_TARGET_RATE_BPS,
+    _lossless_rate_bps,
+    evaluate_grid,
+    evaluate_link,
+)
 from vfso.scenario import (
     DEFAULT_CLOUD_PROFILE,
     DEFAULT_FOG,
     DEFAULT_RAIN,
     DEFAULT_SWEEP,
     DEFAULT_TURBULENCE,
+    PRESET_NAMES,
     default_parameters,
 )
 
@@ -294,6 +300,118 @@ def test_transceiver_gives_a_finite_answer_or_a_config_error(values):
     ]:
         assert math.isfinite(power_w) and math.isfinite(rate_bps)
         assert math.isfinite(margin_db) or margin_db == -math.inf
+
+
+# Each field of the weather sections over its whole domain of finite doubles.
+WEATHER_DOMAIN = {
+    "fog": {"visibility_m": (TINIEST, LARGEST), "layer_thickness_m": (0.0, LARGEST)},
+    "rain": {"rate_mm_per_hour": (0.0, LARGEST), "layer_thickness_m": (0.0, LARGEST)},
+    "clouds": {
+        "base_altitude_m": (0.0, LARGEST),
+        "thickness_m": (0.0, LARGEST),
+        "lwc_g_per_m3": (TINIEST, LARGEST),
+        "droplet_density_per_cm3": (TINIEST, LARGEST),
+    },
+    "turbulence": {
+        "wind_speed_m_per_s": (0.0, LARGEST),
+        "structure_constant_a": (0.0, LARGEST),
+        "reference_altitude_m": (0.0, LARGEST),
+    },
+}
+WEATHER_DRAWS = st.sampled_from(sorted(WEATHER_DOMAIN)).flatmap(
+    lambda section: st.tuples(
+        st.just(section),
+        st.fixed_dictionaries(
+            {name: st.floats(low, high) for name, (low, high) in WEATHER_DOMAIN[section].items()}
+        ),
+    )
+)
+
+
+def cloud(**changes):
+    return "clouds", {**asdict(DEFAULT_CLOUD_PROFILE[0]), **changes}
+
+
+@given(WEATHER_DRAWS, st.floats(TINIEST, LARGEST))
+@example(("fog", {"visibility_m": 1e4, "layer_thickness_m": 50.0}), 1e-300)
+@example(("fog", {"visibility_m": 1e-318, "layer_thickness_m": 50.0}), 1550.0)
+@example(cloud(lwc_g_per_m3=1e-200, droplet_density_per_cm3=1e-200), 1550.0)
+@example(cloud(lwc_g_per_m3=1e300, droplet_density_per_cm3=1e300), 1550.0)
+@example(cloud(lwc_g_per_m3=1e200, droplet_density_per_cm3=1e200), 1e-300)
+@example(cloud(lwc_g_per_m3=1e-240, droplet_density_per_cm3=1e-240), 1e-300)
+@example(cloud(base_altitude_m=0.0, lwc_g_per_m3=LARGEST, droplet_density_per_cm3=LARGEST), 1550.0)
+def test_weather_gives_a_finite_answer_or_a_config_error(drawn, wavelength_nm):
+    section, values = drawn
+    if section == "clouds":
+        layer = ", ".join(f"{name}: {value!r}" for name, value in values.items())
+        overrides = [f"clouds=[{{{layer}}}]"]
+    else:
+        overrides = [f"{section}.{name}={value!r}" for name, value in values.items()]
+    overrides.append(f"transceiver.wavelength_nm={wavelength_nm!r}")
+    try:
+        config = load_config(overrides=overrides)
+    except ConfigError as exc:
+        assert re.match(rf"({section}|transceiver)(\[0\])?: ", str(exc)), str(exc)
+        return
+    # Below, inside and above the (first) cloud deck, where the altitude is positive.
+    deck = config.clouds[0]
+    altitudes = [
+        max(deck.base_altitude_m / 2.0, TINIEST),
+        min(deck.base_altitude_m + deck.thickness_m / 2.0, LARGEST / 2.0),
+        min(2.0 * deck.top_altitude_m, LARGEST / 2.0),
+    ]
+    for name in PRESET_NAMES:
+        args = (config.transceiver, config.geometry, config.scenario(name))
+        point = evaluate_link(*args)
+        grid = evaluate_grid(*args, nfp_altitude_m=np.array(altitudes))
+        for result in (point, grid):
+            for loss in vars(result.loss_breakdown).values():
+                assert not np.isnan(loss).any() and (np.asarray(loss) >= 0.0).all()
+        for power_w, rate_bps, margin_db in [
+            (point.received_power_w, point.data_rate_bps, point.link_margin_db),
+            *zip(grid.received_power_w, grid.data_rate_bps, grid.link_margin_db),
+        ]:
+            assert math.isfinite(power_w) and math.isfinite(rate_bps)
+            assert math.isfinite(margin_db) or margin_db == -math.inf
+
+
+CUMULUS = DEFAULT_CLOUD_PROFILE[0]
+
+
+class TestRunConfigChecksItsLists:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"scenario_names": ("nope",)}, r"^scenario_names\[0\]: unknown preset 'nope'"),
+            ({"scenario_names": ()}, "^scenario_names: expected a non-empty list of preset"),
+            (
+                {"scenario_names": ("clear_sky", "clear_sky")},
+                r"^scenario_names\[1\]: duplicate preset 'clear_sky'$",
+            ),
+            (
+                {"divergence_values_rad": (-1.0,)},
+                r"^divergence_values_rad\[0\]: divergence_rad must be positive, got -1.0$",
+            ),
+            ({"divergence_values_rad": ()}, "^divergence_values_rad: expected a non-empty list"),
+            (
+                {"clouds": (CUMULUS, replace(CUMULUS, base_altitude_m=1010.0))},
+                "^cloud layers overlap: ",
+            ),
+            ({"target_rate_bps": 1e-300}, "^target_rate_bps 1e-300 overflows rate_bps / "),
+        ],
+    )
+    def test_rejects(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(**changes)
+
+    def test_target_bound_is_the_lossless_rate(self):
+        lossless_bps = _lossless_rate_bps(default_parameters()[0])
+        config = RunConfig(target_rate_bps=2.0 * lossless_bps / LARGEST)
+        scenario = config.scenario("clear_sky")
+        args = (config.transceiver, config.geometry, scenario, config.target_rate_bps)
+        assert math.isfinite(evaluate_link(*args).link_margin_db)
+        with pytest.raises(ValueError, match="overflows rate_bps / target_rate_bps"):
+            RunConfig(target_rate_bps=0.5 * lossless_bps / LARGEST)
 
 
 class TestWholeConfigValidatedAtLoad:

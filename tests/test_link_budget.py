@@ -173,6 +173,17 @@ class TestLinkMargin:
         with pytest.raises(ValueError, match=f"^{message}$"):
             link_margin(rate, target)
 
+    def test_rejects_an_overflowing_quotient(self):
+        with pytest.raises(ValueError, match="^target_rate_bps 1e-300 overflows rate_bps / "):
+            link_margin(1e10, 1e-300)
+        assert link_margin(1e5, 1e-300) == pytest.approx(3050.0, rel=1e-12)
+
+    @pytest.mark.parametrize("evaluate", [evaluate_link, evaluate_grid])
+    def test_evaluations_reject_an_overflowing_quotient(self, evaluate):
+        # ~3.4e10 bit/s in clear sky at 20 km: / 1e-300 exceeds the float range.
+        with pytest.raises(ValueError, match="^target_rate_bps 1e-300 overflows"):
+            evaluate(TX, GEOMETRY_20KM, CLEAR, 1e-300)
+
     @pytest.mark.parametrize("evaluate", [evaluate_link, evaluate_grid])
     @pytest.mark.parametrize("target", [math.nan, math.inf])
     def test_evaluations_reject_non_finite_target(self, evaluate, target):
