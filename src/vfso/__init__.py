@@ -14,7 +14,6 @@ from .atmosphere import (
     RainDescriptor,
     TurbulenceDescriptor,
     WeatherScenario,
-    cloud_attenuation,
     cloud_visibility,
     fog_attenuation,
     kruse_size_exponent,
@@ -26,7 +25,6 @@ from .atmosphere import (
 from .config import ConfigError, RunConfig, load_config, resolved_yaml
 from .geometry import (
     LinkGeometry,
-    beam_radius,
     geometrical_capture_fraction,
     geometrical_loss,
     slant_path,
@@ -102,8 +100,6 @@ __all__ = [
     "WeatherScenario",
     "achievable_rate",
     "aggregated_demand",
-    "beam_radius",
-    "cloud_attenuation",
     "cloud_visibility",
     "compare_tco",
     "cost_fiber",

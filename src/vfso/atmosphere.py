@@ -180,13 +180,17 @@ def fog_attenuation(fog: FogDescriptor, elevation_rad: float, wavelength_nm: flo
     slant_km = fog.layer_thickness_m / 1000.0 * _slant_factor(elevation_rad)
     if slant_km == 0.0:
         return 0.0
-    return mie_specific_attenuation(fog.visibility_km, wavelength_nm) * slant_km
+    specific = mie_specific_attenuation(fog.visibility_km, wavelength_nm)
+    # A zero specific loss adds 0 dB, also over an infinite slant (not inf * 0).
+    return specific * slant_km if specific != 0.0 else 0.0
 
 
 def rain_attenuation(rain: RainDescriptor, elevation_rad: float) -> float:
     """Total rain loss in dB: 1.076 * R^0.67 dB/km over the slanted layer."""
     slant_km = rain.layer_thickness_m / 1000.0 * _slant_factor(elevation_rad)
-    return 1.076 * rain.rate_mm_per_hour**0.67 * slant_km
+    specific = 1.076 * rain.rate_mm_per_hour**0.67
+    # No rain adds 0 dB, also over an infinite slant (not inf * 0).
+    return specific * slant_km if specific != 0.0 else 0.0
 
 
 def cloud_visibility(layer: CloudLayer) -> float:
@@ -217,12 +221,7 @@ def _check_no_overlap(layers: Sequence[CloudLayer]) -> None:
             )
 
 
-def cloud_attenuation(
-    layers: Sequence[CloudLayer],
-    nfp_altitude_m: float,
-    elevation_rad: float,
-    wavelength_nm: float,
-) -> float:
+def _cloud_db(layers, nfp_altitude_m, elevation_rad, wavelength_nm, xp):
     """Summed cloud loss in dB for every layer pierced by the path.
 
     Each layer is converted to an equivalent visibility, priced with the
@@ -230,11 +229,6 @@ def cloud_attenuation(
     layer below the platform. Layers wholly above the platform contribute
     nothing; a layer the platform sits inside contributes pro rata.
     """
-    _check_no_overlap(layers)
-    return _cloud_db(layers, nfp_altitude_m, elevation_rad, wavelength_nm, _SCALAR_MATH)
-
-
-def _cloud_db(layers, nfp_altitude_m, elevation_rad, wavelength_nm, xp):
     factor = _slant_factor(elevation_rad)
     total = 0.0
     for layer in layers:

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .aggregation import aggregated_demand, oversubscribes, supported_cells
 from .config import ConfigError, RunConfig, load_config, resolved_yaml
 from .hetnet_cost import TcoResult, compare_tco, generate_layout
 from .link_budget import LinkBudgetResult, LossBreakdown, evaluate_link
-from .scenario import SweepResult, run_sweep
+from .scenario import run_sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,34 +34,6 @@ EXIT_LINK_FAILURE = 2
 # Rows formatted at a time by _write_csv, so the text of a large CSV is never
 # held all at once.
 CSV_CHUNK_ROWS = 2048
-
-SWEEP_COLUMNS = (
-    "variable",
-    "data_rate_bps",
-    "link_margin_db",
-    "l_fog_db",
-    "l_rain_db",
-    "l_cloud_db",
-    "l_sci_db",
-    "l_geo_db",
-)
-
-EVALUATE_COLUMNS = (
-    "scenario",
-    "nfp_altitude_m",
-    "data_rate_bps",
-    "link_margin_db",
-    "received_power_w",
-    "l_fog_db",
-    "l_rain_db",
-    "l_cloud_db",
-    "l_sci_db",
-    "l_geo_db",
-    "l_poi_db",
-    "l_opt_db",
-    "link_viable",
-)
-
 
 # CSV column -> LossBreakdown field, in the order both CSV layouts use.
 _LOSS_COLUMNS = {
@@ -129,11 +101,9 @@ def _reused_or_formatted(chunk, key, reuse: Optional[dict]) -> list:
     return cells
 
 
-def _write_csv(
-    path: str, header: Sequence[str], columns: Sequence[Sequence], reuse: Optional[dict] = None
-) -> None:
-    """Write a CSV from equal-length columns, byte for byte what csv.writer
-    writes for the rows of _fmt cells.
+def _write_csv(path: str, table: Mapping[str, Sequence], reuse: Optional[dict] = None) -> None:
+    """Write a CSV from a {column name: cells} table of equal-length columns,
+    byte for byte what csv.writer writes for the rows of _fmt cells.
 
     A float64 array column is formatted a chunk at a time as the repr of
     each double; any other column (a list or tuple) cell by cell with _fmt.
@@ -141,9 +111,10 @@ def _write_csv(
     float64 chunk only when it differs from the last one written at the same
     column and rows; the map then holds one entry per chunk of one file.
     """
+    columns = list(table.values())
     n_rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(map(_fmt, header)) + "\r\n")
+        handle.write(",".join(map(_fmt, table)) + "\r\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
             stop = start + CSV_CHUNK_ROWS
             cells = [
@@ -153,34 +124,42 @@ def _write_csv(
             handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
-def _write_bundle_common(config: RunConfig, summary: str) -> None:
+def _table(rows: list) -> dict:
+    """A list of {column: cell} rows as one {column: cells} table."""
+    return {name: [row[name] for row in rows] for name in rows[0]}
+
+
+def _bundle_path(config: RunConfig, name: str) -> str:
+    """The path of one bundle file; the output directory is made here."""
     os.makedirs(config.output_dir, exist_ok=True)
-    with open(
-        os.path.join(config.output_dir, "resolved_config.yaml"), "w", encoding="utf-8"
-    ) as handle:
-        handle.write(resolved_yaml(config))
-    with open(os.path.join(config.output_dir, "summary.txt"), "w", encoding="utf-8") as handle:
-        handle.write(summary)
+    return os.path.join(config.output_dir, name)
 
 
-def _loss_cells(breakdown: LossBreakdown, header: Sequence[str]) -> list:
-    """The breakdown's entries for the l_*_db columns of a CSV header, in order.
+def _finish(config: RunConfig, summary: str, code: int = EXIT_OK) -> int:
+    """End a command after its CSVs: write resolved_config.yaml and
+    summary.txt, print the summary and return the exit code."""
+    for name, text in (("resolved_config.yaml", resolved_yaml(config)), ("summary.txt", summary)):
+        with open(_bundle_path(config, name), "w", encoding="utf-8") as handle:
+            handle.write(text)
+    print(summary, end="")
+    return code
+
+
+def _loss_cells(breakdown: LossBreakdown, names: Iterable[str] = _LOSS_COLUMNS) -> dict:
+    """{column: the breakdown's entry} for the named l_*_db columns.
 
     The entries are floats for one evaluation, arrays for a sweep's columns.
     """
-    return [getattr(breakdown, _LOSS_COLUMNS[name]) for name in header if name in _LOSS_COLUMNS]
+    return {name: getattr(breakdown, _LOSS_COLUMNS[name]) for name in names}
 
 
-def _evaluate_row(label: str, config: RunConfig, result: LinkBudgetResult) -> tuple:
-    return (
-        label,
-        config.geometry.nfp_altitude_m,
-        result.data_rate_bps,
-        result.link_margin_db,
-        result.received_power_w,
-        *_loss_cells(result.loss_breakdown, EVALUATE_COLUMNS),
-        result.link_viable,
+def _first_evaluation(config: RunConfig) -> tuple[str, LinkBudgetResult]:
+    """The first configured scenario's label and its link at the configured geometry."""
+    label = config.scenario_names[0]
+    result = evaluate_link(
+        config.transceiver, config.geometry, config.scenario(label), config.target_rate_bps
     )
+    return label, result
 
 
 def _evaluate_report(label: str, config: RunConfig, result: LinkBudgetResult) -> str:
@@ -205,30 +184,19 @@ def _evaluate_report(label: str, config: RunConfig, result: LinkBudgetResult) ->
 
 def cmd_evaluate(config: RunConfig) -> int:
     """Evaluate the first configured scenario at the configured geometry."""
-    label = config.scenario_names[0]
-    result = evaluate_link(
-        config.transceiver, config.geometry, config.scenario(label), config.target_rate_bps
-    )
-    report = _evaluate_report(label, config, result)
-    _write_bundle_common(config, report)
-    _write_csv(
-        os.path.join(config.output_dir, "evaluate.csv"),
-        EVALUATE_COLUMNS,
-        tuple(zip(_evaluate_row(label, config, result))),
-    )
-    print(report, end="")
-    return EXIT_OK if result.link_viable else EXIT_LINK_FAILURE
-
-
-def _sweep_columns(sweep: SweepResult) -> tuple:
-    # Float64 arrays over the grid; failed rows are NaN.
-    c = sweep.columns
-    return (
-        sweep.values,
-        c.data_rate_bps,
-        c.link_margin_db,
-        *_loss_cells(c.loss_breakdown, SWEEP_COLUMNS),
-    )
+    label, result = _first_evaluation(config)
+    row = {
+        "scenario": label,
+        "nfp_altitude_m": config.geometry.nfp_altitude_m,
+        "data_rate_bps": result.data_rate_bps,
+        "link_margin_db": result.link_margin_db,
+        "received_power_w": result.received_power_w,
+        **_loss_cells(result.loss_breakdown),
+        "link_viable": result.link_viable,
+    }
+    _write_csv(_bundle_path(config, "evaluate.csv"), _table([row]))
+    code = EXIT_OK if result.link_viable else EXIT_LINK_FAILURE
+    return _finish(config, _evaluate_report(label, config, result), code)
 
 
 def _theta_tag(divergence_rad: float) -> str:
@@ -237,35 +205,35 @@ def _theta_tag(divergence_rad: float) -> str:
 
 def cmd_sweep(config: RunConfig) -> int:
     """Run the configured sweep for every scenario (and divergence variant)."""
-    variants: list[tuple[str, RunConfig]] = []
+    geometries = [("", config.geometry)]
     if config.divergence_values_rad:
-        for theta in config.divergence_values_rad:
-            geometry = replace(config.geometry, divergence_rad=theta)
-            variants.append((f"_{_theta_tag(theta)}", replace(config, geometry=geometry)))
-    else:
-        variants.append(("", config))
+        geometries = [
+            (f"_{_theta_tag(theta)}", replace(config.geometry, divergence_rad=theta))
+            for theta in config.divergence_values_rad
+        ]
 
     # Weather leaves the grid and the geometric (and, along altitude, the
     # scintillation) columns unchanged, so most files repeat those chunks.
     reuse: dict = {}
     summary_lines = []
-    for suffix, variant in variants:
-        for scenario in variant.scenarios():
+    for suffix, geometry in geometries:
+        for scenario in config.scenarios():
             sweep = run_sweep(
-                variant.sweep,
-                scenario,
-                variant.transceiver,
-                variant.geometry,
-                variant.target_rate_bps,
+                config.sweep, scenario, config.transceiver, geometry, config.target_rate_bps
             )
             filename = f"sweep_{scenario.label}{suffix}.csv"
-            os.makedirs(config.output_dir, exist_ok=True)
-            _write_csv(
-                os.path.join(config.output_dir, filename),
-                SWEEP_COLUMNS,
-                _sweep_columns(sweep),
-                reuse,
-            )
+            # Float64 arrays over the grid; failed rows are NaN.
+            c = sweep.columns
+            table = {
+                "variable": sweep.values,
+                "data_rate_bps": c.data_rate_bps,
+                "link_margin_db": c.link_margin_db,
+                **_loss_cells(
+                    c.loss_breakdown,
+                    ("l_fog_db", "l_rain_db", "l_cloud_db", "l_sci_db", "l_geo_db"),
+                ),
+            }
+            _write_csv(_bundle_path(config, filename), table, reuse)
             failed = [
                 (sweep.values[i].item(), error)
                 for i, error in enumerate(sweep.errors)
@@ -277,10 +245,7 @@ def cmd_sweep(config: RunConfig) -> int:
             )
             for value, error in failed:
                 print(f"warning: {filename} @ {value!r}: {error}", file=sys.stderr)
-    summary = "\n".join(summary_lines) + "\n"
-    _write_bundle_common(config, summary)
-    print(summary, end="")
-    return EXIT_OK
+    return _finish(config, "\n".join(summary_lines) + "\n")
 
 
 def _cost_report(results: list[TcoResult], years: float, seed: int) -> str:
@@ -300,43 +265,42 @@ def cmd_cost(config: RunConfig) -> int:
     layout = generate_layout(cost.n_macro, cost.n_small, cost.area, config.seed)
     results = compare_tco(layout, cost.params, cost.years)
 
-    report = _cost_report(results, cost.years, config.seed)
-    _write_bundle_common(config, report)
-
     macro, small = layout.macro_positions, layout.small_positions
     kinds = ["macro"] * len(macro) + ["small"] * len(small)
     x, y = np.concatenate((macro, small)).T
-    _write_csv(os.path.join(config.output_dir, "layout.csv"), ("kind", "x_m", "y_m"), (kinds, x, y))
+    _write_csv(_bundle_path(config, "layout.csv"), {"kind": kinds, "x_m": x, "y_m": y})
 
-    item_rows = [
-        (r.technology, item.label, item.kind, item.unit_cost, item.quantity, item.total)
+    items = [
+        {
+            "technology": r.technology,
+            "item": item.label,
+            "kind": item.kind,
+            "unit_cost": item.unit_cost,
+            "quantity": item.quantity,
+            "total": item.total,
+        }
         for r in results
         for item in r.line_items
     ]
-    _write_csv(
-        os.path.join(config.output_dir, "cost_items.csv"),
-        ("technology", "item", "kind", "unit_cost", "quantity", "total"),
-        tuple(zip(*item_rows)),
-    )
-    summary_rows = [
-        (rank, r.technology, r.capex, r.opex_per_year, cost.years, r.tco(cost.years))
+    _write_csv(_bundle_path(config, "cost_items.csv"), _table(items))
+    ranking = [
+        {
+            "rank": rank,
+            "technology": r.technology,
+            "capex_usd": r.capex,
+            "opex_per_year_usd": r.opex_per_year,
+            "years": cost.years,
+            "tco_usd": r.tco(cost.years),
+        }
         for rank, r in enumerate(results, start=1)
     ]
-    _write_csv(
-        os.path.join(config.output_dir, "cost_summary.csv"),
-        ("rank", "technology", "capex_usd", "opex_per_year_usd", "years", "tco_usd"),
-        tuple(zip(*summary_rows)),
-    )
-    print(report, end="")
-    return EXIT_OK
+    _write_csv(_bundle_path(config, "cost_summary.csv"), _table(ranking))
+    return _finish(config, _cost_report(results, cost.years, config.seed))
 
 
 def cmd_aggregate(config: RunConfig) -> int:
     """Size how many small cells the evaluated link can backhaul."""
-    label = config.scenario_names[0]
-    result = evaluate_link(
-        config.transceiver, config.geometry, config.scenario(label), config.target_rate_bps
-    )
+    label, result = _first_evaluation(config)
     rate = result.data_rate_bps
     try:
         cells_ceil = supported_cells(rate, config.traffic, rounding="ceil")
@@ -359,33 +323,18 @@ def cmd_aggregate(config: RunConfig) -> int:
         lines.append(
             "  advisory             : ceiling count oversubscribes the link during busy hour"
         )
-    report = "\n".join(lines) + "\n"
-    _write_bundle_common(config, report)
-    _write_csv(
-        os.path.join(config.output_dir, "aggregate.csv"),
-        (
-            "scenario",
-            "data_rate_bps",
-            "busy_rate_bps",
-            "peak_rate_bps",
-            "supported_cells_ceil",
-            "supported_cells_floor",
-            "oversubscribed",
-            "aggregated_demand_bps",
-        ),
-        (
-            (label,),
-            (rate,),
-            (config.traffic.busy_rate_bps,),
-            (config.traffic.peak_rate_bps,),
-            (cells_ceil,),
-            (cells_floor,),
-            (oversub,),
-            (demand,),
-        ),
-    )
-    print(report, end="")
-    return EXIT_OK
+    row = {
+        "scenario": label,
+        "data_rate_bps": rate,
+        "busy_rate_bps": config.traffic.busy_rate_bps,
+        "peak_rate_bps": config.traffic.peak_rate_bps,
+        "supported_cells_ceil": cells_ceil,
+        "supported_cells_floor": cells_floor,
+        "oversubscribed": oversub,
+        "aggregated_demand_bps": demand,
+    }
+    _write_csv(_bundle_path(config, "aggregate.csv"), _table([row]))
+    return _finish(config, "\n".join(lines) + "\n")
 
 
 _COMMANDS = {

@@ -257,7 +257,15 @@ def _read_divergences(default: Optional[tuple], raw: Any, path: str) -> Optional
 
 
 def _converted(key: str, to_field, to_yaml):
-    return key, lambda default, raw, path: to_field(_number(raw, path)), to_yaml
+    def read(default, raw: Any, path: str):
+        value = _number(raw, path)
+        converted = to_field(value)
+        # Otherwise the field's own check would name the converted 0, not the input.
+        if converted == 0 and value != 0:
+            raise ConfigError(f"{path}: {value!r} underflows to 0 when converted")
+        return converted
+
+    return key, read, to_yaml
 
 
 # --- the generic reader and writer ---------------------------------------------

@@ -106,13 +106,6 @@ def _slant_path(altitude_m, elevation_rad: float):
     return altitude_m / math.sin(elevation_rad)
 
 
-def beam_radius(divergence_rad: float, path_length_m: float) -> float:
-    """Beam footprint radius at range: r_B = theta * l / 2."""
-    if divergence_rad <= 0 or path_length_m <= 0:
-        raise ValueError("divergence_rad and path_length_m must be positive")
-    return divergence_rad * path_length_m / 2.0
-
-
 def geometrical_capture_fraction(geometry: LinkGeometry) -> float:
     """Fraction of transmitted power collected by the aperture, in [0, 1].
 

@@ -7,6 +7,7 @@ expressions in the property tests.
 
 import math
 import sys
+from dataclasses import replace
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -19,7 +20,6 @@ from vfso.atmosphere import (
     RainDescriptor,
     TurbulenceDescriptor,
     WeatherScenario,
-    cloud_attenuation,
     cloud_visibility,
     fog_attenuation,
     kruse_size_exponent,
@@ -147,6 +147,13 @@ class TestFogAttenuation:
         fog = FogDescriptor(visibility_km=0.05, layer_thickness_m=0.0)
         assert fog_attenuation(fog, DEG45, 1550.0) == 0.0
 
+    def test_zero_specific_loss_over_an_infinite_slant_is_lossless(self):
+        # The Mie loss underflows to 0 and the slant overflows: 0 dB, not inf * 0.
+        grazing = math.radians(1e-300)
+        assert mie_specific_attenuation(1e297, 1e290) == 0.0
+        assert fog_attenuation(FogDescriptor(1e297, 1e308), grazing, 1e290) == 0.0
+        assert fog_attenuation(FogDescriptor(0.05, 1e308), grazing, 1550.0) == math.inf
+
     def test_vertical_path(self):
         fog = FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0)
         assert fog_attenuation(fog, DEG90, 1550.0) == pytest.approx(
@@ -187,6 +194,12 @@ class TestRainAttenuation:
     def test_no_rain_is_lossless(self):
         rain = RainDescriptor(rate_mm_per_hour=0.0, layer_thickness_m=1000.0)
         assert rain_attenuation(rain, DEG45) == 0.0
+
+    def test_no_rain_over_an_infinite_slant_is_lossless(self):
+        # The slant overflows to inf: no rain still adds 0 dB, not inf * 0.
+        grazing = math.radians(1e-300)
+        assert rain_attenuation(RainDescriptor(0.0, 1e308), grazing) == 0.0
+        assert rain_attenuation(RainDescriptor(1.0, 1e308), grazing) == math.inf
 
     def test_vertical_path(self):
         rain = RainDescriptor(rate_mm_per_hour=50.0, layer_thickness_m=1000.0)
@@ -287,29 +300,41 @@ CUMULUS = CloudLayer(
 )
 
 
+def cloud_db(layers, altitude_m):
+    """The cloud term of evaluate_link on the default link (45 deg, 1550 nm)
+    with the platform at altitude_m; evaluate_grid must give the same."""
+    tx, geometry, _ = default_parameters()
+    geometry = replace(geometry, nfp_altitude_m=altitude_m)
+    scenario = WeatherScenario("clouds", clouds=layers)
+    got = evaluate_link(tx, geometry, scenario).loss_breakdown.cloud_db
+    grid = evaluate_grid(tx, geometry, scenario, nfp_altitude_m=np.array([altitude_m]))
+    assert np.ravel(grid.loss_breakdown.cloud_db).tolist() == [got]  # a float without layers
+    return got
+
+
 class TestCloudAttenuation:
     def test_empty_profile(self):
-        assert cloud_attenuation([], 20000.0, DEG45, 1550.0) == 0.0
+        assert cloud_db([], 20000.0) == 0.0
 
     def test_default_cumulus_layer(self):
         # specific attenuation 502.295 dB/km over 48 m / sin 45
-        got = cloud_attenuation([CUMULUS], 20000.0, DEG45, 1550.0)
+        got = cloud_db([CUMULUS], 20000.0)
         assert got == pytest.approx(34.09693719841822, rel=1e-12)
 
     def test_platform_below_cloud_base(self):
-        assert cloud_attenuation([CUMULUS], 500.0, DEG45, 1550.0) == 0.0
+        assert cloud_db([CUMULUS], 500.0) == 0.0
 
     def test_platform_inside_layer_counts_pro_rata(self):
-        full = cloud_attenuation([CUMULUS], 20000.0, DEG45, 1550.0)
-        half = cloud_attenuation([CUMULUS], 1024.0, DEG45, 1550.0)
+        full = cloud_db([CUMULUS], 20000.0)
+        half = cloud_db([CUMULUS], 1024.0)
         assert half == pytest.approx(full / 2.0, rel=1e-12)
 
     def test_opaque_layer_adds_0_db_below_its_base(self):
         # The visibility underflows to 0: inf dB/km, but only where pierced.
         opaque = CloudLayer(1000.0, 48.0, 1e300, 1e300)
-        assert cloud_attenuation([opaque], 500.0, DEG45, 1550.0) == 0.0
-        assert cloud_attenuation([opaque], 1000.0, DEG45, 1550.0) == 0.0
-        assert cloud_attenuation([opaque], 1024.0, DEG45, 1550.0) == math.inf
+        assert cloud_db([opaque], 500.0) == 0.0
+        assert cloud_db([opaque], 1000.0) == 0.0
+        assert cloud_db([opaque], 1024.0) == math.inf
         scenario = WeatherScenario("opaque", clouds=(opaque,))
         tx, geometry, _ = default_parameters()
         altitudes = np.array([500.0, 1000.0, 1024.0, 20000.0])
@@ -323,17 +348,15 @@ class TestCloudAttenuation:
             droplet_density_per_cm3=100.0,
         )
         with pytest.raises(ValueError, match="overlap"):
-            cloud_attenuation([CUMULUS, other], 20000.0, DEG45, 1550.0)
+            WeatherScenario("clouds", clouds=(CUMULUS, other))
 
     def test_additive_over_layers(self):
         high = CloudLayer(
             base_altitude_m=5000.0, thickness_m=200.0, lwc_g_per_m3=0.2,
             droplet_density_per_cm3=150.0,
         )
-        together = cloud_attenuation([CUMULUS, high], 20000.0, DEG45, 1550.0)
-        separate = cloud_attenuation([CUMULUS], 20000.0, DEG45, 1550.0) + cloud_attenuation(
-            [high], 20000.0, DEG45, 1550.0
-        )
+        together = cloud_db([CUMULUS, high], 20000.0)
+        separate = cloud_db([CUMULUS], 20000.0) + cloud_db([high], 20000.0)
         assert together == pytest.approx(separate, rel=1e-12)
 
 

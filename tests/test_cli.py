@@ -228,6 +228,12 @@ class TestErrorsAndDeterminism:
         [
             ("evaluate", "transceiver.transmit_power_w=.inf", "transceiver.transmit_power_w: "),
             ("evaluate", "fog.visibility_m=.nan", "fog.visibility_m: "),
+            ("evaluate", "fog.visibility_m=1e-322", "fog.visibility_m: 1e-322 underflows to 0"),
+            (
+                "evaluate",
+                "geometry.elevation_deg=1e-322",
+                "geometry.elevation_deg: 1e-322 underflows to 0",
+            ),
             (
                 "evaluate",
                 "turbulence.reference_altitude_m=.nan",
@@ -319,6 +325,44 @@ class TestErrorsAndDeterminism:
         assert rows[0]["l_cloud_db"] == "0.0"
         for key in ("l_fog_db", "l_cloud_db", "link_margin_db"):
             assert math.isclose(float(rows[-1][key]), float(point[key]), rel_tol=1e-12), key
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # No rain over an infinite slant.
+            [
+                "scenarios=[heavy_rain]",
+                "rain.rate_mm_per_hour=0",
+                "rain.layer_thickness_m=1e308",
+                "geometry.elevation_deg=1e-300",
+            ],
+            # A Mie loss that underflows to 0 over an infinite slant.
+            [
+                "scenarios=[fog_dense]",
+                "fog.visibility_m=1e300",
+                "fog.layer_thickness_m=1e308",
+                "transceiver.wavelength_nm=1e290",
+                "geometry.elevation_deg=1e-300",
+            ],
+        ],
+        ids=["rain", "fog"],
+    )
+    def test_zero_specific_loss_over_an_infinite_slant_is_answered(
+        self, tmp_path, capsys, overrides
+    ):
+        settings = [f"--set={override}" for override in overrides]
+        code, outdir = run(tmp_path, "evaluate", *settings)
+        assert code == EXIT_LINK_FAILURE
+        report = capsys.readouterr().out
+        assert "fog=0.000 rain=0.000" in report and "nan" not in report
+        point = read_csv(os.path.join(outdir, "evaluate.csv"))[0]
+        assert point["l_fog_db"] == point["l_rain_db"] == "0.0"
+        assert "nan" not in point.values()
+        code, outdir = run(tmp_path / "sweep", "sweep", *settings)
+        assert code == EXIT_OK
+        assert "nan" not in capsys.readouterr().out
+        rows = read_csv(os.path.join(outdir, f"sweep_{point['scenario']}.csv"))
+        assert all("nan" not in row.values() for row in rows)
 
     def test_underflowing_efficiencies_are_answered(self, tmp_path, capsys):
         # 1e-200 * 1e-200 underflows: 4000 dB of optical loss, no power left.
@@ -429,6 +473,57 @@ class TestErrorsAndDeterminism:
             assert a == b, name
 
 
+# Each CSV's columns, in order. The CLI states them only in its table literals.
+@pytest.mark.parametrize(
+    "command, name, header",
+    [
+        (
+            "evaluate",
+            "evaluate.csv",
+            [
+                "scenario", "nfp_altitude_m", "data_rate_bps", "link_margin_db",
+                "received_power_w", "l_fog_db", "l_rain_db", "l_cloud_db", "l_sci_db",
+                "l_geo_db", "l_poi_db", "l_opt_db", "link_viable",
+            ],
+        ),
+        (
+            "aggregate",
+            "aggregate.csv",
+            [
+                "scenario", "data_rate_bps", "busy_rate_bps", "peak_rate_bps",
+                "supported_cells_ceil", "supported_cells_floor", "oversubscribed",
+                "aggregated_demand_bps",
+            ],
+        ),
+        (
+            "sweep",
+            "sweep_clear_sky.csv",
+            [
+                "variable", "data_rate_bps", "link_margin_db",
+                "l_fog_db", "l_rain_db", "l_cloud_db", "l_sci_db", "l_geo_db",
+            ],
+        ),
+        ("cost", "layout.csv", ["kind", "x_m", "y_m"]),
+        (
+            "cost",
+            "cost_items.csv",
+            ["technology", "item", "kind", "unit_cost", "quantity", "total"],
+        ),
+        (
+            "cost",
+            "cost_summary.csv",
+            ["rank", "technology", "capex_usd", "opex_per_year_usd", "years", "tco_usd"],
+        ),
+    ],
+    ids=["evaluate", "aggregate", "sweep", "layout", "cost_items", "cost_summary"],
+)
+def test_csv_header(tmp_path, capsys, command, name, header):
+    code, outdir = run(tmp_path, command)
+    assert code == EXIT_OK
+    with open(os.path.join(outdir, name), "rb") as handle:
+        assert handle.readline() == (",".join(header) + "\r\n").encode("utf-8")
+
+
 def row_writer_bytes(header, rows):
     """The reference rendering of a table: csv.writer over per-cell strings
     (bools as true/false, floats as repr, anything else as str)."""
@@ -450,7 +545,7 @@ def row_writer_bytes(header, rows):
 
 def column_writer_bytes(tmp_path, header, columns):
     path = tmp_path / "out.csv"
-    cli._write_csv(str(path), header, columns)
+    cli._write_csv(str(path), dict(zip(header, columns)))
     return path.read_bytes()
 
 
@@ -505,7 +600,8 @@ def column_strategy(n_rows):
 def tables(draw):
     n_rows = draw(st.sampled_from([1, SMALL_CHUNK - 1, SMALL_CHUNK, SMALL_CHUNK + 1, 2 * SMALL_CHUNK + 3]))
     n_columns = draw(st.integers(min_value=2, max_value=5))
-    header = draw(st.lists(TEXT, min_size=n_columns, max_size=n_columns))
+    # A mapping holds each column name once, as every command's CSV does.
+    header = draw(st.lists(TEXT, min_size=n_columns, max_size=n_columns, unique=True))
     return header, [draw(column_strategy(n_rows)) for _ in range(n_columns)]
 
 
@@ -584,8 +680,12 @@ class TestColumnWriter:
                 sweep.values, c.data_rate_bps, c.link_margin_db,
                 b.fog_db, b.rain_db, b.cloud_db, b.scintillation_db, b.geometrical_db,
             )
+            header = [
+                "variable", "data_rate_bps", "link_margin_db",
+                "l_fog_db", "l_rain_db", "l_cloud_db", "l_sci_db", "l_geo_db",
+            ]
             with open(os.path.join(outdir, f"sweep_{scenario.label}.csv"), "rb") as handle:
-                assert handle.read() == row_writer_bytes(cli.SWEEP_COLUMNS, as_rows(columns))
+                assert handle.read() == row_writer_bytes(header, as_rows(columns))
 
     def test_layout_matches_csv_writer(self, tmp_path):
         code, outdir = run(
@@ -607,7 +707,7 @@ class TestColumnWriter:
         with mock.patch.object(cli, "CSV_CHUNK_ROWS", SMALL_CHUNK):
             for columns in files:
                 path = csv_dir / "reused.csv"
-                cli._write_csv(str(path), header, columns, reuse)
+                cli._write_csv(str(path), dict(zip(header, columns)), reuse)
                 assert path.read_bytes() == column_writer_bytes(csv_dir, header, columns)
 
     def test_repeated_chunks_are_formatted_once(self, tmp_path):
@@ -616,9 +716,9 @@ class TestColumnWriter:
         zeros = np.zeros(n_rows)
         reuse = {}
         with mock.patch.object(cli, "_format_column", wraps=cli._format_column) as formatter:
-            cli._write_csv(str(tmp_path / "a.csv"), ["x", "y"], [grid, zeros], reuse)
+            cli._write_csv(str(tmp_path / "a.csv"), {"x": grid, "y": zeros}, reuse)
             assert formatter.call_count == 6
-            cli._write_csv(str(tmp_path / "b.csv"), ["x", "y"], [grid.copy(), -zeros], reuse)
+            cli._write_csv(str(tmp_path / "b.csv"), {"x": grid.copy(), "y": -zeros}, reuse)
             assert formatter.call_count == 9
         assert len(reuse) == 6
         got = (tmp_path / "b.csv").read_bytes()
@@ -647,8 +747,8 @@ class TestColumnWriter:
         ]
         write_csv = cli._write_csv
 
-        def without_reuse(path, header, columns, reuse=None):
-            write_csv(path, header, columns)
+        def without_reuse(path, table, reuse=None):
+            write_csv(path, table)
 
         with mock.patch.object(cli, "_format_column", wraps=cli._format_column) as formatter:
             code, outdir = run(tmp_path / "reused", *argv)

@@ -12,7 +12,6 @@ from vfso.hetnet_cost import Area
 from vfso.link_budget import TransceiverParams
 from vfso.geometry import (
     LinkGeometry,
-    beam_radius,
     capture_loss_db,
     geometrical_capture_fraction,
     geometrical_loss,
@@ -46,27 +45,6 @@ class TestSlantPath:
     )
     def test_never_shorter_than_altitude(self, h, elevation):
         assert slant_path(geom(h=h, elevation=elevation)) >= h
-
-
-class TestBeamRadius:
-    def test_milliradian_beam(self):
-        assert beam_radius(1e-3, 28284.271247461904) == pytest.approx(
-            14.142135623730953, rel=1e-12
-        )
-
-    def test_microradian_beam(self):
-        assert beam_radius(1e-6, 28284.271247461904) == pytest.approx(
-            0.014142135623730953, rel=1e-12, abs=0
-        )
-
-    def test_half_angle_times_length(self):
-        assert beam_radius(2.0, 1.0) == 1.0
-
-    def test_rejects_non_positive_inputs(self):
-        with pytest.raises(ValueError):
-            beam_radius(0.0, 100.0)
-        with pytest.raises(ValueError):
-            beam_radius(1e-3, 0.0)
 
 
 class TestCaptureFraction:
