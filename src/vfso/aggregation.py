@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import _require_bounds
+from .geometry import _require, _require_bounds
 
 # Relative slack when deciding that R / R_busy is "exactly" an integer, so
 # that float noise in an exact multiple cannot bump the ceiling up by one.
@@ -44,7 +44,7 @@ def aggregated_demand(n_cells: int, profile: TrafficProfile) -> float:
     max(N * busy, peak): busy-hour traffic scales with the cell count but
     the link must always cover a single cell's peak burst.
     """
-    if n_cells < 1:
+    if _require("n_cells", n_cells) < 1:
         raise ValueError(f"n_cells must be >= 1, got {n_cells}")
     return max(n_cells * profile.busy_rate_bps, profile.peak_rate_bps)
 
@@ -58,10 +58,7 @@ def supported_cells(
     of the last cell (see oversubscribes). rounding='floor' gives the
     guaranteed-provisioning count instead.
     """
-    if not math.isfinite(link_rate_bps):
-        raise ValueError(f"link_rate_bps must be finite, got {link_rate_bps}")
-    if link_rate_bps < 0:
-        raise ValueError(f"link_rate_bps must be non-negative, got {link_rate_bps}")
+    _require("link_rate_bps", link_rate_bps, "non-negative")
     if rounding not in ("ceil", "floor"):
         raise ValueError(f"rounding must be 'ceil' or 'floor', got {rounding!r}")
     quotient = link_rate_bps / profile.busy_rate_bps

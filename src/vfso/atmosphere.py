@@ -25,7 +25,7 @@ import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import _SCALAR_MATH, _exp, _require_bounds
+from .geometry import _SCALAR_MATH, _exp, _require, _require_bounds, _slant_factor
 
 # Background term of the Hufnagel-Valley profile, m^(-2/3).
 HV_BACKGROUND = 2.7e-16
@@ -132,8 +132,10 @@ def kruse_size_exponent(visibility_km: float) -> float:
     [6, 50] km, 1.6 above. Discontinuous at V = 6 km; that step is part of
     the model itself.
     """
-    if visibility_km <= 0:
-        raise ValueError(f"visibility_km must be positive, got {visibility_km}")
+    return _size_exponent(_require("visibility_km", visibility_km, "positive"))
+
+
+def _size_exponent(visibility_km: float) -> float:
     if visibility_km > 50.0:
         return 1.6
     if visibility_km >= 6.0:
@@ -147,10 +149,10 @@ def mie_specific_attenuation(visibility_km: float, wavelength_nm: float) -> floa
     4.34 * (3.91 / V) * (lambda / 550)^(-delta), visibility in km and
     wavelength in nm.
     """
-    if visibility_km <= 0:
-        raise ValueError(f"visibility_km must be positive, got {visibility_km}")
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength_nm must be positive, got {wavelength_nm}")
+    _require("visibility_km", visibility_km, "positive")
+    # Below ~1.4e-321 nm the ratio to 550 nm underflows to 0, which has no negative power.
+    if _require("wavelength_nm", wavelength_nm, "positive") / 550.0 == 0.0:
+        raise ValueError(f"wavelength_nm / 550 must be positive, got {wavelength_nm}")
     return _mie_db_per_km(visibility_km, math.log(visibility_km), wavelength_nm)
 
 
@@ -160,7 +162,7 @@ def _mie_db_per_km(visibility_km: float, log_visibility_km: float, wavelength_nm
     # An underflowed visibility behaves as the least double does: an exponent
     # of ~0 and an overflowing 3.91 / V, which the summed logs then price.
     visibility_km = max(visibility_km, math.ulp(0.0))
-    delta = kruse_size_exponent(visibility_km)
+    delta = _size_exponent(visibility_km)
     specific = 4.34 * (3.91 / visibility_km) * _power_or_inf(wavelength_nm / 550.0, -delta)
     if specific < math.inf and visibility_km < math.inf:
         return specific
@@ -169,16 +171,11 @@ def _mie_db_per_km(visibility_km: float, log_visibility_km: float, wavelength_nm
     return 4.34 * _exp(math.log(3.91) - log_visibility_km - log_power)
 
 
-def _slant_factor(elevation_rad: float) -> float:
-    if not 0 < elevation_rad <= math.pi / 2:
-        raise ValueError(f"elevation_rad must be in (0, pi/2], got {elevation_rad}")
-    return 1.0 / math.sin(elevation_rad)
-
-
 def fog_attenuation(fog: FogDescriptor, elevation_rad: float, wavelength_nm: float) -> float:
     """Total fog loss in dB over the slanted crossing of the fog layer."""
     slant_km = fog.layer_thickness_m / 1000.0 * _slant_factor(elevation_rad)
-    if slant_km == 0.0:
+    if slant_km == 0.0:  # no fog to cross, but still a wavelength Mie would accept
+        _require("wavelength_nm", wavelength_nm, "positive")
         return 0.0
     specific = mie_specific_attenuation(fog.visibility_km, wavelength_nm)
     # A zero specific loss adds 0 dB, also over an infinite slant (not inf * 0).
@@ -230,7 +227,7 @@ def _cloud_db(layers, nfp_altitude_m, elevation_rad, wavelength_nm, xp):
     nothing; a layer the platform sits inside contributes pro rata.
     """
     factor = _slant_factor(elevation_rad)
-    total = 0.0
+    total = 0.0 * nfp_altitude_m  # over a grid, an array even without layers
     for layer in layers:
         base = layer.base_altitude_m
         pierced_m = xp.minimum(xp.maximum(nfp_altitude_m, base), layer.top_altitude_m) - base
@@ -248,8 +245,7 @@ def refractive_index_structure(altitude_m: float, turbulence: TurbulenceDescript
     Three-term sum: a high-altitude wind-driven term, a fixed background
     term, and a ground-layer term scaled by the structure constant A.
     """
-    if altitude_m < 0:
-        raise ValueError(f"altitude_m must be non-negative, got {altitude_m}")
+    _require("altitude_m", altitude_m, "non-negative")
     return _cn2(altitude_m, turbulence, _SCALAR_MATH)
 
 
@@ -283,12 +279,9 @@ def scintillation_loss(wavelength_nm: float, cn2: float, path_length_m: float) -
     2 * sqrt(23.17 * k^(7/6) * Cn^2 * l^(11/6)) with the optical wavenumber
     k = 2*pi*1e9 / lambda_nm in 1/m and the path length l in m.
     """
-    if wavelength_nm <= 0:
-        raise ValueError(f"wavelength_nm must be positive, got {wavelength_nm}")
-    if cn2 < 0:
-        raise ValueError(f"cn2 must be non-negative, got {cn2}")
-    if path_length_m <= 0:
-        raise ValueError(f"path_length_m must be positive, got {path_length_m}")
+    _require("wavelength_nm", wavelength_nm, "positive")
+    _require("cn2", cn2, "non-negative")
+    _require("path_length_m", path_length_m, "positive")
     return _scintillation_db(wavelength_nm, cn2, path_length_m, _SCALAR_MATH)
 
 
@@ -328,7 +321,7 @@ def _atmospheric_terms(scenario, altitude_m, elevation, wavelength_nm, path_m, x
     rain_db = 0.0 if rain is None else rain_attenuation(rain, elevation)
     cloud_db = _cloud_db(scenario.clouds, altitude_m, elevation, wavelength_nm, xp)
     if turbulence is None:
-        return fog_db, rain_db, cloud_db, 0.0
+        return fog_db, rain_db, cloud_db, 0.0 * altitude_m
     reference_m = turbulence.reference_altitude_m
     cn2 = _cn2(altitude_m if reference_m is None else reference_m, turbulence, xp)
     return fog_db, rain_db, cloud_db, _scintillation_db(wavelength_nm, cn2, path_m, xp)

@@ -16,7 +16,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -162,17 +162,20 @@ def _first_evaluation(config: RunConfig) -> tuple[str, LinkBudgetResult]:
     return label, result
 
 
+def _fixed(value: float, digits: int) -> str:
+    """value to `digits` decimals; from 1e9 in magnitude in e-notation, not hundreds of digits."""
+    return f"{value:.{digits}{'e' if abs(value) >= 1e9 else 'f'}}"
+
+
 def _evaluate_report(label: str, config: RunConfig, result: LinkBudgetResult) -> str:
     b = result.loss_breakdown
     lines = [
         f"link evaluation: {label}",
-        f"  NFP altitude         : {config.geometry.nfp_altitude_m:.1f} m",
+        f"  NFP altitude         : {_fixed(config.geometry.nfp_altitude_m, 1)} m",
         f"  elevation            : {math.degrees(config.geometry.elevation_rad):.2f} deg",
         f"  divergence           : {config.geometry.divergence_rad:.3e} rad",
         "  losses (dB)          : "
-        f"fog={b.fog_db:.3f} rain={b.rain_db:.3f} cloud={b.cloud_db:.3f} "
-        f"scintillation={b.scintillation_db:.3f} geometrical={b.geometrical_db:.3f} "
-        f"pointing={b.pointing_db:.3f} optical={b.optical_db:.3f}",
+        + " ".join(f"{f.name.removesuffix('_db')}={_fixed(getattr(b, f.name), 3)}" for f in fields(b)),
         f"  received power       : {result.received_power_w:.4e} W",
         f"  achievable data rate : {result.data_rate_bps:.4e} bit/s",
         f"  target rate          : {result.target_rate_bps:.4e} bit/s",

@@ -69,9 +69,7 @@ class CostConfig:
     params: CostParams = field(default_factory=CostParams)
 
     def __post_init__(self) -> None:
-        _require_bounds(self, non_negative=("years",))
-        if self.n_macro <= 0 or self.n_small <= 0:
-            raise ValueError(f"cell counts must be positive, got {self.n_macro}/{self.n_small}")
+        _require_bounds(self, positive=("n_macro", "n_small"), non_negative=("years",))
 
 
 @dataclass(frozen=True)
@@ -299,7 +297,11 @@ def _fill(default, section: dict, path: str, prefix: str = ""):
             given[f.name] = _read(current, raw, key_path)
         else:
             given[f.name] = _SCALARS[f.type](raw, key_path)
-    return _build(lambda: replace(default, **given), path)
+    try:
+        return replace(default, **given)
+    except ValueError as exc:  # a field's rule names it; a flattened section's key adds prefix
+        named = any(str(exc).startswith(f"{f.name} must be ") for f in fields(default))
+        raise ConfigError(f"{path}: {prefix if named else ''}{exc}") from exc
 
 
 def _emit(value: Any) -> Any:

@@ -47,31 +47,37 @@ _SCALAR_MATH = SimpleNamespace(
 )
 
 
-def _require_finite(instance) -> None:
-    """Raise a ValueError naming the first NaN or infinite field of a dataclass.
-    Fields that hold no real number (None, a string, a nested object) and
-    Python ints, which are exact, are skipped. A bound such as `x <= 0` lets
-    NaN through, so constructors check this first."""
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        if isinstance(value, Real) and not isinstance(value, int) and not math.isfinite(value):
-            raise ValueError(f"{f.name} must be finite, got {value}")
+def _require(name: str, value, rule: str = "finite"):
+    """The one statement of the finite, positive and non-negative rules: value, or a
+    ValueError naming `name` if value is NaN or infinite or breaks `rule`."""
+    if 0 < value < math.inf:  # the common case, valid by every rule
+        return value
+    if not -math.inf < value < math.inf:
+        raise ValueError(f"{name} must be finite, got {value}")
+    if (rule == "positive" and value <= 0) or (rule == "non-negative" and value < 0):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+    return value
+
+
+def _positive_entries(values):
+    """_require's "positive" rule over a numpy array: the mask of its entries it passes."""
+    return (values > 0.0) & (values < math.inf)
 
 
 def _require_bounds(instance, positive=(), non_negative=()) -> None:
-    """A dataclass constructor's bound check: _require_finite, then, field by
-    field in declaration order, that each field named in `positive` is > 0
-    and each named in `non_negative` is >= 0. Unset optional (None) fields
-    are skipped. The ValueError names the first field that fails."""
-    _require_finite(instance)
+    """A dataclass constructor's check: _require of each field in declaration order that is
+    set (not None) and named under a rule, or real-valued (then finite at least)."""
+    rules = {**dict.fromkeys(non_negative, "non-negative"), **dict.fromkeys(positive, "positive")}
     for f in fields(instance):
         value = getattr(instance, f.name)
-        if value is None:
-            continue
-        if f.name in positive and value <= 0:
-            raise ValueError(f"{f.name} must be positive, got {value}")
-        if f.name in non_negative and value < 0:
-            raise ValueError(f"{f.name} must be non-negative, got {value}")
+        if (f.name in rules and value is not None) or isinstance(value, Real):
+            _require(f.name, value, rules.get(f.name, "finite"))
+
+
+def _slant_factor(elevation_rad: float) -> float:
+    if not 0 < elevation_rad <= math.pi / 2:
+        raise ValueError(f"elevation_rad must be in (0, pi/2], got {elevation_rad}")
+    return 1.0 / math.sin(elevation_rad)
 
 
 @dataclass(frozen=True)
@@ -91,10 +97,7 @@ class LinkGeometry:
 
     def __post_init__(self) -> None:
         _require_bounds(self, positive=("nfp_altitude_m", "divergence_rad", "receiver_radius_m"))
-        if not 0 < self.elevation_rad <= math.pi / 2:
-            raise ValueError(
-                f"elevation_rad must be in (0, pi/2], got {self.elevation_rad}"
-            )
+        _slant_factor(self.elevation_rad)  # checks the elevation range
 
 
 def slant_path(geometry: LinkGeometry) -> float:
@@ -133,6 +136,8 @@ def geometrical_loss(geometry: LinkGeometry) -> float:
 
 def capture_loss_db(fraction: float) -> float:
     """Loss in dB of a capture fraction in [0, 1]: -10*log10(fraction), inf at 0."""
+    if not 0 <= fraction <= 1:
+        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
     return _capture_loss_db(fraction, _SCALAR_MATH)
 
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import _require_bounds, _require_finite
+from .geometry import _require, _require_bounds
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,7 @@ class Area:
     height_m: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
-        if self.width_m <= 0 or self.height_m <= 0:
-            raise ValueError(f"area sides must be positive, got {self.width_m} x {self.height_m}")
+        _require_bounds(self, positive=("width_m", "height_m"))
         # Bounds every squared distance the nearest-hub search forms between
         # points of the area, so none overflows to inf.
         width, height = float(self.width_m), float(self.height_m)
@@ -82,8 +80,8 @@ def generate_layout(
     Positions are independent and identically distributed; the same seed
     always reproduces the same coordinates.
     """
-    if n_macro <= 0 or n_small <= 0:
-        raise ValueError(f"cell counts must be positive, got {n_macro} macro / {n_small} small")
+    _require("n_macro", n_macro, "positive")
+    _require("n_small", n_small, "positive")
     rng = np.random.default_rng(seed)
     extent = np.array([area.width_m, area.height_m])
     macro = rng.uniform(0.0, 1.0, size=(n_macro, 2)) * extent
@@ -255,7 +253,7 @@ class TcoResult:
     opex_per_year: float
 
     def tco(self, years: float) -> float:
-        return self.capex + years * self.opex_per_year
+        return self.capex + _require("years", years, "non-negative") * self.opex_per_year
 
 
 def _result(technology: str, items: Sequence[CostLineItem]) -> TcoResult:
@@ -352,8 +350,6 @@ def compare_tco(
     layout: HetNetLayout, params: CostParams = CostParams(), years: float = 1.0
 ) -> list[TcoResult]:
     """Cost all four technologies on one layout, cheapest first at `years`."""
-    if years < 0:
-        raise ValueError(f"years must be non-negative, got {years}")
     results = [
         cost_rf_nlos(layout, params.rf_nlos),
         cost_fiber(layout, params.fiber),

@@ -27,6 +27,8 @@ from .geometry import (
     LinkGeometry,
     _capture_fraction,
     _capture_loss_db,
+    _positive_entries,
+    _require,
     _require_bounds,
     _slant_path,
     geometrical_capture_fraction,
@@ -116,6 +118,10 @@ def optical_loss(tx_efficiency: float, rx_efficiency: float) -> float:
     for name, eta in (("tx_efficiency", tx_efficiency), ("rx_efficiency", rx_efficiency)):
         if not 0 < eta <= 1:
             raise ValueError(f"{name} must be in (0, 1], got {eta}")
+    return _optical_db(tx_efficiency, rx_efficiency)
+
+
+def _optical_db(tx_efficiency: float, rx_efficiency: float) -> float:
     product = tx_efficiency * rx_efficiency
     if product < sys.float_info.min:  # under- or subnormal: sum the logs
         return -10.0 * (math.log10(tx_efficiency) + math.log10(rx_efficiency))
@@ -128,16 +134,15 @@ def efficiencies_from_optical_loss(optical_loss_db: float) -> tuple[float, float
     Only the product enters the rate equation, so the even split is a
     convention, not an assumption.
     """
-    if optical_loss_db < 0:
-        raise ValueError(f"optical_loss_db must be non-negative, got {optical_loss_db}")
+    _require("optical_loss_db", optical_loss_db, "non-negative")
     eta = 10.0 ** (-optical_loss_db / 20.0)
     return eta, eta
 
 
 def photon_energy(wavelength_nm: float) -> float:
     """Energy of one photon in joules, h*c/lambda."""
-    wavelength_m = wavelength_nm * 1e-9
-    if not wavelength_m > 0:  # below ~2.5e-315 nm the meters underflow to 0
+    wavelength_m = _require("wavelength_nm", wavelength_nm, "positive") * 1e-9
+    if wavelength_m == 0.0:  # below ~2.5e-315 nm the meters underflow to 0
         raise ValueError(f"wavelength_nm * 1e-9 must be positive, got {wavelength_nm}")
     return PLANCK_J_S * LIGHT_SPEED_M_PER_S / wavelength_m
 
@@ -150,10 +155,7 @@ def received_power(
     Transmit power scaled by both optical efficiencies, the pointing and
     atmospheric losses (dB -> linear), and the geometric capture fraction.
     """
-    if atmospheric_loss_db < 0:
-        raise ValueError(
-            f"atmospheric_loss_db must be non-negative, got {atmospheric_loss_db}"
-        )
+    _require("atmospheric_loss_db", atmospheric_loss_db, "non-negative")
     return _received_power(tx, atmospheric_loss_db, geometrical_capture_fraction(geometry))
 
 
@@ -190,18 +192,12 @@ def link_margin(rate_bps: float, target_rate_bps: float) -> float:
     needed at the target rate. Zero rate yields -inf, the link-failure
     sentinel. A target so small that the quotient overflows is rejected.
     """
-    if not math.isfinite(rate_bps):
-        raise ValueError(f"rate_bps must be finite, got {rate_bps}")
-    if rate_bps < 0:
-        raise ValueError(f"rate_bps must be non-negative, got {rate_bps}")
+    _require("rate_bps", rate_bps, "non-negative")
     return _margin_db(rate_bps, target_rate_bps, _SCALAR_MATH)
 
 
 def _margin_db(rate_bps, target_rate_bps: float, xp):
-    if not math.isfinite(target_rate_bps):
-        raise ValueError(f"target_rate_bps must be finite, got {target_rate_bps}")
-    if target_rate_bps <= 0:
-        raise ValueError(f"target_rate_bps must be positive, got {target_rate_bps}")
+    _require("target_rate_bps", target_rate_bps, "positive")
     quotient = rate_bps / target_rate_bps
     if xp.any(quotient == math.inf):  # the rates are finite: it overflowed, not a +inf margin
         raise ValueError(f"target_rate_bps {target_rate_bps} overflows rate_bps / target_rate_bps")
@@ -238,17 +234,22 @@ def evaluate_grid(
 
     The given arrays replace those fields of `geometry`, which supplies the
     rest. Every array entry must pass the LinkGeometry checks (finite and
-    positive); the caller masks out the others, as run_sweep does.
+    positive), or a ValueError names the first that fails; run_sweep masks them.
 
-    Returns a LinkBudgetResult whose fields are arrays over the grid for
-    the terms that vary (capture fraction, cloud, scintillation, power, rate,
-    margin) and floats for those that do not (fog, rain, pointing, optics).
+    Returns a LinkBudgetResult whose fields are arrays over the grid for the
+    terms that vary along it (capture fraction, power, rate, margin; cloud and
+    scintillation along altitude) and floats for the others (fog, rain, pointing, optics).
     It runs the very formulas of evaluate_link, on numpy arrays instead of
     floats, so every entry agrees with evaluate_link to within the rounding
     of numpy's vectorised exp/log/pow (tests hold it to 1e-12).
     """
     altitude = geometry.nfp_altitude_m if nfp_altitude_m is None else np.asarray(nfp_altitude_m)
     divergence = geometry.divergence_rad if divergence_rad is None else np.asarray(divergence_rad)
+    for name, values in (("nfp_altitude_m", altitude), ("divergence_rad", divergence)):
+        values = np.asarray(values)
+        invalid = values[~_positive_entries(values)]
+        if invalid.size:  # the first invalid entry, named as LinkGeometry names it
+            _require(name, invalid.flat[0].item(), "positive")
     # A footprint too wide to represent overflows to inf and a zero capture
     # or rate has log10 -inf: an inf dB loss and the -inf margin sentinel,
     # which is what floats give in evaluate_link. The scintillation term's
@@ -268,7 +269,7 @@ def _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad,
         *_atmospheric_terms(scenario, altitude_m, elevation, wavelength, path_m, xp),
         geometrical_db=_capture_loss_db(fraction, xp),
         pointing_db=tx.pointing_loss_db,
-        optical_db=optical_loss(tx.tx_efficiency, tx.rx_efficiency),
+        optical_db=_optical_db(tx.tx_efficiency, tx.rx_efficiency),
     )
     power_w = _received_power(tx, losses.atmospheric_db, fraction)
     rate_bps = power_w / (photon_energy(wavelength) * tx.receiver_sensitivity_photons_per_bit)

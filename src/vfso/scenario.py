@@ -26,7 +26,7 @@ from .atmosphere import (
     TurbulenceDescriptor,
     WeatherScenario,
 )
-from .geometry import LinkGeometry, _require_finite
+from .geometry import LinkGeometry, _positive_entries, _require_bounds
 from .link_budget import (
     DEFAULT_TARGET_RATE_BPS,
     LinkBudgetResult,
@@ -131,7 +131,7 @@ class SweepSpec:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        _require_bounds(self)
         if self.variable not in ("altitude", "divergence"):
             raise ValueError(
                 f"variable must be 'altitude' or 'divergence', got {self.variable!r}"
@@ -237,7 +237,7 @@ def run_sweep(
     """
     field = _SWEPT_FIELD[spec.variable]
     values = np.array(spec.grid())
-    valid = np.isfinite(values) & (values > 0.0)  # LinkGeometry's rule for the swept field
+    valid = _positive_entries(values)  # LinkGeometry's rule for the swept field
     errors: list[Optional[str]] = [None] * len(values)
     for i in np.flatnonzero(~valid).tolist():
         try:

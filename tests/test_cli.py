@@ -415,6 +415,40 @@ class TestErrorsAndDeterminism:
         assert row["l_sci_db"] == "0.0"
         assert float(row["link_margin_db"]) == pytest.approx(-621.79, abs=0.01)
 
+    @pytest.mark.parametrize(
+        "overrides, line",
+        [
+            (["geometry.nfp_altitude_m=1e36"], "  NFP altitude         : 1.0e+36 m"),
+            (
+                [
+                    "scenarios=[heavy_rain]",
+                    "rain.layer_thickness_m=1e308",
+                    "rain.rate_mm_per_hour=0",
+                    "geometry.elevation_deg=1e-300",
+                ],
+                "  losses (dB)          : fog=0.000 rain=0.000 cloud=0.000 "
+                "scintillation=2.150e+276 geometrical=inf pointing=2.000 optical=2.000",
+            ),
+        ],
+        ids=["altitude", "loss"],
+    )
+    def test_huge_report_fields_print_in_e_notation(self, tmp_path, capsys, overrides, line):
+        run(tmp_path, "evaluate", *[f"--set={override}" for override in overrides])
+        assert line in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "value, digits, text",
+        [
+            (999999999.94, 1, "999999999.9"),
+            (-999999999.9994, 3, "-999999999.999"),
+            (1e9, 1, "1.0e+09"),
+            (-1e9, 3, "-1.000e+09"),
+            (math.inf, 3, "inf"),
+        ],
+    )
+    def test_report_switches_to_e_notation_at_1e9(self, value, digits, text):
+        assert cli._fixed(value, digits) == text
+
     @pytest.mark.parametrize("altitude", ["1e200", "1e300"])
     def test_overflowing_slant_path_is_answered(self, tmp_path, capsys, altitude):
         # l^(11/6) in the scintillation term overflows; Cn^2 is 0 there, so 0 dB.

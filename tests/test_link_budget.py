@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -251,6 +252,14 @@ class TestEvaluateLink:
             b.fog_db, b.rain_db, b.cloud_db, b.scintillation_db,
             b.geometrical_db, b.pointing_db, b.optical_db,
         ) >= 0.0
+
+
+class TestEvaluateGrid:
+    def test_terms_along_an_altitude_grid_are_arrays_without_weather(self):
+        altitudes = np.array([20000.0])
+        grid = evaluate_grid(TX, GEOMETRY_20KM, WeatherScenario("x"), nfp_altitude_m=altitudes)
+        assert grid.loss_breakdown.cloud_db.tolist() == [0.0]
+        assert grid.loss_breakdown.scintillation_db.tolist() == [0.0]
 
 
 class TestTransceiverValidation:
