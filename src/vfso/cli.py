@@ -69,17 +69,27 @@ def _fmt(value) -> str:
 
 
 def _format_column(chunk) -> list:
-    """The CSV cells of one column's chunk of rows."""
-    if not (isinstance(chunk, np.ndarray) and chunk.dtype == np.float64):
-        return [_fmt(cell) for cell in chunk]
-    # Keyed on the bit pattern, so -0.0 and 0.0 (and NaN payloads) stay distinct.
-    distinct, inverse = np.unique(chunk.view(np.uint64), return_inverse=True)
-    if 2 * len(distinct) > len(chunk):
-        return list(map(repr, chunk.tolist()))
-    # At least half the cells repeat (a weather term constant along the sweep):
-    # format each distinct value once.
-    texts = list(map(repr, distinct.view(np.float64).tolist()))
-    return list(map(texts.__getitem__, inverse.tolist()))
+    """The CSV cells of one column's chunk of rows.
+
+    A float64 chunk is the repr of each double, formatted once per run of
+    equal bits when at least half the cells repeat the one before (a weather
+    term constant along the sweep). A column of str cells is formatted once
+    per distinct label; any other column cell by cell with _fmt.
+    """
+    if isinstance(chunk, np.ndarray) and chunk.dtype == np.float64:
+        # Bits, not values, so -0.0 and 0.0 (and NaN payloads) stay apart.
+        bits = chunk.view(np.uint64)
+        starts = np.concatenate(([True], bits[1:] != bits[:-1]))  # a run begins
+        if 2 * np.count_nonzero(starts) > len(chunk):
+            return list(map(repr, chunk.tolist()))
+        texts = list(map(repr, chunk[starts].tolist()))
+        return list(map(texts.__getitem__, (np.cumsum(starts) - 1).tolist()))
+    # Keyed only on str cells: a dict keyed by value would merge True, 1 and
+    # 1.0 (and 0.0 with -0.0), which _fmt prints differently.
+    if set(map(type, chunk)) == {str}:
+        texts = {label: _fmt(label) for label in set(chunk)}
+        return list(map(texts.__getitem__, chunk))
+    return [_fmt(cell) for cell in chunk]
 
 
 def _reused_or_formatted(chunk, key, reuse: Optional[dict]) -> list:
@@ -105,8 +115,8 @@ def _write_csv(path: str, table: Mapping[str, Sequence], reuse: Optional[dict] =
     """Write a CSV from a {column name: cells} table of equal-length columns,
     byte for byte what csv.writer writes for the rows of _fmt cells.
 
-    A float64 array column is formatted a chunk at a time as the repr of
-    each double; any other column (a list or tuple) cell by cell with _fmt.
+    Each column is formatted a chunk at a time by _format_column: a float64
+    array as the repr of each double, a list or tuple with _fmt.
     Calls that share a reuse map (one per command, starting empty) format a
     float64 chunk only when it differs from the last one written at the same
     column and rows; the map then holds one entry per chunk of one file.
@@ -251,13 +261,19 @@ def cmd_sweep(config: RunConfig) -> int:
     return _finish(config, "\n".join(summary_lines) + "\n")
 
 
+def _dollars(value: float) -> str:
+    """value in whole dollars; in e-notation from where it rounds to 1e12 in
+    magnitude, whose digits would overflow the report's 16-wide columns."""
+    return f"{value:{'.4e' if abs(value) >= 1e12 - 0.5 else ',.0f'}}"
+
+
 def _cost_report(results: list[TcoResult], years: float, seed: int) -> str:
     lines = [f"TCO comparison over {years:g} year(s), layout seed {seed}"]
     lines.append(f"  {'rank':<5}{'technology':<18}{'CAPEX ($)':>16}{'OPEX ($/yr)':>16}{'TCO ($)':>18}")
     for rank, result in enumerate(results, start=1):
         lines.append(
-            f"  {rank:<5}{result.technology:<18}"
-            f"{result.capex:>16,.0f}{result.opex_per_year:>16,.0f}{result.tco(years):>18,.0f}"
+            f"  {rank:<5}{result.technology:<18}{_dollars(result.capex):>16}"
+            f"{_dollars(result.opex_per_year):>16}{_dollars(result.tco(years)):>18}"
         )
     return "\n".join(lines) + "\n"
 

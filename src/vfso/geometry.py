@@ -11,6 +11,7 @@ divergence angle.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 from numbers import Real
 from types import SimpleNamespace
@@ -47,12 +48,16 @@ _SCALAR_MATH = SimpleNamespace(
 )
 
 
+_FLOAT_MAX = sys.float_info.max
+
+
 def _require(name: str, value, rule: str = "finite"):
     """The one statement of the finite, positive and non-negative rules: value, or a
-    ValueError naming `name` if value is NaN or infinite or breaks `rule`."""
-    if 0 < value < math.inf:  # the common case, valid by every rule
+    ValueError naming `name` if value is NaN or infinite or breaks `rule`. Bounded by the
+    largest double, not inf, so a Python int beyond the float range counts as infinite."""
+    if 0 < value <= _FLOAT_MAX:  # the common case, valid by every rule
         return value
-    if not -math.inf < value < math.inf:
+    if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ValueError(f"{name} must be finite, got {value}")
     if (rule == "positive" and value <= 0) or (rule == "non-negative" and value < 0):
         raise ValueError(f"{name} must be {rule}, got {value}")

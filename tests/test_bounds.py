@@ -85,17 +85,25 @@ NON_NEGATIVE = [
     *[(params, f.name) for params in COST_PARAMS for f in fields(params)],
 ]
 BOUNDED = POSITIVE + NON_NEGATIVE
+# Python ints that no double holds: finite, yet outside the float range.
+BEYOND_FLOATS = (10**400, -(10**400))
 CASES = [
     *[(valid, name, 0.0, "must be positive, got 0.0") for valid, name in POSITIVE],
     *[(valid, name, -1.0, "must be non-negative, got -1.0") for valid, name in NON_NEGATIVE],
     *[(valid, name, math.nan, "must be finite, got nan") for valid, name in BOUNDED],
+    *[(valid, name, big, f"must be finite, got {big}") for valid, name in BOUNDED for big in BEYOND_FLOATS],
 ]
+
+
+def shown(value) -> str:
+    """value in a test id, an int beyond the float range as a power of ten."""
+    return f"{'-' * (value < 0)}10**400" if value in BEYOND_FLOATS else str(value)
 
 
 @pytest.mark.parametrize(
     "valid, name, value, rule",
     CASES,
-    ids=[f"{type(valid).__name__}.{name}={value}" for valid, name, value, _ in CASES],
+    ids=[f"{type(valid).__name__}.{name}={shown(value)}" for valid, name, value, _ in CASES],
 )
 def test_each_bound_names_its_field(valid, name, value, rule):
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {rule}')}$"):
@@ -173,6 +181,11 @@ ARGUMENT_CASES = [
     (function, name, value, rule if rule.startswith("in ") or value == bad else "finite")
     for function, name, bad, rule in ARGUMENTS
     for value in (math.nan, math.inf, -math.inf, bad)
+] + [
+    (function, name, big, rule if rule.startswith("in ") else "finite")
+    for function, name, _, rule in ARGUMENTS
+    if not isinstance(VALID_CALLS[function][name], list)  # an array holds no such int
+    for big in BEYOND_FLOATS
 ]
 
 
@@ -189,7 +202,7 @@ def call(function, **changes):
 @pytest.mark.parametrize(
     "function, name, value, rule",
     ARGUMENT_CASES,
-    ids=[f"{function.__qualname__}.{name}={value}" for function, name, value, _ in ARGUMENT_CASES],
+    ids=[f"{function.__qualname__}.{name}={shown(value)}" for function, name, value, _ in ARGUMENT_CASES],
 )
 def test_each_argument_rule_names_its_argument(function, name, value, rule):
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {value}')}$"):

@@ -178,6 +178,42 @@ class TestCost:
         )
         assert not os.path.exists(outdir)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            [],
+            ["cost.vertical_fso.platform_cost=1e300"],
+            ["cost.vertical_fso.cost_per_flight_hour=1e300", "cost.years=1e7"],
+            ["cost.years=1e300"],
+            ["cost.vertical_fso.platform_cost=1.7976931348623157e308"],
+        ],
+        ids=["default", "platform_cost", "opex", "years", "largest_price"],
+    )
+    def test_report_lines_fit_75_characters(self, tmp_path, capsys, overrides):
+        code, _ = run(tmp_path, "cost", *[f"--set={override}" for override in overrides])
+        assert code == EXIT_OK
+        assert max(map(len, capsys.readouterr().out.splitlines())) <= 75
+
+    def test_huge_prices_print_in_e_notation(self, tmp_path, capsys):
+        run(tmp_path, "cost", "--set=cost.vertical_fso.platform_cost=1e300")
+        assert (
+            "  4    vertical_fso           2.0000e+301     118,971,500       2.0000e+301"
+            in capsys.readouterr().out.splitlines()
+        )
+
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (math.nextafter(1e12 - 0.5, 0.0), "999,999,999,999"),
+            (-math.nextafter(1e12 - 0.5, 0.0), "-999,999,999,999"),
+            (1e12 - 0.5, "1.0000e+12"),  # rounds to 1,000,000,000,000
+            (-1e12, "-1.0000e+12"),
+            (math.inf, "inf"),
+        ],
+    )
+    def test_report_switches_to_e_notation_where_dollars_reach_1e12(self, value, text):
+        assert cli._dollars(value) == text
+
     @pytest.mark.filterwarnings("error")
     def test_largest_area_costs_finitely(self, tmp_path, capsys):
         code, outdir = run(
@@ -613,16 +649,31 @@ TEXT = st.text(
 )
 SMALL_CHUNK = 5
 
+# Cells with the same repr whose bits differ, or with different reprs whose
+# values compare equal: a chunk that holds one where the last file held the
+# other must not take the last file's cells, and neighbouring cells must not
+# share a run.
+NAN_WITH_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+TWINS = [(0.0, -0.0), (-0.0, 0.0), (math.nan, -math.nan), (math.nan, NAN_WITH_PAYLOAD)]
+TWIN_CELLS = [cell for pair in TWINS for cell in pair]
+
 
 def column_strategy(n_rows):
     floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
-    # A small pool makes most values repeat, which the writer formats per distinct value.
+    # A small pool makes most values repeat, scattered more often than in runs.
     pooled = st.lists(floats, min_size=1, max_size=3).flatmap(
         lambda pool: st.lists(st.sampled_from(pool), min_size=n_rows, max_size=n_rows)
+    )
+    # Runs of equal cells, twins often side by side, which the writer formats once per run.
+    runs = st.lists(st.one_of(floats, st.sampled_from(TWIN_CELLS)), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.integers(1, n_rows), min_size=len(pool), max_size=len(pool)).map(
+            lambda lengths: np.resize(np.repeat(pool, lengths), n_rows)
+        )
     )
     return st.one_of(
         st.lists(floats, min_size=n_rows, max_size=n_rows).map(np.array),
         pooled.map(np.array),
+        runs,
         st.lists(st.integers(), min_size=n_rows, max_size=n_rows),
         st.lists(st.booleans(), min_size=n_rows, max_size=n_rows),
         st.lists(TEXT, min_size=n_rows, max_size=n_rows),
@@ -637,13 +688,6 @@ def tables(draw):
     # A mapping holds each column name once, as every command's CSV does.
     header = draw(st.lists(TEXT, min_size=n_columns, max_size=n_columns, unique=True))
     return header, [draw(column_strategy(n_rows)) for _ in range(n_columns)]
-
-
-# Cells with the same repr whose bits differ, or with different reprs whose
-# values compare equal: a chunk that holds one where the last file held the
-# other must not take the last file's cells.
-NAN_WITH_PAYLOAD = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
-TWINS = [(0.0, -0.0), (-0.0, 0.0), (math.nan, -math.nan), (math.nan, NAN_WITH_PAYLOAD)]
 
 
 @st.composite
@@ -758,6 +802,46 @@ class TestColumnWriter:
         got = (tmp_path / "b.csv").read_bytes()
         assert got == row_writer_bytes(["x", "y"], as_rows([grid, -zeros]))
         assert b",-0.0\r\n" in got and b",0.0\r\n" not in got
+
+    @pytest.mark.parametrize(
+        "lengths, repr_calls",
+        [
+            ([4, 1, 3, 2], 4),  # 4 runs over 10 cells: one repr per run
+            ([2, 2, 2, 2, 2, 2], 6),  # 6 runs over 12 cells, half repeating: one per run
+            ([2, 2, 2, 2, 2, 1], 11),  # 6 runs over 11 cells: one repr per cell
+        ],
+    )
+    def test_a_chunk_of_runs_calls_repr_once_per_run(self, lengths, repr_calls):
+        chunk = np.repeat([0.5, 0.0, -0.0, math.nan, NAN_WITH_PAYLOAD, 0.5, 1e16][: len(lengths)], lengths)
+        with mock.patch.object(cli, "repr", wraps=repr, create=True) as counted:
+            cells = cli._format_column(chunk)
+        assert counted.call_count == repr_calls
+        assert cells == list(map(repr, chunk.tolist()))
+
+    def test_adjacent_twins_stay_distinct_inside_runs(self):
+        twins = np.array([0.0, -0.0, math.nan, NAN_WITH_PAYLOAD, -math.nan, math.nan])
+        chunk = np.repeat(twins, 3)
+        with mock.patch.object(cli, "repr", wraps=repr, create=True) as counted:
+            cells = cli._format_column(chunk)
+        assert counted.call_count == len(twins)
+        assert cells == ["0.0"] * 3 + ["-0.0"] * 3 + ["nan"] * 12
+        assert [call.args[0] for call in counted.call_args_list[:2]] == [0.0, -0.0]
+        assert math.copysign(1.0, counted.call_args_list[1].args[0]) == -1.0
+
+    def test_a_mixed_column_keeps_each_cell_apart(self):
+        assert cli._format_column([True, 1, 1.0, "1"]) == ["true", "1", "1.0", "1"]
+        assert cli._format_column([0.0, -0.0, False, 0]) == ["0.0", "-0.0", "false", "0"]
+        assert cli._format_column(["a,b", "1", "a,b"]) == ['"a,b"', "1", '"a,b"']
+
+    def test_layout_labels_are_formatted_once_per_chunk(self, tmp_path):
+        with mock.patch.object(cli, "_fmt", wraps=cli._fmt) as fmt:
+            code, outdir = run(tmp_path, "cost", "--set=cost.n_macro=1000", "--set=cost.n_small=5000")
+        assert code == EXIT_OK
+        labels = [call.args[0] for call in fmt.call_args_list if call.args[0] in ("macro", "small")]
+        # 6000 rows in chunks of 2048: macro and small in the first, small in the other two.
+        assert sorted(labels) == ["macro", "small", "small", "small"]
+        rows = read_csv(os.path.join(outdir, "layout.csv"))
+        assert [row["kind"] for row in rows] == ["macro"] * 1000 + ["small"] * 5000
 
     @pytest.mark.parametrize(
         "sweep",
