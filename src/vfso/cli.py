@@ -282,7 +282,10 @@ def cmd_cost(config: RunConfig) -> int:
     """Generate the HetNet layout and compare technology TCO on it."""
     cost = config.cost
     layout = generate_layout(cost.n_macro, cost.n_small, cost.area, config.seed)
-    results = compare_tco(layout, cost.params, cost.years)
+    try:
+        results = compare_tco(layout, cost.params, cost.years)
+    except ValueError as exc:  # a finite price or count whose cost overflows
+        raise ConfigError(f"cost: {exc}") from exc
 
     macro, small = layout.macro_positions, layout.small_positions
     kinds = ["macro"] * len(macro) + ["small"] * len(small)

@@ -33,7 +33,7 @@ from .atmosphere import (
     WeatherScenario,
     _check_no_overlap,
 )
-from .geometry import LinkGeometry, _require_bounds
+from .geometry import LinkGeometry, _require_bounds, _shown
 from .hetnet_cost import DEFAULT_AREA, Area, CostParams
 from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams, efficiencies_from_optical_loss
 from .link_budget import _lossless_rate_bps, link_margin
@@ -169,7 +169,7 @@ def _number(raw: Any, path: str) -> float:
     if value is None:
         raise ConfigError(f"{path}: expected a number, got {raw!r}")
     if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {raw!r}")
+        raise ConfigError(f"{path}: must be finite, got {_shown(raw, repr)}")
     return value
 
 

@@ -51,6 +51,17 @@ _SCALAR_MATH = SimpleNamespace(
 _FLOAT_MAX = sys.float_info.max
 
 
+def _shown(value, text=str) -> str:
+    """text(value) for a message, but an int beyond the float range as its digit count,
+    not the ~400 digits str gives (or the error str raises beyond 4300)."""
+    if not (isinstance(value, int) and abs(value) > _FLOAT_MAX):
+        return text(value)
+    magnitude = abs(value)
+    digits = int(math.log10(magnitude)) + 1  # one off where log10 rounds across a power of 10
+    digits += (magnitude >= 10**digits) - (magnitude < 10 ** (digits - 1))
+    return f"a {'negative ' * (value < 0)}{digits}-digit int"
+
+
 def _require(name: str, value, rule: str = "finite"):
     """The one statement of the finite, positive and non-negative rules: value, or a
     ValueError naming `name` if value is NaN or infinite or breaks `rule`. Bounded by the
@@ -58,7 +69,7 @@ def _require(name: str, value, rule: str = "finite"):
     if 0 < value <= _FLOAT_MAX:  # the common case, valid by every rule
         return value
     if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
-        raise ValueError(f"{name} must be finite, got {value}")
+        raise ValueError(f"{name} must be finite, got {_shown(value)}")
     if (rule == "positive" and value <= 0) or (rule == "non-negative" and value < 0):
         raise ValueError(f"{name} must be {rule}, got {value}")
     return value
@@ -81,7 +92,7 @@ def _require_bounds(instance, positive=(), non_negative=()) -> None:
 
 def _slant_factor(elevation_rad: float) -> float:
     if not 0 < elevation_rad <= math.pi / 2:
-        raise ValueError(f"elevation_rad must be in (0, pi/2], got {elevation_rad}")
+        raise ValueError(f"elevation_rad must be in (0, pi/2], got {_shown(elevation_rad)}")
     return 1.0 / math.sin(elevation_rad)
 
 
@@ -142,7 +153,7 @@ def geometrical_loss(geometry: LinkGeometry) -> float:
 def capture_loss_db(fraction: float) -> float:
     """Loss in dB of a capture fraction in [0, 1]: -10*log10(fraction), inf at 0."""
     if not 0 <= fraction <= 1:
-        raise ValueError(f"fraction must be in [0, 1], got {fraction}")
+        raise ValueError(f"fraction must be in [0, 1], got {_shown(fraction)}")
     return _capture_loss_db(fraction, _SCALAR_MATH)
 
 

@@ -253,12 +253,17 @@ class TcoResult:
     opex_per_year: float
 
     def tco(self, years: float) -> float:
-        return self.capex + _require("years", years, "non-negative") * self.opex_per_year
+        tco = self.capex + _require("years", years, "non-negative") * self.opex_per_year
+        return _require(f"{self.technology} capex + years * opex_per_year", tco)
 
 
 def _result(technology: str, items: Sequence[CostLineItem]) -> TcoResult:
-    capex = sum(item.total for item in items if item.kind == "capex")
-    opex = sum(item.total for item in items if item.kind == "opex")
+    """The technology's TcoResult; a ValueError naming it if any quantity or sum overflows."""
+    for item in items:
+        _require(f"{technology} item {item.label!r} quantity", item.quantity)
+        _require(f"{technology} item {item.label!r} unit_cost * quantity", item.total)
+    capex = _require(f"{technology} capex", sum(i.total for i in items if i.kind == "capex"))
+    opex = _require(f"{technology} opex_per_year", sum(i.total for i in items if i.kind == "opex"))
     return TcoResult(
         technology=technology, line_items=tuple(items), capex=capex, opex_per_year=opex
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -30,6 +30,7 @@ from .geometry import (
     _positive_entries,
     _require,
     _require_bounds,
+    _shown,
     _slant_path,
     geometrical_capture_fraction,
 )
@@ -113,11 +114,24 @@ class LinkBudgetResult:
         return self.link_margin_db >= 0.0
 
 
+def _per_point(result: LinkBudgetResult) -> tuple:
+    """The ten numbers of a result that vary over a grid: seven losses, power, rate, margin."""
+    b = result.loss_breakdown
+    losses = (getattr(b, f.name) for f in fields(LossBreakdown))
+    return (*losses, result.received_power_w, result.data_rate_bps, result.link_margin_db)
+
+
+def _from_per_point(numbers, target_rate_bps: float) -> LinkBudgetResult:
+    """The result whose _per_point is `numbers`, at target_rate_bps."""
+    *losses, power_w, rate_bps, margin_db = numbers
+    return LinkBudgetResult(LossBreakdown(*losses), power_w, rate_bps, margin_db, target_rate_bps)
+
+
 def optical_loss(tx_efficiency: float, rx_efficiency: float) -> float:
     """Loss in dB of the imperfect optics, -10*log10(eta_t * eta_r)."""
     for name, eta in (("tx_efficiency", tx_efficiency), ("rx_efficiency", rx_efficiency)):
         if not 0 < eta <= 1:
-            raise ValueError(f"{name} must be in (0, 1], got {eta}")
+            raise ValueError(f"{name} must be in (0, 1], got {_shown(eta)}")
     return _optical_db(tx_efficiency, rx_efficiency)
 
 

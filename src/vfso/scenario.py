@@ -13,7 +13,7 @@ one row per grid point; they are deterministic and rows are independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -26,12 +26,13 @@ from .atmosphere import (
     TurbulenceDescriptor,
     WeatherScenario,
 )
-from .geometry import LinkGeometry, _positive_entries, _require_bounds
+from .geometry import LinkGeometry, _positive_entries, _require, _require_bounds
 from .link_budget import (
     DEFAULT_TARGET_RATE_BPS,
     LinkBudgetResult,
-    LossBreakdown,
     TransceiverParams,
+    _from_per_point,
+    _per_point,
     efficiencies_from_optical_loss,
     evaluate_grid,
 )
@@ -116,6 +117,9 @@ def preset(
     raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
 
 
+_SWEPT_FIELD = {"altitude": "nfp_altitude_m", "divergence": "divergence_rad"}
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid over one variable: 'altitude' (m) or 'divergence' (rad).
@@ -132,10 +136,8 @@ class SweepSpec:
 
     def __post_init__(self) -> None:
         _require_bounds(self)
-        if self.variable not in ("altitude", "divergence"):
-            raise ValueError(
-                f"variable must be 'altitude' or 'divergence', got {self.variable!r}"
-            )
+        if self.variable not in tuple(_SWEPT_FIELD):  # by ==: a list is a ValueError too
+            raise ValueError(f"variable must be 'altitude' or 'divergence', got {self.variable!r}")
         if not self.start < self.stop:
             raise ValueError(f"start must be < stop, got [{self.start}, {self.stop}]")
         if self.points < 2:
@@ -176,7 +178,8 @@ class SweepResult:
     row, a LinkBudgetResult whose fields are arrays over the grid (NaN on
     failed rows), target_rate_bps aside. errors: the message of
     each failed row, None elsewhere. rows presents the same data as one
-    SweepRow per grid point; equality compares rows.
+    SweepRow per grid point. Equality compares the columns bit for bit, so
+    a NaN equals itself and -0.0 differs from 0.0.
     """
 
     spec: SweepSpec
@@ -187,37 +190,22 @@ class SweepResult:
 
     @cached_property
     def rows(self) -> tuple[SweepRow, ...]:
-        c = self.columns
-        losses = zip(*(getattr(c.loss_breakdown, f.name).tolist() for f in fields(LossBreakdown)))
-        per_point = zip(
-            self.values.tolist(),
-            self.errors,
-            losses,
-            c.received_power_w.tolist(),
-            c.data_rate_bps.tolist(),
-            c.link_margin_db.tolist(),
-        )
+        target = self.columns.target_rate_bps
+        columns = (c.tolist() for c in _per_point(self.columns))
         return tuple(
-            SweepRow(value=value, error=error)
-            if error is not None
-            else SweepRow(
-                value=value,
-                result=LinkBudgetResult(LossBreakdown(*loss), power, rate, margin, c.target_rate_bps),
-            )
-            for value, error, loss, power, rate, margin in per_point
+            SweepRow(value, _from_per_point(numbers, target) if error is None else None, error)
+            for value, error, *numbers in zip(self.values.tolist(), self.errors, *columns)
         )
+
+    def _key(self) -> tuple:
+        arrays = (self.values, *_per_point(self.columns))
+        target = self.columns.target_rate_bps
+        return (self.spec, self.scenario_label, self.errors, target, *(a.tobytes() for a in arrays))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SweepResult):
             return NotImplemented
-        return (self.spec, self.scenario_label, self.rows) == (
-            other.spec,
-            other.scenario_label,
-            other.rows,
-        )
-
-
-_SWEPT_FIELD = {"altitude": "nfp_altitude_m", "divergence": "divergence_rad"}
+        return self._key() == other._key()
 
 
 def run_sweep(
@@ -229,11 +217,11 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the link at every grid point, all other parameters fixed.
 
-    The whole grid is evaluated in one evaluate_grid call. A grid point
-    that cannot form a LinkGeometry (not finite, or not positive) is
-    recorded as a row-level error carrying LinkGeometry's own message
-    instead of aborting the sweep; its columns are NaN. Identical inputs
-    produce identical results.
+    The whole grid is evaluated in one evaluate_grid call, each invalid
+    point (not finite, or not positive) standing in at the geometry's own
+    value. Such a point is recorded as a row-level error carrying
+    LinkGeometry's own message instead of aborting the sweep; its columns
+    are NaN. Identical inputs produce identical results.
     """
     field = _SWEPT_FIELD[spec.variable]
     values = np.array(spec.grid())
@@ -241,24 +229,12 @@ def run_sweep(
     errors: list[Optional[str]] = [None] * len(values)
     for i in np.flatnonzero(~valid).tolist():
         try:
-            replace(geometry, **{field: values[i].item()})
+            _require(field, values[i].item(), "positive")
         except ValueError as exc:
             errors[i] = str(exc)
-    grid = evaluate_grid(tx, geometry, scenario, target_rate_bps, **{field: values[valid]})
-
-    def column(entries):
-        out = np.full(len(values), np.nan)
-        out[valid] = entries
-        return out
-
-    b = grid.loss_breakdown
-    columns = LinkBudgetResult(
-        loss_breakdown=LossBreakdown(
-            *(column(getattr(b, f.name)) for f in fields(LossBreakdown))
-        ),
-        received_power_w=column(grid.received_power_w),
-        data_rate_bps=column(grid.data_rate_bps),
-        link_margin_db=column(grid.link_margin_db),
-        target_rate_bps=target_rate_bps,
+    parked = np.where(valid, values, getattr(geometry, field))
+    grid = evaluate_grid(tx, geometry, scenario, target_rate_bps, **{field: parked})
+    columns = [np.where(valid, column, np.nan) for column in _per_point(grid)]
+    return SweepResult(
+        spec, scenario.label, values, _from_per_point(columns, target_rate_bps), tuple(errors)
     )
-    return SweepResult(spec, scenario.label, values, columns, tuple(errors))

@@ -87,11 +87,22 @@ NON_NEGATIVE = [
 BOUNDED = POSITIVE + NON_NEGATIVE
 # Python ints that no double holds: finite, yet outside the float range.
 BEYOND_FLOATS = (10**400, -(10**400))
+
+
+def in_message(value) -> str:
+    """value as an error message prints it: an int beyond the float range by its digit count."""
+    return {10**400: "a 401-digit int", -(10**400): "a negative 401-digit int"}.get(value, str(value))
+
+
 CASES = [
     *[(valid, name, 0.0, "must be positive, got 0.0") for valid, name in POSITIVE],
     *[(valid, name, -1.0, "must be non-negative, got -1.0") for valid, name in NON_NEGATIVE],
     *[(valid, name, math.nan, "must be finite, got nan") for valid, name in BOUNDED],
-    *[(valid, name, big, f"must be finite, got {big}") for valid, name in BOUNDED for big in BEYOND_FLOATS],
+    *[
+        (valid, name, big, f"must be finite, got {in_message(big)}")
+        for valid, name in BOUNDED
+        for big in BEYOND_FLOATS
+    ],
 ]
 
 
@@ -205,7 +216,8 @@ def call(function, **changes):
     ids=[f"{function.__qualname__}.{name}={shown(value)}" for function, name, value, _ in ARGUMENT_CASES],
 )
 def test_each_argument_rule_names_its_argument(function, name, value, rule):
-    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} must be {rule}, got {value}')}$"):
+    message = f"{name} must be {rule}, got {in_message(value)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(function, **{name: value})
 
 

@@ -183,9 +183,10 @@ class TestCost:
         [
             [],
             ["cost.vertical_fso.platform_cost=1e300"],
-            ["cost.vertical_fso.cost_per_flight_hour=1e300", "cost.years=1e7"],
+            ["cost.vertical_fso.cost_per_flight_hour=1e300", "cost.years=100"],
             ["cost.years=1e300"],
-            ["cost.vertical_fso.platform_cost=1.7976931348623157e308"],
+            # 20 platforms at this price cost just under the largest double.
+            ["cost.vertical_fso.platform_cost=8.98e306"],
         ],
         ids=["default", "platform_cost", "opex", "years", "largest_price"],
     )
@@ -193,6 +194,24 @@ class TestCost:
         code, _ = run(tmp_path, "cost", *[f"--set={override}" for override in overrides])
         assert code == EXIT_OK
         assert max(map(len, capsys.readouterr().out.splitlines())) <= 75
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (
+                "cost.vertical_fso.platform_cost=1.7976931348623157e308",
+                "vertical_fso item 'flying platform' unit_cost * quantity must be finite, got inf",
+            ),
+            ("cost.years=1e305", "rf_nlos_ptm capex + years * opex_per_year must be finite, got inf"),
+            ("cost.fiber.routing_factor=1e305", "fiber item 'fiber cable' quantity must be finite, got inf"),
+        ],
+        ids=["price", "years", "routing_factor"],
+    )
+    def test_a_finite_input_whose_cost_overflows_exits_1(self, tmp_path, capsys, override, message):
+        code, outdir = run(tmp_path, "cost", f"--set={override}")
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"config error: cost: {message}\n"
+        assert not os.path.exists(outdir)
 
     def test_huge_prices_print_in_e_notation(self, tmp_path, capsys):
         run(tmp_path, "cost", "--set=cost.vertical_fso.platform_cost=1e300")
@@ -511,6 +530,13 @@ class TestErrorsAndDeterminism:
     def test_unknown_command_exits_1(self, capsys):
         assert main(["fly"]) == EXIT_USAGE
         assert "usage error" in capsys.readouterr().err
+
+    def test_unwritable_output_dir_exits_1(self, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        assert main(["evaluate", f"--set=output_dir={blocker / 'out'}"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and str(blocker) in err and err.count("\n") == 1
 
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         code, _ = run(tmp_path, "evaluate", "--set=warp_drive=1")

@@ -111,6 +111,24 @@ class TestValidation:
         with pytest.raises(ConfigError, match="fog.visibility_m"):
             config_from_mapping({"fog": {"visibility_m": "dense"}})
 
+    def test_section_that_is_not_a_mapping(self):
+        with pytest.raises(ConfigError, match="^fog: expected a mapping, got int$"):
+            config_from_mapping(parse_overrides(["fog=3"]))
+
+    def test_string_field_given_a_number(self):
+        with pytest.raises(ConfigError, match="^sweep.variable: expected a string, got 5$"):
+            config_from_mapping(parse_overrides(["sweep.variable=5"]))
+
+    @pytest.mark.parametrize("text, kind", [("3", "int"), ("{thickness_m: 48}", "dict"), ("deck", "str")])
+    def test_clouds_given_a_non_list(self, text, kind):
+        with pytest.raises(ConfigError, match=f"^clouds: expected a list of layers, got {kind}$"):
+            config_from_mapping(parse_overrides([f"clouds={text}"]))
+
+    @pytest.mark.parametrize("key", ["clouds", "scenarios"])
+    def test_null_list_keeps_its_default(self, key):
+        assert config_from_mapping({key: None}) == RunConfig()
+        assert config_from_mapping(parse_overrides([f"{key}=null"])) == RunConfig()
+
     def test_string_scientific_notation_is_accepted(self):
         # YAML 1.1 parses 1e-6 as a string; the loader copes
         config = config_from_mapping({"geometry": {"divergence_rad": "1e-6"}})
@@ -159,6 +177,17 @@ class TestOverrides:
     def test_malformed_override_is_rejected(self):
         with pytest.raises(ConfigError, match="key=value"):
             parse_overrides(["geometry.divergence_rad"])
+
+    def test_unparseable_override_value(self):
+        with pytest.raises(ConfigError, match=r"^override 'scenarios=\[clear_sky': unparseable value \("):
+            parse_overrides(["scenarios=[clear_sky"])
+
+    @pytest.mark.parametrize("first", ["fog=3", "fog.visibility_m=3"])
+    def test_conflicting_overrides(self, first):
+        # A key set to a value, then used as a section, or one level deeper.
+        second = "fog.visibility_m=5" if first == "fog=3" else "fog.visibility_m.x=5"
+        with pytest.raises(ConfigError, match=f"^override '{second}' conflicts with an earlier override$"):
+            parse_overrides([first, second])
 
 
 class TestResolvedEcho:
@@ -225,9 +254,16 @@ class TestNonFiniteNumbers:
         with pytest.raises(ConfigError, match=r"^clouds\[0\].thickness_m: must be finite"):
             config_from_mapping(parse_overrides([f"clouds=[{{thickness_m: {text}}}]"]))
 
-    def test_integer_beyond_the_float_range(self):
-        with pytest.raises(ConfigError, match="^sweep.stop: must be finite"):
-            config_from_mapping({"sweep": {"stop": 10**400}})
+    @pytest.mark.parametrize(
+        "value, shown",
+        [(10**400, "a 401-digit int"), (-(10**400), "a negative 401-digit int"),
+         (10**400 - 1, "a 400-digit int"), (2**1024, "a 309-digit int"), (10**5000, "a 5001-digit int")],
+        ids=["1e400", "minus_1e400", "400_nines", "2_to_1024", "beyond_the_str_limit"],
+    )
+    def test_integer_beyond_the_float_range(self, value, shown):
+        # Its digit count, not its digits: str of an int fails beyond 4300 of them.
+        with pytest.raises(ConfigError, match=f"^sweep.stop: must be finite, got {shown}$"):
+            config_from_mapping({"sweep": {"stop": value}})
 
 
 # The numeric fields of the three constructors that also hold strings or

@@ -1,6 +1,7 @@
 """Tests of HetNet layout generation and per-technology costing."""
 
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -273,6 +274,34 @@ class TestTcoInvariants:
     def test_tco_is_affine_in_years(self, years):
         result = cost_vertical_fso(default_layout())
         assert result.tco(years) == result.capex + years * result.opex_per_year
+
+    @pytest.mark.parametrize(
+        "costing, params, message",
+        [
+            (cost_vertical_fso, VerticalFsoCostParams(platform_cost=1e308),
+             "vertical_fso item 'flying platform' unit_cost * quantity"),
+            (cost_fiber, FiberCostParams(routing_factor=1e308), "fiber item 'fiber cable' quantity"),
+            (cost_rf_nlos, RfNlosCostParams(spectrum_mhz=1e306),
+             "rf_nlos_ptm item 'spectrum license' quantity"),
+            # Each item is finite, their sum is not.
+            (cost_rf_nlos, RfNlosCostParams(hub_unit_cost=1e308, hub_install_cost=1e308),
+             "rf_nlos_ptm capex"),
+            (cost_rf_nlos, RfNlosCostParams(
+                pole_lease_per_site_year=5e307, power_maintenance_per_site_year=5e307),
+             "rf_nlos_ptm opex_per_year"),
+        ],
+        ids=["item_total", "quantity", "product_quantity", "capex", "opex"],
+    )
+    def test_an_overflowing_cost_names_its_technology(self, costing, params, message):
+        layout = generate_layout(1, 2, AREA, 0)  # 1 hub and 3 sites: no item above overflows
+        with pytest.raises(ValueError, match=f"^{re.escape(message)} must be finite, got inf$"):
+            costing(layout, params)
+
+    def test_an_overflowing_tco_names_its_technology(self):
+        result = cost_vertical_fso(default_layout())
+        assert math.isfinite(result.tco(1e290))
+        with pytest.raises(ValueError, match=r"^vertical_fso capex \+ years \* opex_per_year must be finite"):
+            result.tco(1e305)
 
     def test_fiber_capex_monotone_in_cell_count(self):
         small = generate_layout(100, 500, AREA, 0)

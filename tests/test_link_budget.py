@@ -20,7 +20,7 @@ from vfso.link_budget import (
     photon_energy,
     received_power,
 )
-from vfso.scenario import default_parameters, preset
+from vfso.scenario import PRESET_NAMES, default_parameters, preset
 
 TX, GEOMETRY_20KM, TURB = default_parameters()
 GEOMETRY_5KM = replace(GEOMETRY_20KM, nfp_altitude_m=5000.0)
@@ -242,6 +242,14 @@ class TestEvaluateLink:
             / (photon_energy(TX.wavelength_nm) * TX.receiver_sensitivity_photons_per_bit)
         )
         assert result.data_rate_bps == pytest.approx(reconstructed, rel=1e-9)
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_total_db_is_the_whole_budget(self, name):
+        # The transmit power, less total_db, over the energy of a bit is the rate.
+        result = evaluate_link(TX, GEOMETRY_20KM, preset(name))
+        per_bit_j = photon_energy(TX.wavelength_nm) * TX.receiver_sensitivity_photons_per_bit
+        rate = TX.transmit_power_w * 10.0 ** (-result.loss_breakdown.total_db / 10.0) / per_bit_j
+        assert result.data_rate_bps == pytest.approx(rate, rel=1e-12, abs=0)
 
     def test_result_fields_are_non_negative(self):
         result = evaluate_link(TX, GEOMETRY_20KM, preset("rain_and_cloud"))

@@ -16,7 +16,7 @@ from vfso.scenario import (
     run_sweep,
 )
 from vfso.atmosphere import CloudLayer, FogDescriptor
-from vfso.link_budget import evaluate_link
+from vfso.link_budget import evaluate_grid, evaluate_link
 
 TX, GEOMETRY, TURB = default_parameters()
 
@@ -116,6 +116,7 @@ class TestSweepSpec:
         "kwargs",
         [
             {"variable": "wavelength"},
+            {"variable": ["altitude"]},  # unhashable: still a ValueError, not a TypeError
             {"start": 2000.0, "stop": 1000.0},
             {"points": 1},
             {"scale": "cubic"},
@@ -284,6 +285,64 @@ def test_non_finite_grid_points_become_row_errors(variable):
     assert result.rows[3].result == evaluate_link(TX, GEOMETRY, preset("cloud_and_fog"))
     assert np.isnan(result.columns.data_rate_bps[:3]).all()
     assert np.isfinite(result.columns.data_rate_bps[3])
+
+
+@pytest.mark.parametrize("variable", SWEPT_FIELD)
+def test_invalid_points_anywhere_leave_the_valid_rows_unchanged(variable):
+    # Invalid points first, in the middle and last. Each valid row equals the
+    # grid evaluated at the valid points alone, bit for bit, and evaluate_link
+    # to 1e-12; each invalid row is NaN in every column.
+    field = SWEPT_FIELD[variable]
+    own = getattr(GEOMETRY, field)
+    values = (-5.0, 0.5 * own, math.nan, 0.0, own, 2.0 * own, -0.0, math.inf)
+    spec = FixedGrid(variable, 1.0, 2.0, len(values), values=values)
+    scenario = preset("cloud_and_fog")
+    sweep = run_sweep(spec, scenario, TX, GEOMETRY)
+    valid = np.array([v > 0 and math.isfinite(v) for v in values])
+    alone = evaluate_grid(TX, GEOMETRY, scenario, **{field: np.array(values)[valid]})
+    for got, want in zip(budget_numbers(sweep.columns)[:-1], budget_numbers(alone)[:-1], strict=True):
+        assert np.broadcast_to(want, valid.sum()).tobytes() == got[valid].tobytes()
+        assert np.isnan(got[~valid]).all()
+    reference = per_point_reference(spec, scenario, TX, GEOMETRY)
+    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
+        assert row.error == error
+        if result is not None:
+            for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
+                assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
+    assert [row.error is None for row in sweep.rows] == valid.tolist()
+
+
+class TestSweepEquality:
+    SPEC = FixedGrid("altitude", 1.0, 2.0, 2, values=(math.nan, 5000.0))
+
+    def test_a_rerun_with_a_nan_point_is_equal(self):
+        a = run_sweep(self.SPEC, preset("fog_dense"), TX, GEOMETRY)
+        b = run_sweep(self.SPEC, preset("fog_dense"), TX, GEOMETRY)
+        assert a == b and not a != b
+
+    def test_a_column_cell_of_minus_zero_is_unequal(self):
+        spec = FixedGrid("altitude", 1.0, 2.0, 2, values=(1000.0, 5000.0))  # no NaN: rows compare equal
+        a = run_sweep(spec, preset("clear_sky"), TX, GEOMETRY)
+        fog = a.columns.loss_breakdown.fog_db.copy()
+        assert fog[1] == 0.0 and math.copysign(1.0, fog[1]) == 1.0
+        fog[1] = -0.0
+        losses = replace(a.columns.loss_breakdown, fog_db=fog)
+        b = replace(a, columns=replace(a.columns, loss_breakdown=losses))
+        assert a.rows == b.rows  # 0.0 == -0.0
+        assert a != b
+
+    def test_other_fields_take_part(self):
+        a = run_sweep(self.SPEC, preset("clear_sky"), TX, GEOMETRY)
+        assert a != replace(a, spec=replace(self.SPEC, points=3))
+        assert a != replace(a, scenario_label="other")
+        assert a != replace(a, errors=(None, None))
+        assert a != replace(a, columns=replace(a.columns, target_rate_bps=1.0))
+        assert a != run_sweep(self.SPEC, preset("clear_sky"), TX, GEOMETRY, 1e9)
+
+    def test_is_not_equal_to_another_type(self):
+        a = run_sweep(self.SPEC, preset("clear_sky"), TX, GEOMETRY)
+        assert a.__eq__(object()) is NotImplemented
+        assert a != object() and not a == object()
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
