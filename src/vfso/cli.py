@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .aggregation import aggregated_demand, oversubscribes, supported_cells
-from .config import ConfigError, RunConfig, load_config, resolved_yaml
+from .config import ConfigError, RunConfig, _theta_tag, load_config, resolved_yaml
 from .hetnet_cost import TcoResult, compare_tco, generate_layout
 from .link_budget import LinkBudgetResult, LossBreakdown, evaluate_link
 from .scenario import run_sweep
@@ -210,10 +210,6 @@ def cmd_evaluate(config: RunConfig) -> int:
     _write_csv(_bundle_path(config, "evaluate.csv"), _table([row]))
     code = EXIT_OK if result.link_viable else EXIT_LINK_FAILURE
     return _finish(config, _evaluate_report(label, config, result), code)
-
-
-def _theta_tag(divergence_rad: float) -> str:
-    return f"theta_{divergence_rad * 1e6:g}urad"
 
 
 def cmd_sweep(config: RunConfig) -> int:

@@ -36,7 +36,6 @@ from .atmosphere import (
 from .geometry import LinkGeometry, _require_bounds, _shown
 from .hetnet_cost import DEFAULT_AREA, Area, CostParams
 from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams, efficiencies_from_optical_loss
-from .link_budget import _lossless_rate_bps, link_margin
 from .scenario import (
     DEFAULT_CLOUD_PROFILE,
     DEFAULT_FOG,
@@ -92,9 +91,7 @@ class RunConfig:
     cost: CostConfig = field(default_factory=CostConfig)
 
     def __post_init__(self) -> None:
-        _require_bounds(self, non_negative=("seed",))
-        # Checks the target too. No rate exceeds the lossless one, so no margin reads +inf.
-        link_margin(_lossless_rate_bps(self.transceiver), self.target_rate_bps)
+        _require_bounds(self, positive=("target_rate_bps",), non_negative=("seed",))
         _check_no_overlap(self.clouds)
         _check_scenarios(self.scenario_names, "scenario_names")
         if self.divergence_values_rad is not None:
@@ -129,8 +126,20 @@ def _check_scenarios(names: Sequence, path: str) -> None:
 def _check_divergences(angles: Sequence, path: str) -> None:
     if not angles:
         raise ConfigError(f"{path}: expected a non-empty list of angles")
+    first_with = {}  # file name tag -> the first index that has it
     for i, angle in enumerate(angles):
         _build(lambda: replace(_DEFAULT_GEOMETRY, divergence_rad=angle), f"{path}[{i}]")
+        first = first_with.setdefault(_theta_tag(angle), i)
+        if first != i:
+            raise ConfigError(
+                f"{path}[{i}]: {angle!r} shares the file name "
+                f"sweep_<scenario>_{_theta_tag(angle)}.csv with {path}[{first}]"
+            )
+
+
+def _theta_tag(divergence_rad: float) -> str:
+    """A divergence's part of the sweep file names: its microradians to 6 digits."""
+    return f"theta_{divergence_rad * 1e6:g}urad"
 
 
 # --- scalar values -----------------------------------------------------------
@@ -266,6 +275,20 @@ def _converted(key: str, to_field, to_yaml):
     return key, read, to_yaml
 
 
+def _echoed_degrees(radians: float) -> float:
+    """The degrees to echo for an elevation: math.degrees(radians), or where that does not
+    reload to radians, the double a few ulps away that does. A value read from a config
+    always has one within an ulp."""
+    guess = math.degrees(radians)
+    toward = math.inf if math.radians(guess) < radians else -math.inf
+    near = guess
+    for _ in range(3):
+        if math.radians(near) == radians:
+            return near
+        near = math.nextafter(near, toward)
+    return guess
+
+
 # --- the generic reader and writer ---------------------------------------------
 
 
@@ -327,7 +350,7 @@ def _write(obj, out: dict, prefix: str = "") -> dict:
 # Fields spelled differently in YAML: (owner, field) -> (YAML key, reader, writer).
 # reader(default, raw, path) gives the field value, writer(value) the YAML value.
 _SPECIAL = {
-    (LinkGeometry, "elevation_rad"): _converted("elevation_deg", math.radians, math.degrees),
+    (LinkGeometry, "elevation_rad"): _converted("elevation_deg", math.radians, _echoed_degrees),
     (FogDescriptor, "visibility_km"): _converted(
         "visibility_m", lambda m: m / 1000.0, lambda km: km * 1000.0
     ),
@@ -358,8 +381,8 @@ def parse_overrides(assignments: Sequence[str]) -> dict:
             raise ConfigError(f"override {assignment!r} is not of the form key=value")
         try:
             value = yaml.safe_load(value_text)
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"override {assignment!r}: unparseable value ({exc})") from exc
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of over 4300 digits
+            raise ConfigError(f"override of {key!r}: unparseable value ({exc})") from exc
         node = tree
         parts = key.split(".")
         for part in parts[:-1]:
@@ -398,7 +421,7 @@ def load_config(path: Optional[str] = None, overrides: Sequence[str] = ()) -> Ru
                 document = yaml.safe_load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
-        except yaml.YAMLError as exc:
+        except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of over 4300 digits
             raise ConfigError(f"config file {path!r} is not valid YAML: {exc}") from exc
     merged = _deep_merge(_mapping(document, _ROOT), parse_overrides(overrides))
     return config_from_mapping(merged)

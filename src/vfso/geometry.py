@@ -21,34 +21,47 @@ def _log10(x: float) -> float:
     return -math.inf if x == 0.0 else math.log10(x)
 
 
-def _exp(x: float) -> float:
-    try:
-        return math.exp(x)
-    except OverflowError:  # numpy gives inf
-        return math.inf
-
-
-def _where(condition: bool, if_true: float, if_false: float) -> float:
-    return if_true if condition else if_false
-
-
 # The link budget's formulas are written once, as private functions of a math
 # namespace `xp`: numpy over a sweep grid, this stand-in for one point, which
 # would otherwise pay numpy's per-call overhead on every term.
-_SCALAR_MATH = SimpleNamespace(
-    any=bool,
-    exp=_exp,
-    log=math.log,
-    log10=_log10,
-    sqrt=math.sqrt,
-    isfinite=math.isfinite,
-    minimum=min,
-    maximum=max,
-    where=_where,
-)
+_SCALAR_MATH = SimpleNamespace(exp=math.exp, log10=_log10, sqrt=math.sqrt, minimum=min, maximum=max)
 
 
 _FLOAT_MAX = sys.float_info.max
+
+# The model's domain: the closed range of each bounded argument or field, by name. The
+# bounds are generous (the paper's links are 1550 nm, 1-20 km, 1 urad-1 mrad) and keep
+# every budget term a finite double: no power overflows, a loss is at most ~1e214 dB,
+# and only the received power and rate may underflow, to the -inf margin sentinel. A
+# positive argument whose range starts at 0 excludes 0 itself.
+_DOMAIN = {
+    "wavelength_nm": (100.0, 1e5),
+    "transmit_power_w": (0.0, 1e6),
+    "tx_efficiency": (1e-30, 1.0),
+    "rx_efficiency": (1e-30, 1.0),
+    "optical_loss_db": (0.0, 600.0),  # an efficiency pair of at least 1e-30 each
+    "receiver_sensitivity_photons_per_bit": (1e-3, 1e6),
+    "target_rate_bps": (1.0, 1e12),
+    "nfp_altitude_m": (0.0, 1e6),
+    "elevation_rad": (1e-4, math.pi / 2),
+    "divergence_rad": (0.0, math.pi),
+    "receiver_radius_m": (1e-6, 1e6),
+    "path_length_m": (0.0, 1e11),  # 1e6 m at the least elevation is ~1e10 m
+    "fraction": (0.0, 1.0),
+    "visibility_km": (1e-6, 1e12),
+    "layer_thickness_m": (0.0, 1e6),
+    "base_altitude_m": (0.0, 1e6),
+    "thickness_m": (0.0, 1e6),
+    "lwc_g_per_m3": (1e-9, 1e3),
+    "droplet_density_per_cm3": (1e-9, 1e6),
+    "altitude_m": (0.0, 1e6),
+    "reference_altitude_m": (0.0, 1e6),
+    "wind_speed_m_per_s": (0.0, 1e3),
+    "structure_constant_a": (0.0, 1e-6),
+    "cn2": (0.0, 1e-5),  # above A's bound: the profile adds up to ~4e-14 to A
+}
+_DOUBLES = (-_FLOAT_MAX, _FLOAT_MAX)
+_bounds = _DOMAIN.get  # looked up once, not on each of _require's many calls
 
 
 def _shown(value, text=str) -> str:
@@ -62,22 +75,34 @@ def _shown(value, text=str) -> str:
     return f"a {'negative ' * (value < 0)}{digits}-digit int"
 
 
+def _interval(name: str, rule: str) -> str:
+    """The range _DOMAIN gives name, as a message states it."""
+    low, high = _DOMAIN[name]
+    high_text = {math.pi: "pi", math.pi / 2: "pi/2"}.get(high, f"{high:g}")
+    return f"{'(' if rule == 'positive' and low == 0 else '['}{low:g}, {high_text}]"
+
+
 def _require(name: str, value, rule: str = "finite"):
-    """The one statement of the finite, positive and non-negative rules: value, or a
-    ValueError naming `name` if value is NaN or infinite or breaks `rule`. Bounded by the
-    largest double, not inf, so a Python int beyond the float range counts as infinite."""
-    if 0 < value <= _FLOAT_MAX:  # the common case, valid by every rule
+    """The one statement of the finite, positive and non-negative rules and of the model's
+    domain: value, or a ValueError naming `name` if value is NaN or infinite, breaks `rule`
+    or leaves name's range in _DOMAIN, checked in that order. Bounded by the largest
+    double, not inf, so a Python int beyond the float range counts as infinite."""
+    low, high = _bounds(name, _DOUBLES)
+    if 0 < value and low <= value <= high:  # the common case, valid by every rule
         return value
     if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ValueError(f"{name} must be finite, got {_shown(value)}")
     if (rule == "positive" and value <= 0) or (rule == "non-negative" and value < 0):
         raise ValueError(f"{name} must be {rule}, got {value}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be in {_interval(name, rule)}, got {value}")
     return value
 
 
-def _positive_entries(values):
-    """_require's "positive" rule over a numpy array: the mask of its entries it passes."""
-    return (values > 0.0) & (values < math.inf)
+def _valid_entries(name: str, values):
+    """_require(name, ., "positive") over a numpy array: the mask of the entries it passes."""
+    low, high = _bounds(name, _DOUBLES)
+    return (values > 0.0) & (values >= low) & (values <= high)
 
 
 def _require_bounds(instance, positive=(), non_negative=()) -> None:
@@ -91,9 +116,7 @@ def _require_bounds(instance, positive=(), non_negative=()) -> None:
 
 
 def _slant_factor(elevation_rad: float) -> float:
-    if not 0 < elevation_rad <= math.pi / 2:
-        raise ValueError(f"elevation_rad must be in (0, pi/2], got {_shown(elevation_rad)}")
-    return 1.0 / math.sin(elevation_rad)
+    return 1.0 / math.sin(_require("elevation_rad", elevation_rad))
 
 
 @dataclass(frozen=True)
@@ -101,7 +124,7 @@ class LinkGeometry:
     """Geometry of one ground-to-platform optical link.
 
     nfp_altitude_m: platform altitude above the ground terminal (m)
-    elevation_rad: elevation angle of the path, 0 < phi <= pi/2
+    elevation_rad: elevation angle of the path, 1e-4 <= phi <= pi/2
     divergence_rad: full divergence angle of the transmit beam
     receiver_radius_m: radius of the circular receive aperture (m)
     """
@@ -113,7 +136,6 @@ class LinkGeometry:
 
     def __post_init__(self) -> None:
         _require_bounds(self, positive=("nfp_altitude_m", "divergence_rad", "receiver_radius_m"))
-        _slant_factor(self.elevation_rad)  # checks the elevation range
 
 
 def slant_path(geometry: LinkGeometry) -> float:
@@ -130,9 +152,7 @@ def geometrical_capture_fraction(geometry: LinkGeometry) -> float:
 
     Ratio of aperture to beam-footprint area, (r / r_B)^2, capped at 1:
     when the footprint is smaller than the aperture everything is collected,
-    the receiver cannot gather more power than was sent. The radii are
-    compared before squaring, so a vanishing footprint cannot overflow; a
-    footprint vastly wider than the aperture underflows to 0.
+    the receiver cannot gather more power than was sent.
     """
     return _capture_fraction(
         geometry.receiver_radius_m, geometry.divergence_rad, slant_path(geometry), _SCALAR_MATH
@@ -140,7 +160,7 @@ def geometrical_capture_fraction(geometry: LinkGeometry) -> float:
 
 
 def _capture_fraction(receiver_radius_m: float, divergence_rad, path_m, xp):
-    # Exactly 1 when the footprint fits inside the aperture; nothing large is squared.
+    # Exactly 1 when the footprint fits inside the aperture.
     footprint_radius_m = divergence_rad * path_m / 2.0
     return (receiver_radius_m / xp.maximum(receiver_radius_m, footprint_radius_m)) ** 2
 
@@ -152,9 +172,7 @@ def geometrical_loss(geometry: LinkGeometry) -> float:
 
 def capture_loss_db(fraction: float) -> float:
     """Loss in dB of a capture fraction in [0, 1]: -10*log10(fraction), inf at 0."""
-    if not 0 <= fraction <= 1:
-        raise ValueError(f"fraction must be in [0, 1], got {_shown(fraction)}")
-    return _capture_loss_db(fraction, _SCALAR_MATH)
+    return _capture_loss_db(_require("fraction", fraction), _SCALAR_MATH)
 
 
 def _capture_loss_db(fraction, xp):

@@ -15,7 +15,6 @@ a negative margin means the link cannot carry the target traffic.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 from typing import Optional
 
@@ -27,11 +26,10 @@ from .geometry import (
     LinkGeometry,
     _capture_fraction,
     _capture_loss_db,
-    _positive_entries,
     _require,
     _require_bounds,
-    _shown,
     _slant_path,
+    _valid_entries,
     geometrical_capture_fraction,
 )
 
@@ -45,9 +43,10 @@ LIGHT_SPEED_M_PER_S = 3.0e8
 class TransceiverParams:
     """Optical transceiver parameters of one link end-to-end.
 
-    Efficiencies are linear factors in (0, 1]; pointing loss is a lumped dB
-    figure; receiver_sensitivity_photons_per_bit is the photon count the
-    detector needs per bit at its design error rate.
+    Efficiencies are linear factors in [1e-30, 1]; pointing loss is a lumped
+    dB figure; receiver_sensitivity_photons_per_bit is the photon count the
+    detector needs per bit at its design error rate. Each number must lie in
+    the model's domain (geometry._DOMAIN).
     """
 
     transmit_power_w: float
@@ -63,14 +62,6 @@ class TransceiverParams:
             positive=("transmit_power_w", "wavelength_nm", "receiver_sensitivity_photons_per_bit"),
             non_negative=("pointing_loss_db",),
         )
-        optical_loss(self.tx_efficiency, self.rx_efficiency)  # checks both efficiencies
-        if not _lossless_rate_bps(self) < math.inf:
-            raise ValueError(
-                "the lossless rate of transmit_power_w at wavelength_nm and "
-                "receiver_sensitivity_photons_per_bit must be finite, got "
-                f"{self.transmit_power_w} W at {self.wavelength_nm} nm and "
-                f"{self.receiver_sensitivity_photons_per_bit} photons/bit"
-            )
 
 
 @dataclass(frozen=True)
@@ -129,17 +120,12 @@ def _from_per_point(numbers, target_rate_bps: float) -> LinkBudgetResult:
 
 def optical_loss(tx_efficiency: float, rx_efficiency: float) -> float:
     """Loss in dB of the imperfect optics, -10*log10(eta_t * eta_r)."""
-    for name, eta in (("tx_efficiency", tx_efficiency), ("rx_efficiency", rx_efficiency)):
-        if not 0 < eta <= 1:
-            raise ValueError(f"{name} must be in (0, 1], got {_shown(eta)}")
-    return _optical_db(tx_efficiency, rx_efficiency)
+    _require("tx_efficiency", tx_efficiency)
+    return _optical_db(tx_efficiency, _require("rx_efficiency", rx_efficiency))
 
 
 def _optical_db(tx_efficiency: float, rx_efficiency: float) -> float:
-    product = tx_efficiency * rx_efficiency
-    if product < sys.float_info.min:  # under- or subnormal: sum the logs
-        return -10.0 * (math.log10(tx_efficiency) + math.log10(rx_efficiency))
-    return -10.0 * math.log10(product)
+    return -10.0 * math.log10(tx_efficiency * rx_efficiency)
 
 
 def efficiencies_from_optical_loss(optical_loss_db: float) -> tuple[float, float]:
@@ -156,8 +142,6 @@ def efficiencies_from_optical_loss(optical_loss_db: float) -> tuple[float, float
 def photon_energy(wavelength_nm: float) -> float:
     """Energy of one photon in joules, h*c/lambda."""
     wavelength_m = _require("wavelength_nm", wavelength_nm, "positive") * 1e-9
-    if wavelength_m == 0.0:  # below ~2.5e-315 nm the meters underflow to 0
-        raise ValueError(f"wavelength_nm * 1e-9 must be positive, got {wavelength_nm}")
     return PLANCK_J_S * LIGHT_SPEED_M_PER_S / wavelength_m
 
 
@@ -185,13 +169,6 @@ def _received_power(tx: TransceiverParams, atmospheric_loss_db, capture_fraction
     )
 
 
-def _lossless_rate_bps(tx: TransceiverParams) -> float:
-    """The rate at capture 1 and 0 dB of weather, inf where not finite. Capture is at most 1,
-    no loss is below 0 dB and rounding is monotone, so no rate _budget computes exceeds it."""
-    per_bit_j = photon_energy(tx.wavelength_nm) * tx.receiver_sensitivity_photons_per_bit
-    return _received_power(tx, 0.0, 1.0) / per_bit_j if per_bit_j > 0 else math.inf
-
-
 def achievable_rate(
     tx: TransceiverParams, geometry: LinkGeometry, scenario: WeatherScenario
 ) -> float:
@@ -204,18 +181,15 @@ def link_margin(rate_bps: float, target_rate_bps: float) -> float:
 
     10*log10(rate / target); equivalently received power over the power
     needed at the target rate. Zero rate yields -inf, the link-failure
-    sentinel. A target so small that the quotient overflows is rejected.
+    sentinel. The target must lie in the model's domain, 1 bit/s to 1 Tbit/s,
+    or a ValueError names that range; no finite rate over it then overflows.
     """
     _require("rate_bps", rate_bps, "non-negative")
     return _margin_db(rate_bps, target_rate_bps, _SCALAR_MATH)
 
 
 def _margin_db(rate_bps, target_rate_bps: float, xp):
-    _require("target_rate_bps", target_rate_bps, "positive")
-    quotient = rate_bps / target_rate_bps
-    if xp.any(quotient == math.inf):  # the rates are finite: it overflowed, not a +inf margin
-        raise ValueError(f"target_rate_bps {target_rate_bps} overflows rate_bps / target_rate_bps")
-    return 10.0 * xp.log10(quotient)
+    return 10.0 * xp.log10(rate_bps / _require("target_rate_bps", target_rate_bps, "positive"))
 
 
 def evaluate_link(
@@ -247,8 +221,9 @@ def evaluate_grid(
     """evaluate_link over arrays of platform altitude and/or beam divergence.
 
     The given arrays replace those fields of `geometry`, which supplies the
-    rest. Every array entry must pass the LinkGeometry checks (finite and
-    positive), or a ValueError names the first that fails; run_sweep masks them.
+    rest. Every array entry must pass the LinkGeometry checks (positive and
+    within the model's domain), or a ValueError names the first that fails and
+    its bound; run_sweep masks them.
 
     Returns a LinkBudgetResult whose fields are arrays over the grid for the
     terms that vary along it (capture fraction, power, rate, margin; cloud and
@@ -261,14 +236,11 @@ def evaluate_grid(
     divergence = geometry.divergence_rad if divergence_rad is None else np.asarray(divergence_rad)
     for name, values in (("nfp_altitude_m", altitude), ("divergence_rad", divergence)):
         values = np.asarray(values)
-        invalid = values[~_positive_entries(values)]
+        invalid = values[~_valid_entries(name, values)]
         if invalid.size:  # the first invalid entry, named as LinkGeometry names it
             _require(name, invalid.flat[0].item(), "positive")
-    # A footprint too wide to represent overflows to inf and a zero capture
-    # or rate has log10 -inf: an inf dB loss and the -inf margin sentinel,
-    # which is what floats give in evaluate_link. The scintillation term's
-    # l^(11/6) may overflow too; it replaces those points itself.
-    with np.errstate(over="ignore", divide="ignore"):
+    # A rate that underflows to 0 has log10 -inf: the margin sentinel, as in evaluate_link.
+    with np.errstate(divide="ignore"):
         return _budget(tx, geometry, scenario, target_rate_bps, altitude, divergence, np)
 
 

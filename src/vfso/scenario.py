@@ -26,7 +26,7 @@ from .atmosphere import (
     TurbulenceDescriptor,
     WeatherScenario,
 )
-from .geometry import LinkGeometry, _positive_entries, _require, _require_bounds
+from .geometry import LinkGeometry, _require, _require_bounds, _valid_entries
 from .link_budget import (
     DEFAULT_TARGET_RATE_BPS,
     LinkBudgetResult,
@@ -218,14 +218,15 @@ def run_sweep(
     """Evaluate the link at every grid point, all other parameters fixed.
 
     The whole grid is evaluated in one evaluate_grid call, each invalid
-    point (not finite, or not positive) standing in at the geometry's own
-    value. Such a point is recorded as a row-level error carrying
-    LinkGeometry's own message instead of aborting the sweep; its columns
-    are NaN. Identical inputs produce identical results.
+    point (not finite, not positive, or outside the model's domain) standing
+    in at the geometry's own value. Such a point is recorded as a row-level
+    error carrying LinkGeometry's own message, which names the rule or bound
+    it breaks, instead of aborting the sweep; its columns are NaN. Identical
+    inputs produce identical results.
     """
     field = _SWEPT_FIELD[spec.variable]
     values = np.array(spec.grid())
-    valid = _positive_entries(values)  # LinkGeometry's rule for the swept field
+    valid = _valid_entries(field, values)  # LinkGeometry's rule for the swept field
     errors: list[Optional[str]] = [None] * len(values)
     for i in np.flatnonzero(~valid).tolist():
         try:

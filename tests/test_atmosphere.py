@@ -6,9 +6,8 @@ expressions in the property tests.
 """
 
 import math
-import sys
+import re
 from dataclasses import replace
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -39,10 +38,14 @@ DEG90 = math.radians(90.0)
 TURB = TurbulenceDescriptor(wind_speed_m_per_s=21.0, structure_constant_a=1.7e-14)
 
 
-def close_or_both_beyond_floats(got, exact):
-    """Agreement to 1e-12, where inf stands for anything at the top of the float range."""
-    top = sys.float_info.max
-    return got == exact or math.isclose(min(got, top), min(exact, top), rel_tol=1e-12)
+def beyond(name, interval, value):
+    """The match pattern of the ValueError for value outside the domain's range of name."""
+    return f"^{re.escape(f'{name} must be in {interval}, got {value}')}$"
+
+
+def inside_or_anywhere(low, high, least=0.0):
+    """A float of the domain's [low, high], or one anywhere in [least, 1.7e308]."""
+    return st.one_of(st.floats(low, high), st.floats(least, 1.7e308))
 
 
 class TestKruseSizeExponent:
@@ -112,27 +115,23 @@ class TestMieSpecificAttenuation:
         if hi >= lo * (1 + 1e-9):
             assert mie_specific_attenuation(v, lo) > mie_specific_attenuation(v, hi)
 
-
-    @given(st.floats(math.ulp(0.0), 1.7e308), st.floats(1e-310, 1.7e308))
-    @example(v=10.0, lam=1e-300)  # the power overflows: truly inf
-    @example(v=1e300, lam=1e-300)  # the power overflows, the product is finite
-    @example(v=1e-320, lam=1550.0)  # 3.91 / V overflows
-    def test_direct_formula_wherever_it_is_finite(self, v, lam):
-        delta = kruse_size_exponent(v)
-        try:
-            direct = 4.34 * (3.91 / v) * (lam / 550.0) ** (-delta)
-        except OverflowError:
-            direct = math.inf
-        got = mie_specific_attenuation(v, lam)
-        if math.isfinite(direct):
-            assert got == direct
+    @given(inside_or_anywhere(1e-6, 1e12, math.ulp(0.0)), inside_or_anywhere(100.0, 1e5, 1e-310))
+    @example(v=10.0, lam=1e-300)  # the power would overflow: inf
+    @example(v=1e300, lam=1e-300)  # the power would overflow, the product would not
+    @example(v=1e-320, lam=1550.0)  # 3.91 / V would overflow
+    def test_direct_formula_over_the_domain_and_the_bound_beyond_it(self, v, lam):
+        if not 1e-6 <= v <= 1e12:
+            with pytest.raises(ValueError, match=beyond("visibility_km", "[1e-06, 1e+12]", v)):
+                mie_specific_attenuation(v, lam)
+        elif not 100.0 <= lam <= 1e5:
+            with pytest.raises(ValueError, match=beyond("wavelength_nm", "[100, 100000]", lam)):
+                mie_specific_attenuation(v, lam)
         else:
-            with localcontext() as ctx:
-                ctx.prec = 40
-                # lambda / 550 as the formula rounds it (subnormal below ~1.2e-305 nm)
-                power = Decimal(lam / 550.0) ** Decimal(-delta)
-                exact = float(Decimal("4.34") * Decimal("3.91") / Decimal(v) * power)
-            assert close_or_both_beyond_floats(got, exact), (got, exact)
+            direct = 4.34 * (3.91 / v) * (lam / 550.0) ** (-kruse_size_exponent(v))
+            assert mie_specific_attenuation(v, lam) == direct
+
+
+DEFAULT_FOG_LAYER = FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0)
 
 
 class TestFogAttenuation:
@@ -147,12 +146,15 @@ class TestFogAttenuation:
         fog = FogDescriptor(visibility_km=0.05, layer_thickness_m=0.0)
         assert fog_attenuation(fog, DEG45, 1550.0) == 0.0
 
-    def test_zero_specific_loss_over_an_infinite_slant_is_lossless(self):
-        # The Mie loss underflows to 0 and the slant overflows: 0 dB, not inf * 0.
+    def test_longest_slant_of_the_domain_is_finite(self):
+        # The densest fog over its thickest layer at the least elevation, and the
+        # inputs that would make an infinite slant, beyond the domain.
+        assert fog_attenuation(FogDescriptor(1e-6, 1e6), 1e-4, 100.0) == pytest.approx(1.70e14, rel=1e-2)
+        with pytest.raises(ValueError, match=beyond("layer_thickness_m", "[0, 1e+06]", 1e308)):
+            FogDescriptor(0.05, 1e308)
         grazing = math.radians(1e-300)
-        assert mie_specific_attenuation(1e297, 1e290) == 0.0
-        assert fog_attenuation(FogDescriptor(1e297, 1e308), grazing, 1e290) == 0.0
-        assert fog_attenuation(FogDescriptor(0.05, 1e308), grazing, 1550.0) == math.inf
+        with pytest.raises(ValueError, match=beyond("elevation_rad", "[0.0001, pi/2]", grazing)):
+            fog_attenuation(DEFAULT_FOG_LAYER, grazing, 1550.0)
 
     def test_vertical_path(self):
         fog = FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0)
@@ -195,11 +197,16 @@ class TestRainAttenuation:
         rain = RainDescriptor(rate_mm_per_hour=0.0, layer_thickness_m=1000.0)
         assert rain_attenuation(rain, DEG45) == 0.0
 
-    def test_no_rain_over_an_infinite_slant_is_lossless(self):
-        # The slant overflows to inf: no rain still adds 0 dB, not inf * 0.
+    def test_no_rain_over_the_longest_slant_is_lossless(self):
+        # The domain's longest slant is ~1e7 km: no rain adds 0 dB and any rain a
+        # finite loss. The inputs that would make an infinite slant are rejected.
+        assert rain_attenuation(RainDescriptor(0.0, 1e6), 1e-4) == 0.0
+        assert rain_attenuation(RainDescriptor(1.0, 1e6), 1e-4) == pytest.approx(1.076e7, rel=1e-6)
+        with pytest.raises(ValueError, match=beyond("layer_thickness_m", "[0, 1e+06]", 1e308)):
+            RainDescriptor(0.0, 1e308)
         grazing = math.radians(1e-300)
-        assert rain_attenuation(RainDescriptor(0.0, 1e308), grazing) == 0.0
-        assert rain_attenuation(RainDescriptor(1.0, 1e308), grazing) == math.inf
+        with pytest.raises(ValueError, match=beyond("elevation_rad", "[0.0001, pi/2]", grazing)):
+            rain_attenuation(RainDescriptor(0.0, 1000.0), grazing)
 
     def test_vertical_path(self):
         rain = RainDescriptor(rate_mm_per_hour=50.0, layer_thickness_m=1000.0)
@@ -277,22 +284,26 @@ class TestCloudVisibility:
         thick = CloudLayer(0.0, 1.0, factor * lwc, density)
         assert cloud_visibility(thick) < cloud_visibility(thin)
 
-
-    @given(st.floats(math.ulp(0.0), 1.7e308), st.floats(math.ulp(0.0), 1.7e308))
-    @example(lwc=1e-200, density=1e-200)  # the product underflows; V is ~8e258 km
-    @example(lwc=1e200, density=1e200)  # the product overflows; V is ~1.2e-259 km
-    @example(lwc=1e300, density=1e300)  # V underflows to 0
-    @example(lwc=1e-240, density=1e-240)  # V overflows to inf
-    def test_direct_formula_wherever_the_product_is_finite(self, lwc, density):
-        got = cloud_visibility(CloudLayer(0.0, 1.0, lwc, density))
-        if 0.0 < lwc * density < math.inf:
-            assert got == 1.002 * (lwc * density) ** (-0.6473)
+    @given(
+        inside_or_anywhere(1e-9, 1e3, math.ulp(0.0)), inside_or_anywhere(1e-9, 1e6, math.ulp(0.0))
+    )
+    @example(lwc=1e-9, density=1e-9)  # the clearest cloud: V is ~4.4e11 km
+    @example(lwc=1e3, density=1e6)  # the densest: V is ~1.5e-6 km, inside the fog's range
+    @example(lwc=1e-200, density=1e-200)  # the product would underflow
+    @example(lwc=1e200, density=1e200)  # the product would overflow
+    @example(lwc=1e300, density=1e300)  # V would underflow to 0
+    @example(lwc=1.0, density=1e-240)  # V would overflow to inf
+    def test_direct_formula_over_the_domain_and_the_bound_beyond_it(self, lwc, density):
+        if not 1e-9 <= lwc <= 1e3:
+            with pytest.raises(ValueError, match=beyond("lwc_g_per_m3", "[1e-09, 1000]", lwc)):
+                CloudLayer(0.0, 1.0, lwc, density)
+        elif not 1e-9 <= density <= 1e6:
+            with pytest.raises(ValueError, match=beyond("droplet_density_per_cm3", "[1e-09, 1e+06]", density)):
+                CloudLayer(0.0, 1.0, lwc, density)
         else:
-            with localcontext() as ctx:
-                ctx.prec = 40
-                product = Decimal(lwc) * Decimal(density)
-                exact = float(Decimal("1.002") * product ** Decimal("-0.6473"))
-            assert close_or_both_beyond_floats(got, exact), (got, exact)
+            got = cloud_visibility(CloudLayer(0.0, 1.0, lwc, density))
+            assert got == 1.002 * (lwc * density) ** (-0.6473)
+            assert 1e-6 <= got <= 1e12  # a visibility the Kruse model takes
 
 
 CUMULUS = CloudLayer(
@@ -329,18 +340,22 @@ class TestCloudAttenuation:
         half = cloud_db([CUMULUS], 1024.0)
         assert half == pytest.approx(full / 2.0, rel=1e-12)
 
-    def test_opaque_layer_adds_0_db_below_its_base(self):
-        # The visibility underflows to 0: inf dB/km, but only where pierced.
-        opaque = CloudLayer(1000.0, 48.0, 1e300, 1e300)
-        assert cloud_db([opaque], 500.0) == 0.0
-        assert cloud_db([opaque], 1000.0) == 0.0
-        assert cloud_db([opaque], 1024.0) == math.inf
-        scenario = WeatherScenario("opaque", clouds=(opaque,))
+    def test_densest_layer_adds_0_db_below_its_base(self):
+        # ~1.1e7 dB/km: a finite loss where pierced (24 m of it here, half the
+        # layer below the platform), whose power underflows to 0.
+        densest = CloudLayer(1000.0, 48.0, 1e3, 1e6)
+        assert cloud_db([densest], 500.0) == 0.0
+        assert cloud_db([densest], 1000.0) == 0.0
+        assert cloud_db([densest], 1024.0) == pytest.approx(3.82e5, rel=1e-2)
+        scenario = WeatherScenario("densest", clouds=(densest,))
         tx, geometry, _ = default_parameters()
         altitudes = np.array([500.0, 1000.0, 1024.0, 20000.0])
         grid = evaluate_grid(tx, geometry, scenario, nfp_altitude_m=altitudes)
-        assert grid.loss_breakdown.cloud_db.tolist() == [0.0, 0.0, math.inf, math.inf]
+        assert grid.loss_breakdown.cloud_db[:2].tolist() == [0.0, 0.0]
+        assert np.isfinite(grid.loss_breakdown.cloud_db).all()
         assert grid.link_margin_db[2:].tolist() == [-math.inf, -math.inf]
+        with pytest.raises(ValueError, match=beyond("lwc_g_per_m3", "[1e-09, 1000]", 1e300)):
+            CloudLayer(1000.0, 48.0, 1e300, 1e300)
 
     def test_rejects_overlapping_layers(self):
         other = CloudLayer(
@@ -375,19 +390,24 @@ class TestRefractiveIndexStructure:
         assert got == pytest.approx(1.1996401011379935e-17, rel=1e-12, abs=0)
 
     def test_vanishes_at_extreme_altitude(self):
-        assert refractive_index_structure(1e6, TURB) < 1e-30
-        # (1e-5 h)^10 alone would overflow here; the capped wind term cannot
-        assert refractive_index_structure(1e36, TURB) == 0.0
-        assert refractive_index_structure(1.7e308, TURB) == 0.0
+        # At the domain's top only the background term is left, still a normal double.
+        assert 1e-306 < refractive_index_structure(1e6, TURB) < 1e-30
+        for h in (1e36, 1.7e308):  # (1e-5 h)^10 would overflow here
+            with pytest.raises(ValueError, match=beyond("altitude_m", "[0, 1e+06]", h)):
+                refractive_index_structure(h, TURB)
 
     def test_rejects_negative_altitude(self):
         with pytest.raises(ValueError):
             refractive_index_structure(-1.0, TURB)
 
     @given(st.floats(min_value=0.0, max_value=50000.0))
-    @example(h=1e6)  # where the wind term's altitude cap starts
-    @example(h=1e30)  # beyond it: the cap changes nothing the oracle can still compute
+    @example(h=1e6)  # the domain's top
+    @example(h=1e30)  # beyond it, where (1e-5 h)^10 would overflow
     def test_matches_three_term_oracle(self, h):
+        if h > 1e6:
+            with pytest.raises(ValueError, match=beyond("altitude_m", "[0, 1e+06]", h)):
+                refractive_index_structure(h, TURB)
+            return
         oracle = (
             0.00594 * (21.0 / 27.0) ** 2 * (1e-5 * h) ** 10 * math.exp(-h / 1000.0)
             + 2.7e-16 * math.exp(-h / 1500.0)
@@ -395,32 +415,20 @@ class TestRefractiveIndexStructure:
         )
         assert refractive_index_structure(h, TURB) == pytest.approx(oracle, rel=1e-12, abs=0)
 
-    @given(v=st.floats(min_value=0.0, max_value=1e300), h=st.floats(min_value=0.0, max_value=1e7))
-    @example(v=4.6e151, h=1e5)  # just below the speed where a factor could overflow
-    @example(v=4.8e151, h=1e5)  # just above it: the product is summed in logs
-    @example(v=4.6e151, h=8e5)  # direct: exp(-h / 1000) underflows to 0, and so does the term
-    @example(v=1e154, h=8e5)  # (v / 27)^2 * base^10 alone is inf, exp(-h / 1000) is 0
-    @example(v=1e200, h=0.0)  # a zero base: no inf * 0
-    @example(v=1e200, h=8e5)  # exp(-h / 1000) underflows: no inf * 0
-    @example(v=1e200, h=2e4)  # beyond the float range: inf
-    def test_wind_term_at_any_speed(self, v, h):
-        # Below ~4.697e151 m/s the direct product is kept bit for bit. Beyond
-        # it the product is summed in logs, and matches the formula taken in
-        # 40-digit decimals, which cannot overflow.
+    @given(v=inside_or_anywhere(0.0, 1e3), h=st.floats(min_value=0.0, max_value=1e6))
+    @example(v=1e3, h=1e4)  # the strongest wind where its term peaks: ~3.7e-14
+    @example(v=1e3, h=1e6)  # (1e-5 h)^10 is 1e10 and exp(-h / 1000) 0: the term is 0
+    @example(v=4.8e151, h=1e5)  # just past the speed where a factor of the term can overflow
+    @example(v=1e200, h=2e4)  # where Cn^2 would be inf
+    def test_wind_term_is_the_direct_product_over_the_domain(self, v, h):
+        if v > 1e3:
+            with pytest.raises(ValueError, match=beyond("wind_speed_m_per_s", "[0, 1000]", v)):
+                TurbulenceDescriptor(wind_speed_m_per_s=v, structure_constant_a=0.0)
+            return
         turbulence = TurbulenceDescriptor(wind_speed_m_per_s=v, structure_constant_a=0.0)
-        got = refractive_index_structure(h, turbulence)
-        base = 1e-5 * min(h, 1e6)
+        direct = 0.00594 * (v / 27.0) ** 2 * (1e-5 * h) ** 10 * math.exp(-h / 1000.0)
         background = 2.7e-16 * math.exp(-h / 1500.0)
-        if v < 4.69e151:
-            direct = 0.00594 * (v / 27.0) ** 2 * base**10 * math.exp(-h / 1000.0)
-            assert got == direct + background + 0.0
-        elif v > 4.70e151:
-            with localcontext() as ctx:
-                ctx.prec = 40
-                wind = Decimal("0.00594") * (Decimal(v) / 27) ** 2 * Decimal(base) ** 10
-                exact = float(wind * (Decimal(-h) / 1000).exp() + Decimal(background))
-            assert math.isclose(got, exact, rel_tol=1e-12, abs_tol=1e-300), (got, exact)
-        assert not math.isnan(got)
+        assert refractive_index_structure(h, turbulence) == direct + background + 0.0
 
 
 class TestScintillationLoss:
@@ -437,48 +445,31 @@ class TestScintillationLoss:
         got = scintillation_loss(1550.0, cn2, 5000.0 / math.sin(DEG45))
         assert got == pytest.approx(0.8059186101328517, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("wavelength_nm", [1e-260, 1e-300])
-    def test_overflowing_wavenumber_is_summed_in_logs(self, wavelength_nm):
-        # k^(7/6) (at 1e-260 nm) or k itself (at 1e-300 nm) overflows; the
-        # loss matches the formula taken in 40-digit decimals.
-        cn2, path = 1e-17, 20000.0 / math.sin(DEG45)
-        with localcontext() as ctx:
-            ctx.prec = 40
-            k = 2 * Decimal(math.pi) * Decimal(10) ** 9 / Decimal(wavelength_nm)
-            product = Decimal("23.17") * k ** (Decimal(7) / 6) * Decimal(cn2)
-            exact = float(2 * (product * Decimal(path) ** (Decimal(11) / 6)).sqrt())
-        got = scintillation_loss(wavelength_nm, cn2, path)
-        assert math.isclose(got, exact, rel_tol=1e-12), (got, exact)
-        assert scintillation_loss(wavelength_nm, 0.0, path) == 0.0
-
-    def test_underflowing_scale_gives_0_db(self):
-        # 23.17 k^(7/6) underflows to 0 at 1e290 nm; the true loss is ~1e-167 dB.
-        assert scintillation_loss(1e290, 1e-17, 28284.0) == 0.0
-
     @given(
-        st.floats(min_value=0.0, max_value=1e-10),
-        st.floats(min_value=1e-3, max_value=1.7e308),
+        inside_or_anywhere(100.0, 1e5, 1e-310),
+        inside_or_anywhere(0.0, 1e-5),
+        inside_or_anywhere(1e-3, 1e11, 1e-3),
     )
-    @example(cn2=1e-17, path=1.377e168)  # just below where l^(11/6) overflows
-    @example(cn2=1e-17, path=1.378e168)  # just above it
-    @example(cn2=0.0, path=1e300)
-    @example(cn2=5e-324, path=1e300)
-    def test_direct_formula_wherever_it_is_finite(self, cn2, path):
-        # Where the direct product overflows (a path beyond ~1.377e168 m), the
-        # loss is the same product summed in logs; where Cn^2 is 0 it is 0 dB.
-        scale = 23.17 * (2.0 * math.pi * 1e9 / 1550.0) ** (7.0 / 6.0)
-        got = scintillation_loss(1550.0, cn2, path)
-        try:
-            direct = 2.0 * math.sqrt(scale * cn2 * path ** (11.0 / 6.0))
-        except OverflowError:
-            direct = math.inf
-        if math.isfinite(direct):
-            assert got == direct
-        elif cn2 == 0.0:
-            assert got == 0.0
-        else:
-            in_logs = 0.5 * (math.log(scale) + math.log(cn2) + 11.0 / 6.0 * math.log(path))
-            assert got == pytest.approx(2.0 * math.exp(in_logs), rel=1e-12)
+    @example(lam=100.0, cn2=1e-5, path=1e11)  # the domain's largest loss, ~1.3e13 dB
+    @example(lam=1550.0, cn2=0.0, path=1e11)
+    @example(lam=1e-300, cn2=1e-17, path=28284.0)  # k would overflow
+    @example(lam=1e-260, cn2=1e-17, path=28284.0)  # k^(7/6) would overflow
+    @example(lam=1e290, cn2=1e-17, path=28284.0)  # 23.17 k^(7/6) would underflow to 0
+    @example(lam=1550.0, cn2=1e-17, path=1.378e168)  # l^(11/6) would overflow
+    @example(lam=1550.0, cn2=5e-324, path=1e300)
+    def test_direct_formula_over_the_domain_and_the_bound_beyond_it(self, lam, cn2, path):
+        for name, value, interval, (low, high) in (
+            ("wavelength_nm", lam, "[100, 100000]", (100.0, 1e5)),
+            ("cn2", cn2, "[0, 1e-05]", (0.0, 1e-5)),
+            ("path_length_m", path, "(0, 1e+11]", (0.0, 1e11)),
+        ):
+            if not low <= value <= high:
+                with pytest.raises(ValueError, match=beyond(name, interval, value)):
+                    scintillation_loss(lam, cn2, path)
+                return
+        scale = 23.17 * (2.0 * math.pi * 1e9 / lam) ** (7.0 / 6.0)
+        direct = 2.0 * math.sqrt(scale * cn2 * path ** (11.0 / 6.0))
+        assert scintillation_loss(lam, cn2, path) == direct < math.inf
 
 
 GEOMETRY_20KM = LinkGeometry(

@@ -7,7 +7,7 @@ from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from vfso.aggregation import DEFAULT_TRAFFIC, aggregated_demand, oversubscribes, supported_cells
 from vfso.atmosphere import (
@@ -19,7 +19,7 @@ from vfso.atmosphere import (
     scintillation_loss,
 )
 from vfso.config import CostConfig, RunConfig
-from vfso.geometry import capture_loss_db
+from vfso.geometry import _DOMAIN, capture_loss_db
 from vfso.hetnet_cost import (
     FiberCostParams,
     RfNlosCostParams,
@@ -155,21 +155,21 @@ VALID_CALLS = {
     TCO: {"years": 1.0},
 }
 # (function, argument, a value out of its bound, the rule that value breaks).
-# NaN and +-inf break "must be finite", or a range rule ("in ...") itself.
+# NaN and +-inf break "must be finite", checked before any other rule.
 ARGUMENTS = [
     (kruse_size_exponent, "visibility_km", 0.0, "positive"),
     (mie_specific_attenuation, "visibility_km", -1.0, "positive"),
     (mie_specific_attenuation, "wavelength_nm", 0.0, "positive"),
-    (fog_attenuation, "elevation_rad", 0.0, "in (0, pi/2]"),
+    (fog_attenuation, "elevation_rad", 0.0, "in [0.0001, pi/2]"),
     (fog_attenuation, "wavelength_nm", -1.0, "positive"),
-    (rain_attenuation, "elevation_rad", 2.0, "in (0, pi/2]"),
+    (rain_attenuation, "elevation_rad", 2.0, "in [0.0001, pi/2]"),
     (refractive_index_structure, "altitude_m", -1.0, "non-negative"),
     (scintillation_loss, "wavelength_nm", 0.0, "positive"),
     (scintillation_loss, "cn2", -1.0, "non-negative"),
     (scintillation_loss, "path_length_m", 0.0, "positive"),
     (capture_loss_db, "fraction", 2.0, "in [0, 1]"),
-    (optical_loss, "tx_efficiency", 1.5, "in (0, 1]"),
-    (optical_loss, "rx_efficiency", 0.0, "in (0, 1]"),
+    (optical_loss, "tx_efficiency", 1.5, "in [1e-30, 1]"),
+    (optical_loss, "rx_efficiency", 0.0, "in [1e-30, 1]"),
     (efficiencies_from_optical_loss, "optical_loss_db", -1.0, "non-negative"),
     (photon_energy, "wavelength_nm", 0.0, "positive"),
     (received_power, "atmospheric_loss_db", -1.0, "non-negative"),
@@ -189,12 +189,12 @@ ARGUMENTS = [
     (TCO, "years", -1.0, "non-negative"),
 ]
 ARGUMENT_CASES = [
-    (function, name, value, rule if rule.startswith("in ") or value == bad else "finite")
+    (function, name, value, rule if value == bad else "finite")
     for function, name, bad, rule in ARGUMENTS
     for value in (math.nan, math.inf, -math.inf, bad)
 ] + [
-    (function, name, big, rule if rule.startswith("in ") else "finite")
-    for function, name, _, rule in ARGUMENTS
+    (function, name, big, "finite")
+    for function, name, _, _ in ARGUMENTS
     if not isinstance(VALID_CALLS[function][name], list)  # an array holds no such int
     for big in BEYOND_FLOATS
 ]
@@ -257,9 +257,6 @@ FLOAT_CALLS = st.sampled_from([f for f in VALID_CALLS if float_draws(f, 1)]).fla
 )
 
 
-# The least double as a wavelength: wavelength_nm / 550 underflows to 0.
-@example((mie_specific_attenuation, {"visibility_km": 1.0, "wavelength_nm": 5e-324}))
-@example((fog_attenuation, {"elevation_rad": 0.5, "wavelength_nm": 5e-324}))
 @given(FLOAT_CALLS)
 def test_any_float_argument_is_rejected_or_answered_without_nan(drawn):
     function, changes = drawn
@@ -270,11 +267,82 @@ def test_any_float_argument_is_rejected_or_answered_without_nan(drawn):
     assert not any(math.isnan(x) for x in floats_in(result)), (function, changes)
 
 
-def test_a_wavelength_whose_ratio_to_550_nm_underflows_is_rejected_by_mie_and_fog():
-    message = "^wavelength_nm / 550 must be positive, got 5e-324$"
+def test_a_wavelength_below_the_domain_is_rejected_by_mie_and_fog():
+    # 5e-324 nm: wavelength_nm / 550 would underflow to 0, which has no negative power.
+    message = r"^wavelength_nm must be in \[100, 100000\], got 5e-324$"
     with pytest.raises(ValueError, match=message):
         mie_specific_attenuation(1.0, 5e-324)
     with pytest.raises(ValueError, match=message):
         fog_attenuation(DEFAULT_FOG, 0.5, 5e-324)
-    # A fog of zero thickness adds 0 dB before any Mie evaluation.
-    assert fog_attenuation(replace(DEFAULT_FOG, layer_thickness_m=0.0), 0.5, 5e-324) == 0.0
+    # A fog of zero thickness adds 0 dB, but the wavelength is checked all the same.
+    with pytest.raises(ValueError, match=message):
+        fog_attenuation(replace(DEFAULT_FOG, layer_thickness_m=0.0), 0.5, 5e-324)
+    assert fog_attenuation(replace(DEFAULT_FOG, layer_thickness_m=0.0), 0.5, 1550.0) == 0.0
+
+
+# Every range of the model's domain, as its messages state it, with the fields
+# (a valid instance) and public arguments (a function of VALID_CALLS) it bounds.
+RANGES = {
+    "wavelength_nm": (
+        "[100, 100000]",
+        [TRANSCEIVER, mie_specific_attenuation, fog_attenuation, scintillation_loss, photon_energy],
+    ),
+    "transmit_power_w": ("(0, 1e+06]", [TRANSCEIVER]),
+    "tx_efficiency": ("[1e-30, 1]", [TRANSCEIVER, optical_loss]),
+    "rx_efficiency": ("[1e-30, 1]", [TRANSCEIVER, optical_loss]),
+    "optical_loss_db": ("[0, 600]", [efficiencies_from_optical_loss]),
+    "receiver_sensitivity_photons_per_bit": ("[0.001, 1e+06]", [TRANSCEIVER]),
+    "target_rate_bps": (
+        "[1, 1e+12]",
+        [RunConfig(), link_margin, evaluate_link, evaluate_grid, run_sweep],
+    ),
+    "nfp_altitude_m": ("(0, 1e+06]", [GEOMETRY, evaluate_grid]),
+    "elevation_rad": ("[0.0001, pi/2]", [GEOMETRY, fog_attenuation, rain_attenuation]),
+    "divergence_rad": ("(0, pi]", [GEOMETRY, evaluate_grid]),
+    "receiver_radius_m": ("[1e-06, 1e+06]", [GEOMETRY]),
+    "path_length_m": ("(0, 1e+11]", [scintillation_loss]),
+    "fraction": ("[0, 1]", [capture_loss_db]),
+    "visibility_km": ("[1e-06, 1e+12]", [DEFAULT_FOG, kruse_size_exponent, mie_specific_attenuation]),
+    "layer_thickness_m": ("[0, 1e+06]", [DEFAULT_FOG, DEFAULT_RAIN]),
+    "base_altitude_m": ("[0, 1e+06]", [CLOUD]),
+    "thickness_m": ("[0, 1e+06]", [CLOUD]),
+    "lwc_g_per_m3": ("[1e-09, 1000]", [CLOUD]),
+    "droplet_density_per_cm3": ("[1e-09, 1e+06]", [CLOUD]),
+    "altitude_m": ("[0, 1e+06]", [refractive_index_structure]),
+    "reference_altitude_m": ("[0, 1e+06]", [DEFAULT_TURBULENCE]),
+    "wind_speed_m_per_s": ("[0, 1000]", [DEFAULT_TURBULENCE]),
+    "structure_constant_a": ("[0, 1e-06]", [DEFAULT_TURBULENCE]),
+    "cn2": ("[0, 1e-05]", [scintillation_loss]),
+}
+
+
+def test_the_ranges_are_the_whole_domain():
+    assert set(RANGES) == set(_DOMAIN)
+
+
+def with_value(owner, name, value):
+    """owner (a valid instance, or a function on its valid call) with name set to value."""
+    return call(owner, **{name: value}) if callable(owner) else replace(owner, **{name: value})
+
+
+def owner_id(owner) -> str:
+    return getattr(owner, "__qualname__", type(owner).__name__)
+
+
+DOMAIN_CASES = [(name, owner) for name, (_, owners) in RANGES.items() for owner in owners]
+
+
+@pytest.mark.parametrize(
+    "name, owner", DOMAIN_CASES, ids=[f"{owner_id(owner)}.{name}" for name, owner in DOMAIN_CASES]
+)
+def test_each_domain_bound_is_accepted_and_the_next_double_rejected(name, owner):
+    interval, _ = RANGES[name]
+    low, high = _DOMAIN[name]
+    with_value(owner, name, high)
+    if interval.startswith("["):  # a closed range holds its least value too
+        with_value(owner, name, low)
+    # Below a range from 0 the positive or non-negative rule speaks instead.
+    for value in [math.nextafter(high, math.inf)] + [math.nextafter(low, -math.inf)] * (low > 0):
+        message = f"{name} must be in {interval}, got {value}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            with_value(owner, name, value)

@@ -2,11 +2,9 @@
 
 import math
 import re
-import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
 import yaml
 from hypothesis import example, given, strategies as st
@@ -23,19 +21,13 @@ from vfso.config import (
     resolved_yaml,
 )
 from vfso.hetnet_cost import DEFAULT_AREA, CostParams
-from vfso.link_budget import (
-    DEFAULT_TARGET_RATE_BPS,
-    _lossless_rate_bps,
-    evaluate_grid,
-    evaluate_link,
-)
+from vfso.link_budget import DEFAULT_TARGET_RATE_BPS, evaluate_link
 from vfso.scenario import (
     DEFAULT_CLOUD_PROFILE,
     DEFAULT_FOG,
     DEFAULT_RAIN,
     DEFAULT_SWEEP,
     DEFAULT_TURBULENCE,
-    PRESET_NAMES,
     default_parameters,
 )
 
@@ -140,6 +132,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="not valid YAML"):
             load_config(str(bad))
 
+    def test_a_file_with_an_int_of_too_many_digits(self, tmp_path):
+        path = tmp_path / "huge.yaml"
+        path.write_text("seed: " + "7" * 5000 + "\n")
+        with pytest.raises(ConfigError, match="^config file .* is not valid YAML: .*4300 digits") as exc:
+            load_config(str(path))
+        assert "7777" not in str(exc.value)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/nowhere.yaml")
@@ -179,8 +178,14 @@ class TestOverrides:
             parse_overrides(["geometry.divergence_rad"])
 
     def test_unparseable_override_value(self):
-        with pytest.raises(ConfigError, match=r"^override 'scenarios=\[clear_sky': unparseable value \("):
+        with pytest.raises(ConfigError, match=r"^override of 'scenarios': unparseable value \("):
             parse_overrides(["scenarios=[clear_sky"])
+
+    def test_an_int_of_too_many_digits_is_a_config_error(self):
+        # int() refuses to read more than 4300 digits; the message names the limit, not the digits.
+        with pytest.raises(ConfigError, match="^override of 'seed': unparseable value .*4300 digits") as exc:
+            parse_overrides(["seed=" + "7" * 5000])
+        assert "7777" not in str(exc.value)
 
     @pytest.mark.parametrize("first", ["fog=3", "fog.visibility_m=3"])
     def test_conflicting_overrides(self, first):
@@ -210,6 +215,26 @@ class TestResolvedEcho:
         config = load_config()
         reparsed = yaml.safe_load(resolved_yaml(config))
         assert config_from_mapping(reparsed) == config
+
+    def test_elevation_echo_reloads_to_the_same_radians(self):
+        # math.degrees of its radians is 85.10172725207606, which reloads to the next double.
+        config = load_config(overrides=["geometry.elevation_deg=85.10172725207605"])
+        assert resolved_mapping(config)["geometry"]["elevation_deg"] == 85.10172725207605
+        assert config_from_mapping(resolved_mapping(config)) == config
+        assert math.radians(math.degrees(config.geometry.elevation_rad)) != config.geometry.elevation_rad
+
+    @pytest.mark.parametrize("degrees, echo", [(45.0, 45.0), (60.0, 59.99999999999999)])
+    def test_where_math_degrees_reloads_it_is_the_echo(self, degrees, echo):
+        # 59.99999999999999 reloads to the radians of 60.0 too, and is what the echo has printed.
+        config = load_config(overrides=[f"geometry.elevation_deg={degrees}"])
+        assert resolved_mapping(config)["geometry"]["elevation_deg"] == echo
+
+    @given(st.floats(0.00573, 90.0))  # the domain's elevations, 1e-4 rad to pi/2
+    @example(85.10172725207605)
+    def test_every_elevation_echo_reloads_to_the_same_radians(self, degrees):
+        config = config_from_mapping({"geometry": {"elevation_deg": degrees}})
+        echoed = yaml.safe_load(resolved_yaml(config))
+        assert config_from_mapping(echoed).geometry.elevation_rad == config.geometry.elevation_rad
 
     def test_echo_is_complete(self):
         mapping = resolved_mapping(load_config())
@@ -289,129 +314,6 @@ def test_constructors_reject_non_finite_fields(valid, name, value):
         replace(valid, **{name: value})
 
 
-# Each transceiver field over its whole domain of finite doubles, from the
-# smallest subnormal up to the largest finite value.
-TINIEST, LARGEST = math.ulp(0.0), sys.float_info.max
-TRANSCEIVER_DOMAIN = {
-    "transmit_power_w": (TINIEST, LARGEST),
-    "tx_efficiency": (TINIEST, 1.0),
-    "rx_efficiency": (TINIEST, 1.0),
-    "wavelength_nm": (TINIEST, LARGEST),
-    "pointing_loss_db": (0.0, LARGEST),
-    "receiver_sensitivity_photons_per_bit": (TINIEST, LARGEST),
-}
-DEFAULT_TRANSCEIVER = asdict(default_parameters()[0])
-
-
-def transceiver(**changes):
-    return {**DEFAULT_TRANSCEIVER, **changes}
-
-
-@given(
-    st.fixed_dictionaries(
-        {name: st.floats(low, high) for name, (low, high) in TRANSCEIVER_DOMAIN.items()}
-    )
-)
-@example(transceiver(tx_efficiency=1e-200, rx_efficiency=1e-200))
-@example(transceiver(wavelength_nm=1e290))
-@example(transceiver(wavelength_nm=1e-260))
-@example(transceiver(wavelength_nm=1e-300))
-@example(transceiver(wavelength_nm=TINIEST))
-@example(transceiver(receiver_sensitivity_photons_per_bit=TINIEST))
-@example(transceiver(transmit_power_w=1e300))
-@example(transceiver(transmit_power_w=LARGEST, receiver_sensitivity_photons_per_bit=LARGEST))
-def test_transceiver_gives_a_finite_answer_or_a_config_error(values):
-    overrides = [f"transceiver.{name}={value!r}" for name, value in values.items()]
-    try:
-        config = load_config(overrides=overrides)
-    except ConfigError as exc:
-        assert str(exc).startswith("transceiver: ")
-        return
-    args = (config.transceiver, config.geometry, config.scenario("clear_sky"))
-    point = evaluate_link(*args)
-    grid = evaluate_grid(*args, nfp_altitude_m=np.array([1e3, 2e4, 1e7]))
-    for power_w, rate_bps, margin_db in [
-        (point.received_power_w, point.data_rate_bps, point.link_margin_db),
-        *zip(grid.received_power_w, grid.data_rate_bps, grid.link_margin_db),
-    ]:
-        assert math.isfinite(power_w) and math.isfinite(rate_bps)
-        assert math.isfinite(margin_db) or margin_db == -math.inf
-
-
-# Each field of the weather sections over its whole domain of finite doubles.
-WEATHER_DOMAIN = {
-    "fog": {"visibility_m": (TINIEST, LARGEST), "layer_thickness_m": (0.0, LARGEST)},
-    "rain": {"rate_mm_per_hour": (0.0, LARGEST), "layer_thickness_m": (0.0, LARGEST)},
-    "clouds": {
-        "base_altitude_m": (0.0, LARGEST),
-        "thickness_m": (0.0, LARGEST),
-        "lwc_g_per_m3": (TINIEST, LARGEST),
-        "droplet_density_per_cm3": (TINIEST, LARGEST),
-    },
-    "turbulence": {
-        "wind_speed_m_per_s": (0.0, LARGEST),
-        "structure_constant_a": (0.0, LARGEST),
-        "reference_altitude_m": (0.0, LARGEST),
-    },
-}
-WEATHER_DRAWS = st.sampled_from(sorted(WEATHER_DOMAIN)).flatmap(
-    lambda section: st.tuples(
-        st.just(section),
-        st.fixed_dictionaries(
-            {name: st.floats(low, high) for name, (low, high) in WEATHER_DOMAIN[section].items()}
-        ),
-    )
-)
-
-
-def cloud(**changes):
-    return "clouds", {**asdict(DEFAULT_CLOUD_PROFILE[0]), **changes}
-
-
-@given(WEATHER_DRAWS, st.floats(TINIEST, LARGEST))
-@example(("fog", {"visibility_m": 1e4, "layer_thickness_m": 50.0}), 1e-300)
-@example(("fog", {"visibility_m": 1e-318, "layer_thickness_m": 50.0}), 1550.0)
-@example(("fog", {"visibility_m": 1e-323, "layer_thickness_m": 0.0}), 1.0)
-@example(cloud(lwc_g_per_m3=1e-200, droplet_density_per_cm3=1e-200), 1550.0)
-@example(cloud(lwc_g_per_m3=1e300, droplet_density_per_cm3=1e300), 1550.0)
-@example(cloud(lwc_g_per_m3=1e200, droplet_density_per_cm3=1e200), 1e-300)
-@example(cloud(lwc_g_per_m3=1e-240, droplet_density_per_cm3=1e-240), 1e-300)
-@example(cloud(base_altitude_m=0.0, lwc_g_per_m3=LARGEST, droplet_density_per_cm3=LARGEST), 1550.0)
-def test_weather_gives_a_finite_answer_or_a_config_error(drawn, wavelength_nm):
-    section, values = drawn
-    if section == "clouds":
-        layer = ", ".join(f"{name}: {value!r}" for name, value in values.items())
-        overrides = [f"clouds=[{{{layer}}}]"]
-    else:
-        overrides = [f"{section}.{name}={value!r}" for name, value in values.items()]
-    overrides.append(f"transceiver.wavelength_nm={wavelength_nm!r}")
-    try:
-        config = load_config(overrides=overrides)
-    except ConfigError as exc:
-        assert re.match(rf"({section}|transceiver)(\[0\])?(\.\w+)?: ", str(exc)), str(exc)
-        return
-    # Below, inside and above the (first) cloud deck, where the altitude is positive.
-    deck = config.clouds[0]
-    altitudes = [
-        max(deck.base_altitude_m / 2.0, TINIEST),
-        min(deck.base_altitude_m + deck.thickness_m / 2.0, LARGEST / 2.0),
-        min(2.0 * deck.top_altitude_m, LARGEST / 2.0),
-    ]
-    for name in PRESET_NAMES:
-        args = (config.transceiver, config.geometry, config.scenario(name))
-        point = evaluate_link(*args)
-        grid = evaluate_grid(*args, nfp_altitude_m=np.array(altitudes))
-        for result in (point, grid):
-            for loss in vars(result.loss_breakdown).values():
-                assert not np.isnan(loss).any() and (np.asarray(loss) >= 0.0).all()
-        for power_w, rate_bps, margin_db in [
-            (point.received_power_w, point.data_rate_bps, point.link_margin_db),
-            *zip(grid.received_power_w, grid.data_rate_bps, grid.link_margin_db),
-        ]:
-            assert math.isfinite(power_w) and math.isfinite(rate_bps)
-            assert math.isfinite(margin_db) or margin_db == -math.inf
-
-
 CUMULUS = DEFAULT_CLOUD_PROFILE[0]
 
 
@@ -434,21 +336,22 @@ class TestRunConfigChecksItsLists:
                 {"clouds": (CUMULUS, replace(CUMULUS, base_altitude_m=1010.0))},
                 "^cloud layers overlap: ",
             ),
-            ({"target_rate_bps": 1e-300}, "^target_rate_bps 1e-300 overflows rate_bps / "),
+            ({"target_rate_bps": 1e-300}, r"^target_rate_bps must be in \[1, 1e\+12\], got 1e-300$"),
         ],
     )
     def test_rejects(self, changes, message):
         with pytest.raises(ValueError, match=message):
             RunConfig(**changes)
 
-    def test_target_bound_is_the_lossless_rate(self):
-        lossless_bps = _lossless_rate_bps(default_parameters()[0])
-        config = RunConfig(target_rate_bps=2.0 * lossless_bps / LARGEST)
-        scenario = config.scenario("clear_sky")
-        args = (config.transceiver, config.geometry, scenario, config.target_rate_bps)
-        assert math.isfinite(evaluate_link(*args).link_margin_db)
-        with pytest.raises(ValueError, match="overflows rate_bps / target_rate_bps"):
-            RunConfig(target_rate_bps=0.5 * lossless_bps / LARGEST)
+    def test_target_bound_is_the_domain_s(self):
+        # 1 bit/s to 1 Tbit/s: the margin of any rate the domain yields is finite.
+        for target in (1.0, 1e12):
+            config = RunConfig(target_rate_bps=target)
+            args = (config.transceiver, config.geometry, config.scenario("clear_sky"), target)
+            assert math.isfinite(evaluate_link(*args).link_margin_db)
+        for target in (0.5, 2e12):
+            with pytest.raises(ValueError, match=rf"^target_rate_bps must be in \[1, 1e\+12\], got {target}$"):
+                RunConfig(target_rate_bps=target)
 
 
 class TestWholeConfigValidatedAtLoad:
@@ -486,6 +389,25 @@ class TestWholeConfigValidatedAtLoad:
     def test_cost_section(self, cost, message):
         with pytest.raises(ConfigError, match=message):
             config_from_mapping({"cost": cost})
+
+    @pytest.mark.parametrize(
+        "values, first, second, tag",
+        [
+            # 1000.0000999999999 urad, shown to 6 digits: one file name for both.
+            ([0.001, 0.0010000001], 0, 1, "theta_1000urad"),
+            ([1e-5, 1e-3, 1e-3], 1, 2, "theta_1000urad"),  # an exact duplicate
+            ([2e-6, 1e-5, 2.0000004e-6], 0, 2, "theta_2urad"),
+        ],
+    )
+    def test_two_divergences_with_one_file_name_are_rejected(self, values, first, second, tag):
+        message = (
+            f"divergence_values_rad[{second}]: {values[second]!r} shares the file name "
+            f"sweep_<scenario>_{tag}.csv with divergence_values_rad[{first}]"
+        )
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            config_from_mapping({"divergence_values_rad": values})
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig(divergence_values_rad=tuple(values))
 
     def test_cost_config_checks_itself(self):
         with pytest.raises(ValueError, match="years must be non-negative"):

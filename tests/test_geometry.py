@@ -76,8 +76,12 @@ class TestCaptureFraction:
     def test_vanishing_footprint_does_not_overflow(self):
         assert geometrical_capture_fraction(geom(theta=1e-300)) == 1.0
 
-    def test_vast_footprint_underflows_to_zero(self):
-        assert geometrical_capture_fraction(geom(theta=1e300)) == 0.0
+    def test_widest_footprint_still_captures_a_normal_double(self):
+        # The domain's corner: the widest beam, longest path and least aperture.
+        widest = geom(h=1e6, elevation=1e-4, theta=math.pi, r=1e-6)
+        assert geometrical_capture_fraction(widest) == pytest.approx(4.0e-33, rel=1e-3)
+        with pytest.raises(ValueError, match=r"^divergence_rad must be in \(0, pi\], got 1e\+300$"):
+            geom(theta=1e300)
 
 
 class TestGeometricalLoss:
@@ -94,7 +98,11 @@ class TestGeometricalLoss:
 
     def test_nothing_captured_is_an_infinite_loss(self):
         assert capture_loss_db(0.0) == math.inf
-        assert geometrical_loss(geom(theta=1e300)) == math.inf
+        # No geometry of the domain gets there: its widest beam loses ~324 dB.
+        widest = geom(h=1e6, elevation=1e-4, theta=math.pi, r=1e-6)
+        assert geometrical_loss(widest) == pytest.approx(323.9, abs=0.1)
+        with pytest.raises(ValueError, match=r"^receiver_radius_m must be in \[1e-06, 1e\+06\]"):
+            geom(r=1e-7)
 
     @given(st.floats(min_value=2e-4, max_value=1e-2), st.floats(min_value=1.1, max_value=8.0))
     def test_scaling_divergence_adds_20log10(self, theta, k):

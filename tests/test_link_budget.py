@@ -37,10 +37,11 @@ class TestOpticalLoss:
     def test_half_efficiencies(self):
         assert optical_loss(0.5, 0.5) == pytest.approx(6.020599913279624, rel=1e-12)
 
-    def test_underflowing_product_sums_the_logs(self):
-        # 1e-200 * 1e-200 underflows to 0.
-        assert optical_loss(1e-200, 1e-200) == pytest.approx(4000.0, rel=1e-15, abs=0)
-        assert optical_loss(1e-160, 1e-160) == pytest.approx(3200.0, rel=1e-15, abs=0)
+    def test_least_efficiencies_lose_600_db(self):
+        # The domain's least pair: their product is a normal double, 1e-60.
+        assert optical_loss(1e-30, 1e-30) == pytest.approx(600.0, rel=1e-15, abs=0)
+        with pytest.raises(ValueError, match=r"^tx_efficiency must be in \[1e-30, 1\], got 1e-200$"):
+            optical_loss(1e-200, 1e-200)
 
     @pytest.mark.parametrize("eta", [0.0, -0.1, 1.1])
     def test_rejects_out_of_range_efficiency(self, eta):
@@ -59,9 +60,11 @@ class TestPhotonEnergy:
     def test_650_nm(self):
         assert photon_energy(650.0) == pytest.approx(3.058153846153846e-19, rel=1e-12, abs=0)
 
-    def test_rejects_a_wavelength_that_underflows_in_meters(self):
-        with pytest.raises(ValueError, match=r"^wavelength_nm \* 1e-9 must be positive"):
-            photon_energy(5e-324)
+    @pytest.mark.parametrize("wavelength_nm", [5e-324, 99.99999999999999, 100000.00000000001])
+    def test_rejects_a_wavelength_beyond_the_domain(self, wavelength_nm):
+        message = f"^wavelength_nm must be in \\[100, 100000\\], got {wavelength_nm}$"
+        with pytest.raises(ValueError, match=message):
+            photon_energy(wavelength_nm)
 
 
 class TestReceivedPower:
@@ -174,16 +177,17 @@ class TestLinkMargin:
         with pytest.raises(ValueError, match=f"^{message}$"):
             link_margin(rate, target)
 
-    def test_rejects_an_overflowing_quotient(self):
-        with pytest.raises(ValueError, match="^target_rate_bps 1e-300 overflows rate_bps / "):
+    def test_rejects_a_target_beyond_the_domain(self):
+        # From 1 bit/s up, no rate a double holds overflows the quotient.
+        with pytest.raises(ValueError, match=r"^target_rate_bps must be in \[1, 1e\+12\], got 1e-300$"):
             link_margin(1e10, 1e-300)
-        assert link_margin(1e5, 1e-300) == pytest.approx(3050.0, rel=1e-12)
+        assert link_margin(1.7e308, 1.0) == pytest.approx(3082.3, abs=0.1)
 
     @pytest.mark.parametrize("evaluate", [evaluate_link, evaluate_grid])
-    def test_evaluations_reject_an_overflowing_quotient(self, evaluate):
-        # ~3.4e10 bit/s in clear sky at 20 km: / 1e-300 exceeds the float range.
-        with pytest.raises(ValueError, match="^target_rate_bps 1e-300 overflows"):
-            evaluate(TX, GEOMETRY_20KM, CLEAR, 1e-300)
+    @pytest.mark.parametrize("target", [1e-300, 0.5, 1.0000000000001e12])
+    def test_evaluations_reject_a_target_beyond_the_domain(self, evaluate, target):
+        with pytest.raises(ValueError, match=rf"^target_rate_bps must be in \[1, 1e\+12\], got {target}$"):
+            evaluate(TX, GEOMETRY_20KM, CLEAR, target)
 
     @pytest.mark.parametrize("evaluate", [evaluate_link, evaluate_grid])
     @pytest.mark.parametrize("target", [math.nan, math.inf])
@@ -298,17 +302,26 @@ class TestTransceiverValidation:
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            ({"wavelength_nm": 5e-324}, r"wavelength_nm \* 1e-9 must be positive"),
-            ({"receiver_sensitivity_photons_per_bit": 5e-324}, "the lossless rate"),
-            ({"transmit_power_w": 1e300}, "the lossless rate"),
-            ({"wavelength_nm": 1e300}, "the lossless rate"),
+            ({"wavelength_nm": 5e-324}, r"wavelength_nm must be in \[100, 100000\], got 5e-324"),
+            (
+                {"receiver_sensitivity_photons_per_bit": 5e-324},
+                r"receiver_sensitivity_photons_per_bit must be in \[0.001, 1e\+06\], got 5e-324",
+            ),
+            ({"transmit_power_w": 1e300}, r"transmit_power_w must be in \(0, 1e\+06\], got 1e\+300"),
+            ({"wavelength_nm": 1e300}, r"wavelength_nm must be in \[100, 100000\], got 1e\+300"),
         ],
     )
-    def test_rejects_an_infinite_lossless_rate(self, kwargs, message):
-        with pytest.raises(ValueError, match=f"^{message}"):
+    def test_rejects_parameters_beyond_the_domain(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             replace(TX, **kwargs)
 
-    def test_largest_power_is_accepted_where_its_rate_is_finite(self):
-        tx = replace(TX, transmit_power_w=1.7e308, receiver_sensitivity_photons_per_bit=1e300)
-        result = evaluate_link(tx, GEOMETRY_20KM, CLEAR)
-        assert math.isfinite(result.received_power_w) and 0.0 < result.data_rate_bps < math.inf
+    def test_fastest_link_of_the_domain_has_a_finite_rate(self):
+        # The most power per bit the domain allows, all of it captured and none lost.
+        tx = TransceiverParams(1e6, 1.0, 1.0, 1e5, 0.0, 1e-3)
+        narrow = replace(GEOMETRY_20KM, divergence_rad=1e-9)
+        result = evaluate_link(tx, narrow, WeatherScenario(label="none"), 1.0)
+        assert result.received_power_w == 1e6
+        assert result.data_rate_bps == pytest.approx(5.03e29, rel=1e-3)
+        assert result.link_margin_db == pytest.approx(297.0, abs=0.1)
+        with pytest.raises(ValueError, match=r"^transmit_power_w must be in \(0, 1e\+06\]"):
+            replace(tx, transmit_power_w=1.7e308)

@@ -216,17 +216,15 @@ class TestSweepMatchesPerPointEvaluation:
         "linear_divergence": SweepSpec("divergence", -1e-3, 1e-2, 221),
     }
     # The presets, plus Cn^2 sampled at a fixed altitude, no turbulence at
-    # all, extreme winds, and a second cloud layer that the altitude grid
-    # also crosses.
+    # all, the strongest wind of the domain, and a second cloud layer that the
+    # altitude grid also crosses.
     SCENARIOS = {
         **{name: preset(name) for name in PRESET_NAMES},
         "reference_altitude": preset(
             "cloud_and_fog", turbulence=replace(TURB, reference_altitude_m=2500.0)
         ),
         "no_turbulence": replace(preset("rain_and_cloud"), label="no_turbulence", turbulence=None),
-        # Winds whose Cn^2 wind term is summed in logs: finite, and inf.
-        "wind_1e152": preset("cloud_and_fog", turbulence=replace(TURB, wind_speed_m_per_s=1e152)),
-        "wind_1e200": preset("clear_sky", turbulence=replace(TURB, wind_speed_m_per_s=1e200)),
+        "wind_1e3": preset("cloud_and_fog", turbulence=replace(TURB, wind_speed_m_per_s=1e3)),
         "two_cloud_layers": preset(
             "cloud_and_fog",
             clouds=(
@@ -345,70 +343,70 @@ class TestSweepEquality:
         assert a != object() and not a == object()
 
 
+def matching_per_point_evaluation(spec, scenario, tx=TX, geometry=GEOMETRY):
+    """The sweep, after checking that each row is evaluate_link at its point, to
+    1e-12, or the error LinkGeometry gives there; and those per-point results."""
+    sweep = run_sweep(spec, scenario, tx, geometry)
+    reference = per_point_reference(spec, scenario, tx, geometry)
+    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
+        assert row.error == error
+        if result is not None:
+            for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
+                assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
+    return sweep, [result for _, result, _ in reference]
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_extreme_divergences_match_per_point_evaluation(name):
     # 1e-300 rad: the footprint is far inside the aperture, so all is captured.
-    # 1e300 rad: the capture fraction underflows to 0, the margin is -inf.
-    spec = FixedGrid("divergence", 1.0, 2.0, 2, values=(1e-300, 1e300))
-    scenario = preset(name)
-    sweep = run_sweep(spec, scenario, TX, GEOMETRY)
-    reference = per_point_reference(spec, scenario, TX, GEOMETRY)
-    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
-        assert row.error is None and error is None
-        for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
-            assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
-    narrow, wide = (result for _, result, _ in reference)
+    # pi rad, the widest beam of the domain: a finite geometrical loss. 1e300
+    # rad, whose capture fraction would underflow to 0, is a row error.
+    spec = FixedGrid("divergence", 1.0, 2.0, 3, values=(1e-300, math.pi, 1e300))
+    sweep, (narrow, wide, beyond) = matching_per_point_evaluation(spec, preset(name))
     assert narrow.loss_breakdown.geometrical_db == 0.0
-    assert (wide.loss_breakdown.geometrical_db, wide.data_rate_bps) == (math.inf, 0.0)
-    assert wide.link_margin_db == -math.inf
+    assert 0.0 < wide.data_rate_bps and wide.loss_breakdown.geometrical_db < math.inf
+    assert beyond is None
+    assert sweep.errors[2] == "divergence_rad must be in (0, pi], got 1e+300"
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_extreme_altitudes_match_per_point_evaluation(name):
-    # (1e-5 h)^10 in the Cn^2 wind term would overflow at every altitude here,
-    # and l^(11/6) at the last two; capped, Cn^2 is 0 and so is the
-    # scintillation loss. No RuntimeWarning may be raised (pytest turns it
-    # into an error).
-    spec = FixedGrid("altitude", 1.0, 2.0, 4, values=(1e36, 1e100, 1e200, 1e300))
-    scenario = preset(name)
-    sweep = run_sweep(spec, scenario, TX, GEOMETRY)
-    reference = per_point_reference(spec, scenario, TX, GEOMETRY)
-    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
-        assert row.error is None and error is None
-        for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
-            assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
-        assert result.loss_breakdown.scintillation_db == 0.0
-        assert not result.link_viable
+    # The domain's top, 1e6 m, is answered; beyond it, where (1e-5 h)^10 in the
+    # Cn^2 wind term and later l^(11/6) would overflow, each point is a row error.
+    # No RuntimeWarning may be raised (pytest turns it into an error).
+    spec = FixedGrid("altitude", 1.0, 2.0, 4, values=(1e6, 1e36, 1e200, 1e300))
+    sweep, (top, *beyond) = matching_per_point_evaluation(spec, preset(name))
+    assert 0.0 < top.loss_breakdown.scintillation_db < 1e-100 and not top.link_viable
+    assert beyond == [None, None, None]
+    assert sweep.errors[1] == "nfp_altitude_m must be in (0, 1e+06], got 1e+36"
 
 
-@pytest.mark.parametrize("wavelength_nm", [1e290, 1e-260, 1e-300])
+@pytest.mark.parametrize("wavelength_nm", [100.0, 1e5])
 def test_extreme_wavelengths_match_per_point_evaluation(wavelength_nm):
-    # 23.17 k^(7/6) underflows to 0 at 1e290 nm, and k^(7/6) (at 1e-260 nm)
-    # or k itself (at 1e-300 nm) overflows. At 1e7 m Cn^2 is 0, and so is the
-    # loss, with no inf * 0 in either path.
+    # The domain's shortest and longest wavelengths, up to its top altitude.
+    # Beyond them, where k^(7/6) would overflow or 23.17 k^(7/6) underflow, the
+    # transceiver is rejected.
     tx = replace(TX, wavelength_nm=wavelength_nm)
-    spec = FixedGrid("altitude", 1.0, 2.0, 3, values=(1e3, 2e4, 1e7))
-    scenario = preset("clear_sky")
-    sweep = run_sweep(spec, scenario, tx, GEOMETRY)
-    reference = per_point_reference(spec, scenario, tx, GEOMETRY)
-    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
-        assert row.error is None and error is None
-        for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
-            assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
-        assert not math.isnan(result.link_margin_db)
-    assert reference[-1][1].loss_breakdown.scintillation_db == 0.0
+    spec = FixedGrid("altitude", 1.0, 2.0, 3, values=(1e3, 2e4, 1e6))
+    _, results = matching_per_point_evaluation(spec, preset("clear_sky"), tx)
+    for result in results:
+        assert 0.0 < result.loss_breakdown.scintillation_db < math.inf
+        assert math.isfinite(result.link_margin_db)
+    for beyond in (1e-300, 1e-260, 1e290):
+        with pytest.raises(ValueError, match=r"^wavelength_nm must be in \[100, 100000\]"):
+            replace(TX, wavelength_nm=beyond)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
-def test_overflowed_scintillation_matches_per_point_evaluation(name):
-    # Cn^2 sampled at 1 km stays positive while l^(11/6) overflows beyond a
-    # ~1.377e168 m path: the loss is then summed in logs, finite in both paths.
+def test_longest_path_matches_per_point_evaluation(name):
+    # Cn^2 sampled at 1 km stays positive up the domain's longest path, ~1e10
+    # m at the least elevation. The paths where l^(11/6) would overflow, beyond
+    # ~1.377e168 m, lie beyond the domain's altitudes: row errors.
     scenario = preset(name, turbulence=replace(TURB, reference_altitude_m=1000.0))
-    spec = FixedGrid("altitude", 1.0, 2.0, 4, values=(1e168, 1e169, 1e200, 1e300))
-    sweep = run_sweep(spec, scenario, TX, GEOMETRY)
-    reference = per_point_reference(spec, scenario, TX, GEOMETRY)
-    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
-        assert row.error is None and error is None
-        for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
-            assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
+    grazing = replace(GEOMETRY, elevation_rad=1e-4)
+    spec = FixedGrid("altitude", 1.0, 2.0, 3, values=(2e4, 1e6, 1e168))
+    sweep, (*answered, beyond) = matching_per_point_evaluation(spec, scenario, geometry=grazing)
+    for result in answered:
         assert 0.0 < result.loss_breakdown.scintillation_db < math.inf
+    assert beyond is None
+    assert sweep.errors[2] == "nfp_altitude_m must be in (0, 1e+06], got 1e+168"
