@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import _require, _require_bounds
+from .geometry import _require, _require_bounds, _require_int
 
 # Relative slack when deciding that R / R_busy is "exactly" an integer, so
 # that float noise in an exact multiple cannot bump the ceiling up by one.
@@ -44,8 +44,7 @@ def aggregated_demand(n_cells: int, profile: TrafficProfile) -> float:
     max(N * busy, peak): busy-hour traffic scales with the cell count but
     the link must always cover a single cell's peak burst.
     """
-    if _require("n_cells", n_cells) < 1:
-        raise ValueError(f"n_cells must be >= 1, got {n_cells}")
+    _require_int("n_cells", n_cells)
     return max(n_cells * profile.busy_rate_bps, profile.peak_rate_bps)
 
 
@@ -62,11 +61,6 @@ def supported_cells(
     if rounding not in ("ceil", "floor"):
         raise ValueError(f"rounding must be 'ceil' or 'floor', got {rounding!r}")
     quotient = link_rate_bps / profile.busy_rate_bps
-    if not math.isfinite(quotient):
-        raise ValueError(
-            "link_rate_bps / busy_rate_bps must be finite, "
-            f"got {link_rate_bps} / {profile.busy_rate_bps}"
-        )
     nearest = round(quotient)
     if abs(quotient - nearest) <= _INTEGER_SNAP_RTOL * max(1.0, abs(quotient)):
         return int(nearest)

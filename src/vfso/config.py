@@ -33,7 +33,7 @@ from .atmosphere import (
     WeatherScenario,
     _check_no_overlap,
 )
-from .geometry import LinkGeometry, _require_bounds, _shown
+from .geometry import LinkGeometry, _require, _require_bounds, _shown
 from .hetnet_cost import DEFAULT_AREA, Area, CostParams
 from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams, efficiencies_from_optical_loss
 from .scenario import (
@@ -264,13 +264,11 @@ def _read_divergences(default: Optional[tuple], raw: Any, path: str) -> Optional
 
 
 def _converted(key: str, to_field, to_yaml):
+    """A field given in other units under `key`, the key's range checked before conversion."""
     def read(default, raw: Any, path: str):
         value = _number(raw, path)
-        converted = to_field(value)
-        # Otherwise the field's own check would name the converted 0, not the input.
-        if converted == 0 and value != 0:
-            raise ConfigError(f"{path}: {value!r} underflows to 0 when converted")
-        return converted
+        _build(lambda: _require(key, value), path.rpartition(".")[0])
+        return to_field(value)
 
     return key, read, to_yaml
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from numbers import Real
+from numbers import Integral, Real
 from types import SimpleNamespace
 
 
@@ -59,6 +59,33 @@ _DOMAIN = {
     "wind_speed_m_per_s": (0.0, 1e3),
     "structure_constant_a": (0.0, 1e-6),
     "cn2": (0.0, 1e-5),  # above A's bound: the profile adds up to ~4e-14 to A
+    # Config keys in other units, checked before conversion: radians() maps elevation_deg's
+    # range onto elevation_rad's, and / 1000 visibility_m's onto visibility_km's.
+    "elevation_deg": (math.degrees(1e-4), 90.0),
+    "visibility_m": (1e-3, 1e15),
+    "points": (2.0, 1e8),
+    # Traffic, and link rates up to above the link domain's fastest (~5.03e29 bit/s).
+    **dict.fromkeys(("busy_rate_bps", "peak_rate_bps"), (1.0, 1e15)),
+    "link_rate_bps": (0.0, 1e30),
+    "n_cells": (1.0, 1e30),
+    # Cost: prices in $ per unit, m, year or flight hour, counts and the layout's sides. At
+    # every bound each line item, capex, opex and TCO stays below ~1e26 $.
+    **dict.fromkeys((
+        "hub_unit_cost", "hub_install_cost", "module_unit_cost", "module_install_cost",
+        "spectrum_cost_per_mhz_per_capita", "pole_lease_per_site_year", "platform_cost",
+        "power_maintenance_per_site_year", "cable_cost_per_m", "install_cost_per_m",
+        "power_maintenance_per_link_year", "equipment_cost_per_link", "cost_per_flight_hour",
+        "planning_install_per_link",
+    ), (0.0, 1e9)),
+    **dict.fromkeys(("n_macro", "n_small", "modules_per_hub", "nlos_hop_count"), (1.0, 1e7)),
+    "n_platforms": (0.0, 1e7),
+    "population": (0.0, 1e10),
+    "spectrum_mhz": (0.0, 1e6),
+    "routing_factor": (0.0, 1e3),
+    "nlos_fraction": (0.0, 1.0),
+    "flight_hours_per_year": (0.0, 8760.0),
+    **dict.fromkeys(("width_m", "height_m"), (0.0, 1e6)),
+    "years": (0.0, 1e3),
 }
 _DOUBLES = (-_FLOAT_MAX, _FLOAT_MAX)
 _bounds = _DOMAIN.get  # looked up once, not on each of _require's many calls
@@ -99,6 +126,15 @@ def _require(name: str, value, rule: str = "finite"):
     return value
 
 
+def _require_int(name: str, value, rule: str = "finite"):
+    """_require of a count, which must also be an int (not a bool), checked after the rest."""
+    if isinstance(value, Real):
+        _require(name, value, rule)
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _valid_entries(name: str, values):
     """_require(name, ., "positive") over a numpy array: the mask of the entries it passes."""
     low, high = _bounds(name, _DOUBLES)
@@ -106,12 +142,14 @@ def _valid_entries(name: str, values):
 
 
 def _require_bounds(instance, positive=(), non_negative=()) -> None:
-    """A dataclass constructor's check: _require of each field in declaration order that is
-    set (not None) and named under a rule, or real-valued (then finite at least)."""
+    """A dataclass constructor's check, field by field: _require_int of one annotated int,
+    _require of one set (not None) and named under a rule, or real (then finite at least)."""
     rules = {**dict.fromkeys(non_negative, "non-negative"), **dict.fromkeys(positive, "positive")}
     for f in fields(instance):
         value = getattr(instance, f.name)
-        if (f.name in rules and value is not None) or isinstance(value, Real):
+        if f.type == "int":
+            _require_int(f.name, value, rules.get(f.name, "finite"))
+        elif (f.name in rules and value is not None) or isinstance(value, Real):
             _require(f.name, value, rules.get(f.name, "finite"))
 
 

@@ -140,8 +140,6 @@ class SweepSpec:
             raise ValueError(f"variable must be 'altitude' or 'divergence', got {self.variable!r}")
         if not self.start < self.stop:
             raise ValueError(f"start must be < stop, got [{self.start}, {self.stop}]")
-        if self.points < 2:
-            raise ValueError(f"points must be >= 2, got {self.points}")
         if self.scale not in ("linear", "log"):
             raise ValueError(f"scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.start <= 0:

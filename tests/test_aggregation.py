@@ -25,6 +25,11 @@ class TestAggregatedDemand:
         with pytest.raises(ValueError):
             aggregated_demand(0, PROFILE)
 
+    def test_a_demand_beyond_the_float_range_is_beyond_the_domain(self):
+        # 1e303 cells at 1 Mbit/s each would be inf bit/s.
+        with pytest.raises(ValueError, match=r"^n_cells must be in \[1, 1e\+30\], got 1e\+303$"):
+            aggregated_demand(1e303, TrafficProfile(1e6, 1e6))
+
     def test_brute_force_over_random_profiles(self):
         rng = random.Random(1234)
         for _ in range(1000):
@@ -67,12 +72,13 @@ class TestSupportedCells:
         with pytest.raises(ValueError, match=f"^link_rate_bps must be finite, got {rate}$"):
             supported_cells(rate, PROFILE)
 
-    def test_rejects_a_cell_count_beyond_the_float_range(self):
-        profile = TrafficProfile(busy_rate_bps=1e-300, peak_rate_bps=1e-300)
-        with pytest.raises(ValueError, match=r"^link_rate_bps / busy_rate_bps must be finite"):
-            supported_cells(42e9, profile)
-        with pytest.raises(ValueError, match=r"^link_rate_bps / busy_rate_bps must be finite"):
-            oversubscribes(42e9, profile)
+    def test_a_cell_count_beyond_the_float_range_is_beyond_the_domain(self):
+        # 42e9 / 1e-300 would overflow; the busy rate and link rate are bounded instead.
+        with pytest.raises(ValueError, match=r"^busy_rate_bps must be in \[1, 1e\+15\], got 1e-300$"):
+            TrafficProfile(busy_rate_bps=1e-300, peak_rate_bps=1e-300)
+        for function in (supported_cells, oversubscribes):
+            with pytest.raises(ValueError, match=r"^link_rate_bps must be in \[0, 1e\+30\], got 1e\+300$"):
+                function(1e300, PROFILE)
 
     @given(st.integers(min_value=0, max_value=10000), st.floats(min_value=1e3, max_value=1e9))
     def test_exact_multiples_count_exactly(self, k, busy):

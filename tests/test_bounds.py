@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vfso.aggregation import DEFAULT_TRAFFIC, aggregated_demand, oversubscribes, supported_cells
+from vfso.aggregation import (
+    DEFAULT_TRAFFIC,
+    TrafficProfile,
+    aggregated_demand,
+    oversubscribes,
+    supported_cells,
+)
 from vfso.atmosphere import (
     fog_attenuation,
     kruse_size_exponent,
@@ -18,9 +24,13 @@ from vfso.atmosphere import (
     refractive_index_structure,
     scintillation_loss,
 )
-from vfso.config import CostConfig, RunConfig
+from vfso.config import CostConfig, RunConfig, config_from_mapping
 from vfso.geometry import _DOMAIN, capture_loss_db
 from vfso.hetnet_cost import (
+    DEFAULT_AREA,
+    Area,
+    CostParams,
+    HetNetLayout,
     FiberCostParams,
     RfNlosCostParams,
     TerrestrialFsoCostParams,
@@ -95,6 +105,12 @@ def in_message(value) -> str:
 
 
 CASES = [
+    # A count is an int: a float or a bool inside its range breaks that rule alone.
+    (DEFAULT_SWEEP, "points", 2.5, "must be an integer, got 2.5"),
+    (RunConfig(), "seed", 1.5, "must be an integer, got 1.5"),
+    (CostConfig(), "n_macro", 2.5, "must be an integer, got 2.5"),
+    (VerticalFsoCostParams(), "n_platforms", 2.5, "must be an integer, got 2.5"),
+    (RfNlosCostParams(), "modules_per_hub", True, "must be an integer, got True"),
     *[(valid, name, 0.0, "must be positive, got 0.0") for valid, name in POSITIVE],
     *[(valid, name, -1.0, "must be non-negative, got -1.0") for valid, name in NON_NEGATIVE],
     *[(valid, name, math.nan, "must be finite, got nan") for valid, name in BOUNDED],
@@ -180,7 +196,7 @@ ARGUMENTS = [
     (evaluate_grid, "nfp_altitude_m", -5.0, "positive"),
     (evaluate_grid, "divergence_rad", 0.0, "positive"),
     (run_sweep, "target_rate_bps", 0.0, "positive"),
-    (aggregated_demand, "n_cells", 0, ">= 1"),
+    (aggregated_demand, "n_cells", 0, "in [1, 1e+30]"),
     (supported_cells, "link_rate_bps", -1.0, "non-negative"),
     (oversubscribes, "link_rate_bps", -1.0, "non-negative"),
     (generate_layout, "n_macro", 0, "positive"),
@@ -197,6 +213,10 @@ ARGUMENT_CASES = [
     for function, name, _, _ in ARGUMENTS
     if not isinstance(VALID_CALLS[function][name], list)  # an array holds no such int
     for big in BEYOND_FLOATS
+] + [
+    (generate_layout, "n_macro", 2.5, "an integer"),
+    (generate_layout, "n_small", True, "an integer"),
+    (aggregated_demand, "n_cells", 2.5, "an integer"),
 ]
 
 
@@ -313,6 +333,38 @@ RANGES = {
     "wind_speed_m_per_s": ("[0, 1000]", [DEFAULT_TURBULENCE]),
     "structure_constant_a": ("[0, 1e-06]", [DEFAULT_TURBULENCE]),
     "cn2": ("[0, 1e-05]", [scintillation_loss]),
+    # A str owner is a config section, whose rejection its name starts.
+    "elevation_deg": ("[0.00572958, 90]", ["geometry"]),
+    "visibility_m": ("[0.001, 1e+15]", ["fog"]),
+    "points": ("[2, 1e+08]", [DEFAULT_SWEEP]),
+    "busy_rate_bps": ("[1, 1e+15]", [TrafficProfile(1.0, 1e15)]),
+    "peak_rate_bps": ("[1, 1e+15]", [TrafficProfile(1.0, 1e15)]),
+    "link_rate_bps": ("[0, 1e+30]", [supported_cells, oversubscribes]),
+    "n_cells": ("[1, 1e+30]", [aggregated_demand]),
+    **{
+        price: ("[0, 1e+09]", [p for p in COST_PARAMS if hasattr(p, price)])
+        for price in (
+            "hub_unit_cost", "hub_install_cost", "module_unit_cost", "module_install_cost",
+            "spectrum_cost_per_mhz_per_capita", "pole_lease_per_site_year",
+            "power_maintenance_per_site_year", "cable_cost_per_m", "install_cost_per_m",
+            "power_maintenance_per_link_year", "equipment_cost_per_link",
+            "planning_install_per_link", "platform_cost", "cost_per_flight_hour",
+        )
+    },
+    # generate_layout shares the counts' range; it is not called at 1e7 cells here.
+    "n_macro": ("[1, 1e+07]", [CostConfig()]),
+    "n_small": ("[1, 1e+07]", [CostConfig()]),
+    "modules_per_hub": ("[1, 1e+07]", [RfNlosCostParams()]),
+    "nlos_hop_count": ("[1, 1e+07]", [TerrestrialFsoCostParams()]),
+    "n_platforms": ("[0, 1e+07]", [VerticalFsoCostParams()]),
+    "population": ("[0, 1e+10]", [RfNlosCostParams()]),
+    "spectrum_mhz": ("[0, 1e+06]", [RfNlosCostParams()]),
+    "routing_factor": ("[0, 1000]", [FiberCostParams()]),
+    "nlos_fraction": ("[0, 1]", [TerrestrialFsoCostParams()]),
+    "flight_hours_per_year": ("[0, 8760]", [VerticalFsoCostParams()]),
+    "width_m": ("(0, 1e+06]", [DEFAULT_AREA]),
+    "height_m": ("(0, 1e+06]", [DEFAULT_AREA]),
+    "years": ("[0, 1000]", [CostConfig(), compare_tco, TCO]),
 }
 
 
@@ -321,12 +373,23 @@ def test_the_ranges_are_the_whole_domain():
 
 
 def with_value(owner, name, value):
-    """owner (a valid instance, or a function on its valid call) with name set to value."""
+    """owner (a valid instance, a function on its valid call, or a config section) with
+    name set to value."""
+    if isinstance(owner, str):
+        return config_from_mapping({owner: {name: value}})
     return call(owner, **{name: value}) if callable(owner) else replace(owner, **{name: value})
 
 
 def owner_id(owner) -> str:
-    return getattr(owner, "__qualname__", type(owner).__name__)
+    return owner if isinstance(owner, str) else getattr(owner, "__qualname__", type(owner).__name__)
+
+
+def is_count(owner, name) -> bool:
+    """Whether the owner's valid value of name is an int."""
+    if isinstance(owner, str):
+        return False
+    valid = VALID_CALLS[owner][name] if callable(owner) else getattr(owner, name)
+    return isinstance(valid, int)
 
 
 DOMAIN_CASES = [(name, owner) for name, (_, owners) in RANGES.items() for owner in owners]
@@ -338,11 +401,48 @@ DOMAIN_CASES = [(name, owner) for name, (_, owners) in RANGES.items() for owner 
 def test_each_domain_bound_is_accepted_and_the_next_double_rejected(name, owner):
     interval, _ = RANGES[name]
     low, high = _DOMAIN[name]
-    with_value(owner, name, high)
+    accepted = int if is_count(owner, name) else float  # a count's bounds as ints
+    with_value(owner, name, accepted(high))
     if interval.startswith("["):  # a closed range holds its least value too
-        with_value(owner, name, low)
-    # Below a range from 0 the positive or non-negative rule speaks instead.
+        with_value(owner, name, accepted(low))
+    # Below a range from 0 the positive or non-negative rule speaks instead. A count's
+    # neighbouring doubles break its range before they break the integer rule.
+    prefix = f"{owner}: " if isinstance(owner, str) else ""
     for value in [math.nextafter(high, math.inf)] + [math.nextafter(low, -math.inf)] * (low > 0):
-        message = f"{name} must be in {interval}, got {value}"
+        message = f"{prefix}{name} must be in {interval}, got {value}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             with_value(owner, name, value)
+
+
+def test_the_converted_keys_ranges_are_the_fields_ranges():
+    # A key in the domain converts to a field value in it; the next double out of it does not.
+    low, high = _DOMAIN["elevation_deg"]
+    assert (math.radians(low), math.radians(high)) == _DOMAIN["elevation_rad"]
+    assert math.radians(math.nextafter(low, 0.0)) < _DOMAIN["elevation_rad"][0]
+    low, high = _DOMAIN["visibility_m"]
+    assert (low / 1000.0, high / 1000.0) == _DOMAIN["visibility_km"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_every_cost_and_traffic_input_at_its_upper_bound_gives_finite_answers():
+    def high(name):
+        return _DOMAIN[name][1]
+
+    def at_the_top(params):
+        values = {f.name: type(getattr(params, f.name))(high(f.name)) for f in fields(params)}
+        return replace(params, **values)
+
+    params = CostParams(*map(at_the_top, COST_PARAMS))
+    # The longest trench: every small cell the area's diagonal away from the one macro.
+    side, n_small = high("width_m"), int(high("n_small"))
+    small = np.broadcast_to([side, high("height_m")], (n_small, 2))
+    layout = HetNetLayout(Area(side, high("height_m")), [[0.0, 0.0]], small)
+    years = high("years")
+    results = compare_tco(layout, params, years)
+    assert len(results) == 4
+    for result in results:
+        assert all(math.isfinite(x) for x in (result.capex, result.opex_per_year, result.tco(years)))
+    traffic = TrafficProfile(high("busy_rate_bps"), high("peak_rate_bps"))
+    assert math.isfinite(aggregated_demand(int(high("n_cells")), traffic))
+    with pytest.raises(ValueError, match=r"^n_cells must be in \[1, 1e\+30\], got 1e\+303$"):
+        aggregated_demand(1e303, traffic)

@@ -15,19 +15,31 @@ error is then up to ~1e-10. The power, rate and margin are compared where the
 oracle's power is a normal double. Below that the float power underflows,
 and the margin may read -inf, the link-failure sentinel; it may read -inf
 nowhere else.
+
+A second property runs the CLI on the same drawn configs: a config the loader
+accepts never fails a command.
 """
 
+import contextlib
 import copy
+import csv
+import io
 import math
+import os
 import re
 import sys
+import tempfile
 from dataclasses import fields, replace
 from decimal import Context, Decimal, localcontext
 
+import yaml
 from hypothesis import example, given, settings, strategies as st
+
+from vfso import cli
 
 from vfso.atmosphere import cloud_visibility
 from vfso.config import ConfigError, _theta_tag, config_from_mapping
+from vfso.hetnet_cost import FiberCostParams, RfNlosCostParams, TerrestrialFsoCostParams, VerticalFsoCostParams
 from vfso.link_budget import LIGHT_SPEED_M_PER_S, PLANCK_J_S, LossBreakdown, evaluate_link
 from vfso.scenario import PRESET_NAMES, run_sweep
 
@@ -224,11 +236,58 @@ SWEEP = st.fixed_dictionaries(
         "scale": st.sampled_from(["linear", "log"]),
     }
 )
-TRAFFIC = floats(1.0, 1e12).flatmap(
-    lambda busy: st.fixed_dictionaries({"busy_rate_bps": st.just(busy), "peak_rate_bps": floats(busy, 1e13)})
+TRAFFIC = floats(1.0, 1e15).flatmap(
+    lambda busy: st.fixed_dictionaries({"busy_rate_bps": st.just(busy), "peak_rate_bps": floats(busy, 1e15)})
 )
+PRICE = floats(0.0, 1e9)
+# Every cost key over its range, but the layout kept small enough to cost in a test.
 COST = st.fixed_dictionaries(
-    {"n_macro": st.integers(1, 50), "n_small": st.integers(1, 500), "years": floats(0.0, 100.0)}
+    {
+        "n_macro": st.integers(1, 50),
+        "n_small": st.integers(1, 500),
+        "area_width_m": floats(0.0, 1e6, exclude_min=True),
+        "area_height_m": floats(0.0, 1e6, exclude_min=True),
+        "years": floats(0.0, 1e3),
+        "rf_nlos": st.fixed_dictionaries(
+            {
+                **dict.fromkeys(
+                    (
+                        "hub_unit_cost", "hub_install_cost", "module_unit_cost", "module_install_cost",
+                        "spectrum_cost_per_mhz_per_capita", "pole_lease_per_site_year",
+                        "power_maintenance_per_site_year",
+                    ),
+                    PRICE,
+                ),
+                "modules_per_hub": st.integers(1, 10**7),
+                "spectrum_mhz": floats(0.0, 1e6),
+                "population": st.integers(0, 10**10),
+            }
+        ),
+        "fiber": st.fixed_dictionaries(
+            {
+                **dict.fromkeys(("cable_cost_per_m", "install_cost_per_m", "power_maintenance_per_link_year"), PRICE),
+                "routing_factor": floats(0.0, 1e3),
+            }
+        ),
+        "terrestrial_fso": st.fixed_dictionaries(
+            {
+                **dict.fromkeys(
+                    ("equipment_cost_per_link", "planning_install_per_link", "power_maintenance_per_link_year"),
+                    PRICE,
+                ),
+                "nlos_fraction": floats(0.0, 1.0),
+                "nlos_hop_count": st.integers(1, 10**7),
+            }
+        ),
+        "vertical_fso": st.fixed_dictionaries(
+            {
+                "n_platforms": st.integers(0, 10**7),
+                "platform_cost": PRICE,
+                "cost_per_flight_hour": PRICE,
+                "flight_hours_per_year": floats(0.0, 8760.0),
+            }
+        ),
+    }
 )
 CONFIGS = st.fixed_dictionaries(
     {
@@ -251,7 +310,8 @@ CONFIGS = st.fixed_dictionaries(
     }
 )
 
-# The keys of the budget, each of which a draw may set to any finite double instead.
+# The keys of the budget, cost and traffic, each of which a draw may set to any finite
+# double instead (a count is then rejected as no integer).
 BUDGET_KEYS = [
     ("target_rate_bps",),
     *[("transceiver", key) for key in ("transmit_power_w", "wavelength_nm", "pointing_loss_db")],
@@ -264,13 +324,25 @@ BUDGET_KEYS = [
     ("rain", "layer_thickness_m"),
     *[("clouds", 0, key) for key in ("base_altitude_m", "thickness_m", "lwc_g_per_m3", "droplet_density_per_cm3")],
     ("divergence_values_rad", 0),
+    ("sweep", "points"),
+    ("traffic", "busy_rate_bps"),
+    ("traffic", "peak_rate_bps"),
+    *[("cost", key) for key in ("n_macro", "n_small", "area_width_m", "area_height_m", "years")],
+    *[
+        ("cost", section, f.name)
+        for section, params in zip(
+            ("rf_nlos", "fiber", "terrestrial_fso", "vertical_fso"),
+            (RfNlosCostParams, FiberCostParams, TerrestrialFsoCostParams, VerticalFsoCostParams),
+        )
+        for f in fields(params)
+    ],
 ]
 BEYOND = st.one_of(st.none(), st.tuples(st.sampled_from(BUDGET_KEYS), floats(-FLOAT_MAX, FLOAT_MAX)))
 
-# A rejection names the rule, range or list rule that the value breaks.
+# A rejection names the rule, range, type or cross-field rule that the value breaks.
 NAMED_BOUND = re.compile(
-    r"must be (finite|positive|non-negative|in [\[(][^,]+, [^\]]+\])"
-    r"|underflows to 0|shares the file name|cloud layers overlap"
+    r"must be (finite|positive|non-negative|in [\[(][^,]+, [^\]]+\]|>= )"
+    r"|expected an integer|shares the file name|cloud layers overlap"
 )
 
 
@@ -314,7 +386,7 @@ def test_every_config_is_rejected_naming_a_bound_or_answered_within_the_oracle(d
         assert beyond is not None, exc  # every draw inside the domain is answered
         key = beyond[0]
         section = "config" if len(key) == 1 else key[0]
-        assert re.match(rf"{section}(\[0\])?(\.\w+)?: ", str(exc)), str(exc)
+        assert re.match(rf"{section}(\[0\])?(\.\w+)*: ", str(exc)), str(exc)
         assert NAMED_BOUND.search(str(exc)), str(exc)
         return
     tx, target = config.transceiver, config.target_rate_bps
@@ -329,3 +401,74 @@ def test_every_config_is_rejected_naming_a_bound_or_answered_within_the_oracle(d
                 continue
             geometry = replace(config.geometry, **{field: row.value})
             assert_within_the_oracle(row.result, oracle(tx, geometry, scenario, target))
+
+
+# --- every command on every config ----------------------------------------------------
+
+COMMANDS = ("evaluate", "sweep", "cost", "aggregate")
+WARNING = re.compile(r"warning: (\S+) @ (\S+): (.*)")
+
+
+def run_main(argv: list) -> tuple:
+    """cli.main(argv) in-process: its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_every_float_cell_is_finite(outdir: str, failed: set) -> None:
+    """Every float cell of every CSV is finite, but -inf in link_margin_db and the NaN
+    cells of a sweep row that its command reported as failed (by file and grid value)."""
+    for name in sorted(os.listdir(outdir)):
+        if not name.endswith(".csv"):
+            continue
+        with open(os.path.join(outdir, name), newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        for row in rows:
+            for column, cell in row.items():
+                try:
+                    value = float(cell)
+                except ValueError:  # a label or a flag
+                    continue
+                if math.isnan(value) and (name, row.get("variable")) in failed:
+                    continue
+                assert math.isfinite(value) or (column, value) == ("link_margin_db", -math.inf), (
+                    name, column, row,
+                )
+
+
+@settings(deadline=None)
+@given(CONFIGS, BEYOND)
+# Inputs whose cost or demand once overflowed inside a command, each now rejected at load.
+@example({}, (("cost", "years"), 1e305))
+@example({}, (("cost", "vertical_fso", "platform_cost"), 1.7976931348623157e308))
+@example({}, (("cost", "fiber", "routing_factor"), 1e305))
+@example({}, (("cost", "area_width_m"), 1e160))
+@example({}, (("traffic", "busy_rate_bps"), 1e-300))
+@example({}, (("cost", "n_macro"), 2.5))
+@example({"scenarios": list(PRESET_NAMES)}, None)
+def test_a_config_that_loads_never_fails_a_command(document, beyond):
+    if beyond is not None:
+        document = with_value(document, *beyond)
+    with tempfile.TemporaryDirectory() as scratch:
+        path, outdir = os.path.join(scratch, "config.yaml"), os.path.join(scratch, "out")
+        with open(path, "w", encoding="utf-8") as handle:
+            yaml.safe_dump({**document, "output_dir": outdir}, handle)
+        try:
+            config_from_mapping(document)
+        except ConfigError as exc:
+            assert NAMED_BOUND.search(str(exc)), str(exc)
+            for command in COMMANDS:
+                assert run_main([command, "--config", path]) == (1, "", f"config error: {exc}\n")
+                assert not os.path.exists(outdir)
+            return
+        failed = set()
+        for command in COMMANDS:
+            code, _, err = run_main([command, "--config", path])
+            assert code == 0 or (command, code) == ("evaluate", 2), (command, code, err)
+            for line in err.splitlines():
+                warning = WARNING.fullmatch(line)
+                assert command == "sweep" and warning and NAMED_BOUND.search(warning[3]), line
+                failed.add(warning.group(1, 2))
+        assert_every_float_cell_is_finite(outdir, failed)
