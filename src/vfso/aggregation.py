@@ -26,7 +26,7 @@ class TrafficProfile:
     peak_rate_bps: float
 
     def __post_init__(self) -> None:
-        _require_bounds(self, positive=("busy_rate_bps",))
+        _require_bounds(self)
         if self.peak_rate_bps < self.busy_rate_bps:
             raise ValueError(
                 f"peak_rate_bps ({self.peak_rate_bps}) must be >= "
@@ -57,7 +57,7 @@ def supported_cells(
     of the last cell (see oversubscribes). rounding='floor' gives the
     guaranteed-provisioning count instead.
     """
-    _require("link_rate_bps", link_rate_bps, "non-negative")
+    _require("link_rate_bps", link_rate_bps)
     if rounding not in ("ceil", "floor"):
         raise ValueError(f"rounding must be 'ceil' or 'floor', got {rounding!r}")
     quotient = link_rate_bps / profile.busy_rate_bps

@@ -24,36 +24,30 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import _SCALAR_MATH, _require, _require_bounds, _slant_factor
+from .geometry import _SCALAR_MATH, _Checked, _require, _slant_factor
 
 # Background term of the Hufnagel-Valley profile, m^(-2/3).
 HV_BACKGROUND = 2.7e-16
 
 
 @dataclass(frozen=True)
-class FogDescriptor:
+class FogDescriptor(_Checked):
     """A ground-anchored fog layer: visibility inside it and its thickness."""
 
     visibility_km: float
     layer_thickness_m: float
 
-    def __post_init__(self) -> None:
-        _require_bounds(self, positive=("visibility_km",), non_negative=("layer_thickness_m",))
-
 
 @dataclass(frozen=True)
-class RainDescriptor:
+class RainDescriptor(_Checked):
     """A ground-anchored rain layer: rainfall rate and layer thickness."""
 
     rate_mm_per_hour: float
     layer_thickness_m: float
 
-    def __post_init__(self) -> None:
-        _require_bounds(self, non_negative=("rate_mm_per_hour", "layer_thickness_m"))
-
 
 @dataclass(frozen=True)
-class CloudLayer:
+class CloudLayer(_Checked):
     """One horizontally uniform cloud layer.
 
     lwc_g_per_m3 is the liquid water content; droplet_density_per_cm3 the
@@ -65,20 +59,13 @@ class CloudLayer:
     lwc_g_per_m3: float
     droplet_density_per_cm3: float
 
-    def __post_init__(self) -> None:
-        _require_bounds(
-            self,
-            positive=("lwc_g_per_m3", "droplet_density_per_cm3"),
-            non_negative=("base_altitude_m", "thickness_m"),
-        )
-
     @property
     def top_altitude_m(self) -> float:
         return self.base_altitude_m + self.thickness_m
 
 
 @dataclass(frozen=True)
-class TurbulenceDescriptor:
+class TurbulenceDescriptor(_Checked):
     """Turbulence state for the Hufnagel-Valley profile.
 
     wind_speed_m_per_s is the rms wind speed; structure_constant_a the
@@ -90,12 +77,6 @@ class TurbulenceDescriptor:
     wind_speed_m_per_s: float
     structure_constant_a: float
     reference_altitude_m: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        _require_bounds(
-            self,
-            non_negative=("wind_speed_m_per_s", "structure_constant_a", "reference_altitude_m"),
-        )
 
 
 @dataclass(frozen=True)
@@ -126,11 +107,7 @@ def kruse_size_exponent(visibility_km: float) -> float:
     [6, 50] km, 1.6 above. Discontinuous at V = 6 km; that step is part of
     the model itself.
     """
-    return _size_exponent(_require("visibility_km", visibility_km, "positive"))
-
-
-def _size_exponent(visibility_km: float) -> float:
-    if visibility_km > 50.0:
+    if _require("visibility_km", visibility_km) > 50.0:
         return 1.6
     if visibility_km >= 6.0:
         return 1.3
@@ -143,12 +120,9 @@ def mie_specific_attenuation(visibility_km: float, wavelength_nm: float) -> floa
     4.34 * (3.91 / V) * (lambda / 550)^(-delta), visibility in km and
     wavelength in nm.
     """
-    _require("visibility_km", visibility_km, "positive")
-    return _mie_db_per_km(visibility_km, _require("wavelength_nm", wavelength_nm, "positive"))
-
-
-def _mie_db_per_km(visibility_km: float, wavelength_nm: float) -> float:
-    return 4.34 * (3.91 / visibility_km) * (wavelength_nm / 550.0) ** -_size_exponent(visibility_km)
+    delta = kruse_size_exponent(visibility_km)
+    ratio = _require("wavelength_nm", wavelength_nm) / 550.0
+    return 4.34 * (3.91 / visibility_km) * ratio**-delta
 
 
 def fog_attenuation(fog: FogDescriptor, elevation_rad: float, wavelength_nm: float) -> float:
@@ -196,7 +170,7 @@ def _cloud_db(layers, nfp_altitude_m, elevation_rad, wavelength_nm, xp):
     for layer in layers:
         base = layer.base_altitude_m
         pierced_m = xp.minimum(xp.maximum(nfp_altitude_m, base), layer.top_altitude_m) - base
-        specific = _mie_db_per_km(cloud_visibility(layer), wavelength_nm)
+        specific = mie_specific_attenuation(cloud_visibility(layer), wavelength_nm)
         total += specific * pierced_m / 1000.0 * factor
     return total
 
@@ -207,7 +181,7 @@ def refractive_index_structure(altitude_m: float, turbulence: TurbulenceDescript
     Three-term sum: a high-altitude wind-driven term, a fixed background
     term, and a ground-layer term scaled by the structure constant A.
     """
-    _require("altitude_m", altitude_m, "non-negative")
+    _require("altitude_m", altitude_m)
     return _cn2(altitude_m, turbulence, _SCALAR_MATH)
 
 
@@ -226,9 +200,9 @@ def scintillation_loss(wavelength_nm: float, cn2: float, path_length_m: float) -
     2 * sqrt(23.17 * k^(7/6) * Cn^2 * l^(11/6)) with the optical wavenumber
     k = 2*pi*1e9 / lambda_nm in 1/m and the path length l in m.
     """
-    _require("wavelength_nm", wavelength_nm, "positive")
-    _require("cn2", cn2, "non-negative")
-    _require("path_length_m", path_length_m, "positive")
+    _require("wavelength_nm", wavelength_nm)
+    _require("cn2", cn2)
+    _require("path_length_m", path_length_m)
     return _scintillation_db(wavelength_nm, cn2, path_length_m, _SCALAR_MATH)
 
 

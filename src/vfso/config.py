@@ -33,7 +33,7 @@ from .atmosphere import (
     WeatherScenario,
     _check_no_overlap,
 )
-from .geometry import LinkGeometry, _require, _require_bounds, _shown
+from .geometry import LinkGeometry, _Checked, _require, _require_bounds, _shown
 from .hetnet_cost import DEFAULT_AREA, Area, CostParams
 from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams, efficiencies_from_optical_loss
 from .scenario import (
@@ -58,7 +58,7 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class CostConfig:
+class CostConfig(_Checked):
     """Layout size, area, horizon in years and technology prices of a cost run."""
 
     n_macro: int = 100
@@ -66,9 +66,6 @@ class CostConfig:
     area: Area = DEFAULT_AREA
     years: float = 1.0
     params: CostParams = field(default_factory=CostParams)
-
-    def __post_init__(self) -> None:
-        _require_bounds(self, positive=("n_macro", "n_small"), non_negative=("years",))
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,7 @@ class RunConfig:
     cost: CostConfig = field(default_factory=CostConfig)
 
     def __post_init__(self) -> None:
-        _require_bounds(self, positive=("target_rate_bps",), non_negative=("seed",))
+        _require_bounds(self)
         _check_no_overlap(self.clouds)
         _check_scenarios(self.scenario_names, "scenario_names")
         if self.divergence_values_rad is not None:
@@ -429,7 +426,10 @@ def resolved_mapping(config: RunConfig) -> dict:
     """The fully resolved configuration as a plain mapping.
 
     Feeding this back through config_from_mapping reconstructs an equal
-    RunConfig, which is what makes result bundles self-reproducing.
+    RunConfig for every config that was loaded, which is what makes result
+    bundles self-reproducing. A RunConfig built in code may hold an
+    elevation_rad that no degrees value converts to (1.258084464684313, say);
+    its echo then reloads as the neighbouring double, one ulp off.
     """
     return _emit(config)
 

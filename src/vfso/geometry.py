@@ -29,11 +29,19 @@ _SCALAR_MATH = SimpleNamespace(exp=math.exp, log10=_log10, sqrt=math.sqrt, minim
 
 _FLOAT_MAX = sys.float_info.max
 
+# Cost: prices in $ per unit, m, year or flight hour.
+_PRICES = (
+    "hub_unit_cost", "hub_install_cost", "module_unit_cost", "module_install_cost",
+    "spectrum_cost_per_mhz_per_capita", "pole_lease_per_site_year", "platform_cost",
+    "power_maintenance_per_site_year", "cable_cost_per_m", "install_cost_per_m",
+    "power_maintenance_per_link_year", "equipment_cost_per_link", "cost_per_flight_hour",
+    "planning_install_per_link",
+)
+
 # The model's domain: the closed range of each bounded argument or field, by name. The
 # bounds are generous (the paper's links are 1550 nm, 1-20 km, 1 urad-1 mrad) and keep
 # every budget term a finite double: no power overflows, a loss is at most ~1e214 dB,
-# and only the received power and rate may underflow, to the -inf margin sentinel. A
-# positive argument whose range starts at 0 excludes 0 itself.
+# and only the received power and rate may underflow, to the -inf margin sentinel.
 _DOMAIN = {
     "wavelength_nm": (100.0, 1e5),
     "transmit_power_w": (0.0, 1e6),
@@ -68,15 +76,9 @@ _DOMAIN = {
     **dict.fromkeys(("busy_rate_bps", "peak_rate_bps"), (1.0, 1e15)),
     "link_rate_bps": (0.0, 1e30),
     "n_cells": (1.0, 1e30),
-    # Cost: prices in $ per unit, m, year or flight hour, counts and the layout's sides. At
-    # every bound each line item, capex, opex and TCO stays below ~1e26 $.
-    **dict.fromkeys((
-        "hub_unit_cost", "hub_install_cost", "module_unit_cost", "module_install_cost",
-        "spectrum_cost_per_mhz_per_capita", "pole_lease_per_site_year", "platform_cost",
-        "power_maintenance_per_site_year", "cable_cost_per_m", "install_cost_per_m",
-        "power_maintenance_per_link_year", "equipment_cost_per_link", "cost_per_flight_hour",
-        "planning_install_per_link",
-    ), (0.0, 1e9)),
+    # Cost: prices, counts and the layout's sides. At every bound each line item, capex,
+    # opex and TCO stays below ~1e26 $.
+    **dict.fromkeys(_PRICES, (0.0, 1e9)),
     **dict.fromkeys(("n_macro", "n_small", "modules_per_hub", "nlos_hop_count"), (1.0, 1e7)),
     "n_platforms": (0.0, 1e7),
     "population": (0.0, 1e10),
@@ -86,6 +88,24 @@ _DOMAIN = {
     "flight_hours_per_year": (0.0, 8760.0),
     **dict.fromkeys(("width_m", "height_m"), (0.0, 1e6)),
     "years": (0.0, 1e3),
+}
+# The sign rule of each name that has one, by name: checked before the range, and a
+# positive name's range that starts at 0 excludes 0 itself.
+_RULES = {
+    **dict.fromkeys((
+        "wavelength_nm", "transmit_power_w", "receiver_sensitivity_photons_per_bit",
+        "target_rate_bps", "nfp_altitude_m", "divergence_rad", "receiver_radius_m",
+        "path_length_m", "visibility_km", "lwc_g_per_m3", "droplet_density_per_cm3",
+        "busy_rate_bps", "n_macro", "n_small", "width_m", "height_m",
+    ), "positive"),
+    **dict.fromkeys((
+        "pointing_loss_db", "optical_loss_db", "atmospheric_loss_db", "rate_bps", "seed",
+        "layer_thickness_m", "rate_mm_per_hour", "base_altitude_m", "thickness_m",
+        "altitude_m", "reference_altitude_m", "wind_speed_m_per_s", "structure_constant_a",
+        "cn2", "link_rate_bps", "years", *_PRICES, "modules_per_hub", "population",
+        "spectrum_mhz", "routing_factor", "nlos_fraction", "nlos_hop_count", "n_platforms",
+        "flight_hours_per_year",
+    ), "non-negative"),
 }
 _DOUBLES = (-_FLOAT_MAX, _FLOAT_MAX)
 _bounds = _DOMAIN.get  # looked up once, not on each of _require's many calls
@@ -102,55 +122,67 @@ def _shown(value, text=str) -> str:
     return f"a {'negative ' * (value < 0)}{digits}-digit int"
 
 
-def _interval(name: str, rule: str) -> str:
+def _interval(name: str) -> str:
     """The range _DOMAIN gives name, as a message states it."""
     low, high = _DOMAIN[name]
     high_text = {math.pi: "pi", math.pi / 2: "pi/2"}.get(high, f"{high:g}")
-    return f"{'(' if rule == 'positive' and low == 0 else '['}{low:g}, {high_text}]"
+    return f"{'(' if _RULES.get(name) == 'positive' and low == 0 else '['}{low:g}, {high_text}]"
 
 
-def _require(name: str, value, rule: str = "finite"):
-    """The one statement of the finite, positive and non-negative rules and of the model's
-    domain: value, or a ValueError naming `name` if value is NaN or infinite, breaks `rule`
-    or leaves name's range in _DOMAIN, checked in that order. Bounded by the largest
-    double, not inf, so a Python int beyond the float range counts as infinite."""
+def _require(name: str, value):
+    """The one check of a number: value, or a ValueError naming `name` if value is NaN or
+    infinite, breaks name's rule in _RULES or leaves its range in _DOMAIN, checked in that
+    order. Bounded by the largest double, not inf, so a Python int beyond the float range
+    counts as infinite."""
     low, high = _bounds(name, _DOUBLES)
     if 0 < value and low <= value <= high:  # the common case, valid by every rule
         return value
     if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ValueError(f"{name} must be finite, got {_shown(value)}")
+    rule = _RULES.get(name)
     if (rule == "positive" and value <= 0) or (rule == "non-negative" and value < 0):
         raise ValueError(f"{name} must be {rule}, got {value}")
     if not low <= value <= high:
-        raise ValueError(f"{name} must be in {_interval(name, rule)}, got {value}")
+        raise ValueError(f"{name} must be in {_interval(name)}, got {value}")
     return value
 
 
-def _require_int(name: str, value, rule: str = "finite"):
+def _require_int(name: str, value):
     """_require of a count, which must also be an int (not a bool), checked after the rest."""
     if isinstance(value, Real):
-        _require(name, value, rule)
+        _require(name, value)
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
 
 def _valid_entries(name: str, values):
-    """_require(name, ., "positive") over a numpy array: the mask of the entries it passes."""
+    """_require(name, .) over a numpy array: the mask of the entries it passes."""
     low, high = _bounds(name, _DOUBLES)
-    return (values > 0.0) & (values >= low) & (values <= high)
+    rule = _RULES.get(name)
+    signed = values > 0.0 if rule == "positive" else values >= 0.0 if rule else True
+    return signed & (values >= low) & (values <= high)
 
 
-def _require_bounds(instance, positive=(), non_negative=()) -> None:
-    """A dataclass constructor's check, field by field: _require_int of one annotated int,
-    _require of one set (not None) and named under a rule, or real (then finite at least)."""
-    rules = {**dict.fromkeys(non_negative, "non-negative"), **dict.fromkeys(positive, "positive")}
+def _require_bounds(instance) -> None:
+    """A dataclass constructor's check, each field's read from its annotation: _require_int
+    of an int, _require of a float or of an Optional[float] that is set, which must be a
+    real number (not a bool)."""
     for f in fields(instance):
         value = getattr(instance, f.name)
         if f.type == "int":
-            _require_int(f.name, value, rules.get(f.name, "finite"))
-        elif (f.name in rules and value is not None) or isinstance(value, Real):
-            _require(f.name, value, rules.get(f.name, "finite"))
+            _require_int(f.name, value)
+        elif f.type == "float" or (f.type == "Optional[float]" and value is not None):
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
+            _require(f.name, value)
+
+
+class _Checked:
+    """A parameter dataclass whose constructor runs _require_bounds."""
+
+    def __post_init__(self) -> None:
+        _require_bounds(self)
 
 
 def _slant_factor(elevation_rad: float) -> float:
@@ -158,7 +190,7 @@ def _slant_factor(elevation_rad: float) -> float:
 
 
 @dataclass(frozen=True)
-class LinkGeometry:
+class LinkGeometry(_Checked):
     """Geometry of one ground-to-platform optical link.
 
     nfp_altitude_m: platform altitude above the ground terminal (m)
@@ -171,9 +203,6 @@ class LinkGeometry:
     elevation_rad: float
     divergence_rad: float
     receiver_radius_m: float
-
-    def __post_init__(self) -> None:
-        _require_bounds(self, positive=("nfp_altitude_m", "divergence_rad", "receiver_radius_m"))
 
 
 def slant_path(geometry: LinkGeometry) -> float:

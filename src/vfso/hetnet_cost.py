@@ -22,21 +22,18 @@ literally the sum of their items.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import _require, _require_bounds, _require_int
+from .geometry import _Checked, _require, _require_int
 
 
 @dataclass(frozen=True)
-class Area:
+class Area(_Checked):
     width_m: float
     height_m: float
-
-    def __post_init__(self) -> None:
-        _require_bounds(self, positive=("width_m", "height_m"))
 
 
 DEFAULT_AREA = Area(width_m=5000.0, height_m=5000.0)
@@ -72,8 +69,8 @@ def generate_layout(
     Positions are independent and identically distributed; the same seed
     always reproduces the same coordinates.
     """
-    _require_int("n_macro", n_macro, "positive")
-    _require_int("n_small", n_small, "positive")
+    _require_int("n_macro", n_macro)
+    _require_int("n_small", n_small)
     rng = np.random.default_rng(seed)
     extent = np.array([area.width_m, area.height_m])
     macro = rng.uniform(0.0, 1.0, size=(n_macro, 2)) * extent
@@ -156,15 +153,8 @@ def _tile_nearest_squared(x, y, macro_x, macro_y) -> np.ndarray:
 # --- Technology cost parameters (defaults are North-American list prices) ---
 
 
-class _NonNegativeFields:
-    """Every field non-negative, and in its range of the model's domain."""
-
-    def __post_init__(self) -> None:
-        _require_bounds(self, non_negative=[f.name for f in fields(self)])
-
-
 @dataclass(frozen=True)
-class RfNlosCostParams(_NonNegativeFields):
+class RfNlosCostParams(_Checked):
     hub_unit_cost: float = 4000.0
     hub_install_cost: float = 270.0
     module_unit_cost: float = 2000.0
@@ -178,7 +168,7 @@ class RfNlosCostParams(_NonNegativeFields):
 
 
 @dataclass(frozen=True)
-class FiberCostParams(_NonNegativeFields):
+class FiberCostParams(_Checked):
     cable_cost_per_m: float = 10.0
     install_cost_per_m: float = 200.0
     power_maintenance_per_link_year: float = 200.0
@@ -187,7 +177,7 @@ class FiberCostParams(_NonNegativeFields):
 
 
 @dataclass(frozen=True)
-class TerrestrialFsoCostParams(_NonNegativeFields):
+class TerrestrialFsoCostParams(_Checked):
     equipment_cost_per_link: float = 15000.0
     planning_install_per_link: float = 5000.0
     power_maintenance_per_link_year: float = 8000.0
@@ -196,7 +186,7 @@ class TerrestrialFsoCostParams(_NonNegativeFields):
 
 
 @dataclass(frozen=True)
-class VerticalFsoCostParams(_NonNegativeFields):
+class VerticalFsoCostParams(_Checked):
     n_platforms: int = 20
     platform_cost: float = 50000.0
     cost_per_flight_hour: float = 859.0
@@ -234,7 +224,7 @@ class TcoResult:
     opex_per_year: float
 
     def tco(self, years: float) -> float:
-        return self.capex + _require("years", years, "non-negative") * self.opex_per_year
+        return self.capex + _require("years", years) * self.opex_per_year
 
 
 def _result(technology: str, items: Sequence[CostLineItem]) -> TcoResult:

@@ -26,8 +26,8 @@ from .geometry import (
     LinkGeometry,
     _capture_fraction,
     _capture_loss_db,
+    _Checked,
     _require,
-    _require_bounds,
     _slant_path,
     _valid_entries,
     geometrical_capture_fraction,
@@ -40,7 +40,7 @@ LIGHT_SPEED_M_PER_S = 3.0e8
 
 
 @dataclass(frozen=True)
-class TransceiverParams:
+class TransceiverParams(_Checked):
     """Optical transceiver parameters of one link end-to-end.
 
     Efficiencies are linear factors in [1e-30, 1]; pointing loss is a lumped
@@ -55,13 +55,6 @@ class TransceiverParams:
     wavelength_nm: float
     pointing_loss_db: float
     receiver_sensitivity_photons_per_bit: float
-
-    def __post_init__(self) -> None:
-        _require_bounds(
-            self,
-            positive=("transmit_power_w", "wavelength_nm", "receiver_sensitivity_photons_per_bit"),
-            non_negative=("pointing_loss_db",),
-        )
 
 
 @dataclass(frozen=True)
@@ -121,11 +114,7 @@ def _from_per_point(numbers, target_rate_bps: float) -> LinkBudgetResult:
 def optical_loss(tx_efficiency: float, rx_efficiency: float) -> float:
     """Loss in dB of the imperfect optics, -10*log10(eta_t * eta_r)."""
     _require("tx_efficiency", tx_efficiency)
-    return _optical_db(tx_efficiency, _require("rx_efficiency", rx_efficiency))
-
-
-def _optical_db(tx_efficiency: float, rx_efficiency: float) -> float:
-    return -10.0 * math.log10(tx_efficiency * rx_efficiency)
+    return -10.0 * math.log10(tx_efficiency * _require("rx_efficiency", rx_efficiency))
 
 
 def efficiencies_from_optical_loss(optical_loss_db: float) -> tuple[float, float]:
@@ -134,14 +123,14 @@ def efficiencies_from_optical_loss(optical_loss_db: float) -> tuple[float, float
     Only the product enters the rate equation, so the even split is a
     convention, not an assumption.
     """
-    _require("optical_loss_db", optical_loss_db, "non-negative")
+    _require("optical_loss_db", optical_loss_db)
     eta = 10.0 ** (-optical_loss_db / 20.0)
     return eta, eta
 
 
 def photon_energy(wavelength_nm: float) -> float:
     """Energy of one photon in joules, h*c/lambda."""
-    wavelength_m = _require("wavelength_nm", wavelength_nm, "positive") * 1e-9
+    wavelength_m = _require("wavelength_nm", wavelength_nm) * 1e-9
     return PLANCK_J_S * LIGHT_SPEED_M_PER_S / wavelength_m
 
 
@@ -153,7 +142,7 @@ def received_power(
     Transmit power scaled by both optical efficiencies, the pointing and
     atmospheric losses (dB -> linear), and the geometric capture fraction.
     """
-    _require("atmospheric_loss_db", atmospheric_loss_db, "non-negative")
+    _require("atmospheric_loss_db", atmospheric_loss_db)
     return _received_power(tx, atmospheric_loss_db, geometrical_capture_fraction(geometry))
 
 
@@ -184,12 +173,12 @@ def link_margin(rate_bps: float, target_rate_bps: float) -> float:
     sentinel. The target must lie in the model's domain, 1 bit/s to 1 Tbit/s,
     or a ValueError names that range; no finite rate over it then overflows.
     """
-    _require("rate_bps", rate_bps, "non-negative")
+    _require("rate_bps", rate_bps)
     return _margin_db(rate_bps, target_rate_bps, _SCALAR_MATH)
 
 
 def _margin_db(rate_bps, target_rate_bps: float, xp):
-    return 10.0 * xp.log10(rate_bps / _require("target_rate_bps", target_rate_bps, "positive"))
+    return 10.0 * xp.log10(rate_bps / _require("target_rate_bps", target_rate_bps))
 
 
 def evaluate_link(
@@ -238,7 +227,7 @@ def evaluate_grid(
         values = np.asarray(values)
         invalid = values[~_valid_entries(name, values)]
         if invalid.size:  # the first invalid entry, named as LinkGeometry names it
-            _require(name, invalid.flat[0].item(), "positive")
+            _require(name, invalid.flat[0].item())
     # A rate that underflows to 0 has log10 -inf: the margin sentinel, as in evaluate_link.
     with np.errstate(divide="ignore"):
         return _budget(tx, geometry, scenario, target_rate_bps, altitude, divergence, np)
@@ -255,7 +244,7 @@ def _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad,
         *_atmospheric_terms(scenario, altitude_m, elevation, wavelength, path_m, xp),
         geometrical_db=_capture_loss_db(fraction, xp),
         pointing_db=tx.pointing_loss_db,
-        optical_db=_optical_db(tx.tx_efficiency, tx.rx_efficiency),
+        optical_db=optical_loss(tx.tx_efficiency, tx.rx_efficiency),
     )
     power_w = _received_power(tx, losses.atmospheric_db, fraction)
     rate_bps = power_w / (photon_energy(wavelength) * tx.receiver_sensitivity_photons_per_bit)

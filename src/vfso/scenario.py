@@ -228,7 +228,7 @@ def run_sweep(
     errors: list[Optional[str]] = [None] * len(values)
     for i in np.flatnonzero(~valid).tolist():
         try:
-            _require(field, values[i].item(), "positive")
+            _require(field, values[i].item())
         except ValueError as exc:
             errors[i] = str(exc)
     parked = np.where(valid, values, getattr(geometry, field))

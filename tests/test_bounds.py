@@ -1,7 +1,9 @@
 """The bounds of the constructors and of the public functions: each field or
 argument, its bound and the exact message naming it."""
 
+import importlib
 import math
+import pkgutil
 import re
 from dataclasses import fields, is_dataclass, replace
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import vfso
 from vfso.aggregation import (
     DEFAULT_TRAFFIC,
     TrafficProfile,
@@ -25,7 +28,7 @@ from vfso.atmosphere import (
     scintillation_loss,
 )
 from vfso.config import CostConfig, RunConfig, config_from_mapping
-from vfso.geometry import _DOMAIN, capture_loss_db
+from vfso.geometry import _DOMAIN, _RULES, capture_loss_db
 from vfso.hetnet_cost import (
     DEFAULT_AREA,
     Area,
@@ -79,6 +82,10 @@ POSITIVE = [
     (CLOUD, "droplet_density_per_cm3"),
     (DEFAULT_TRAFFIC, "busy_rate_bps"),
     (RunConfig(), "target_rate_bps"),
+    (DEFAULT_AREA, "width_m"),
+    (DEFAULT_AREA, "height_m"),
+    (CostConfig(), "n_macro"),
+    (CostConfig(), "n_small"),
 ]
 NON_NEGATIVE = [
     (TRANSCEIVER, "pointing_loss_db"),
@@ -95,6 +102,11 @@ NON_NEGATIVE = [
     *[(params, f.name) for params in COST_PARAMS for f in fields(params)],
 ]
 BOUNDED = POSITIVE + NON_NEGATIVE
+# A valid instance of every dataclass whose constructor runs _require_bounds.
+CHECKED = [
+    TRANSCEIVER, GEOMETRY, DEFAULT_FOG, DEFAULT_RAIN, CLOUD, DEFAULT_TURBULENCE, DEFAULT_AREA,
+    *COST_PARAMS, CostConfig(), RunConfig(), DEFAULT_TRAFFIC, DEFAULT_SWEEP,
+]
 # Python ints that no double holds: finite, yet outside the float range.
 BEYOND_FLOATS = (10**400, -(10**400))
 
@@ -113,6 +125,14 @@ CASES = [
     (RfNlosCostParams(), "modules_per_hub", True, "must be an integer, got True"),
     *[(valid, name, 0.0, "must be positive, got 0.0") for valid, name in POSITIVE],
     *[(valid, name, -1.0, "must be non-negative, got -1.0") for valid, name in NON_NEGATIVE],
+    # A float field holds a real number: not a str, a bool, a list or (unless Optional) None.
+    *[
+        (valid, f.name, value, f"must be a number, got {value!r}")
+        for valid in CHECKED
+        for f in fields(valid)
+        if f.type in ("float", "Optional[float]")
+        for value in ("1.0", True, [1.0], *[None] * (f.type == "float"))
+    ],
     *[(valid, name, math.nan, "must be finite, got nan") for valid, name in BOUNDED],
     *[
         (valid, name, big, f"must be finite, got {in_message(big)}")
@@ -123,8 +143,10 @@ CASES = [
 
 
 def shown(value) -> str:
-    """value in a test id, an int beyond the float range as a power of ten."""
-    return f"{'-' * (value < 0)}10**400" if value in BEYOND_FLOATS else str(value)
+    """value in a test id, an int beyond the float range as a power of ten, a str quoted."""
+    if value in BEYOND_FLOATS:
+        return f"{'-' * (value < 0)}10**400"
+    return repr(value) if isinstance(value, str) else str(value)
 
 
 @pytest.mark.parametrize(
@@ -239,6 +261,45 @@ def test_each_argument_rule_names_its_argument(function, name, value, rule):
     message = f"{name} must be {rule}, got {in_message(value)}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(function, **{name: value})
+
+
+def checked_classes() -> set:
+    """Every dataclass of the package whose constructor runs _require_bounds."""
+    checked = set()
+    for module in pkgutil.iter_modules(vfso.__path__):
+        for value in vars(importlib.import_module(f"vfso.{module.name}")).values():
+            post_init = getattr(value, "__post_init__", None)
+            if isinstance(value, type) and is_dataclass(value) and post_init is not None:
+                if "_require_bounds" in post_init.__code__.co_names:
+                    checked.add(value)
+    return checked
+
+
+def test_the_checked_instances_are_every_checked_dataclass():
+    assert {type(valid) for valid in CHECKED} == checked_classes()
+
+
+# Fields whose annotation names float or int in a container, each checked by a rule of its own.
+CONTAINERS = {(RunConfig, "divergence_values_rad")}  # each angle as LinkGeometry's divergence
+
+
+def test_every_numeric_field_has_an_annotation_the_constructor_check_reads():
+    # _require_bounds reads exactly these three; a field written `float | None` would go unchecked.
+    for cls in checked_classes():
+        for f in fields(cls):
+            if re.search(r"\b(float|int)\b", str(f.type)) and (cls, f.name) not in CONTAINERS:
+                assert f.type in ("float", "int", "Optional[float]"), (cls.__name__, f.name, f.type)
+
+
+def test_the_rules_are_the_whole_rule_table():
+    # Every field and argument row that expects a sign rule, by name: each name under one rule.
+    rows = [(name, "positive") for _, name in POSITIVE]
+    rows += [(name, "non-negative") for _, name in NON_NEGATIVE]
+    rows += [(name, rule) for _, name, _, rule in ARGUMENTS if rule in ("positive", "non-negative")]
+    expected = {}
+    for name, rule in rows:
+        assert expected.setdefault(name, rule) == rule, name
+    assert expected == _RULES
 
 
 def test_every_valid_call_is_answered():

@@ -236,6 +236,19 @@ class TestResolvedEcho:
         echoed = yaml.safe_load(resolved_yaml(config))
         assert config_from_mapping(echoed).geometry.elevation_rad == config.geometry.elevation_rad
 
+    def test_an_elevation_built_in_code_may_reload_one_ulp_off(self):
+        radians = 1.258084464684313
+        config = RunConfig(geometry=replace(RunConfig().geometry, elevation_rad=radians))
+        degrees = resolved_mapping(config)["geometry"]["elevation_deg"]
+        assert degrees == math.degrees(radians)
+        reloaded = config_from_mapping(resolved_mapping(config))
+        assert reloaded.geometry.elevation_rad == math.nextafter(radians, math.inf)
+        assert reloaded != config
+        # math.radians is one correctly rounded product, so monotone: the degrees next to
+        # the echo convert to either side of the radians, and no double converts onto them.
+        below = math.nextafter(degrees, 0.0)
+        assert math.radians(below) < radians < math.radians(degrees)
+
     def test_echo_is_complete(self):
         mapping = resolved_mapping(load_config())
         for key in (
