@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .geometry import _SCALAR_MATH, _Checked, _require, _slant_factor
+from .geometry import _SCALAR_MATH, _Checked, _require, _require_bounds, _slant_factor
 
 # Background term of the Hufnagel-Valley profile, m^(-2/3).
 HV_BACKGROUND = 2.7e-16
@@ -94,6 +94,7 @@ class WeatherScenario:
     turbulence: Optional[TurbulenceDescriptor] = None
 
     def __post_init__(self) -> None:
+        _require_bounds(self)
         if not self.label:
             raise ValueError("label must be non-empty")
         object.__setattr__(self, "clouds", tuple(self.clouds))

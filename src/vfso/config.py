@@ -9,10 +9,11 @@ configuration can be dumped back to YAML and re-fed as input, reproducing
 the same run.
 
 Reading and writing both walk the dataclass fields of the default
-RunConfig: a section holds one key per field, a nested dataclass is a
-nested section, and each value is checked against its field's annotation
-before the constructor validates the whole object. The few fields that are
-spelled differently in YAML are listed in ``_SPECIAL`` and ``_FLATTENED``.
+RunConfig: a section holds one key per field and a nested dataclass is a
+nested section. The loader only parses YAML spellings (a number written as
+a string, say); every value is checked by the constructors, whose messages
+name the section and the key. The few fields that are spelled differently
+in YAML are listed in ``_SPECIAL`` and ``_FLATTENED``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .atmosphere import (
     WeatherScenario,
     _check_no_overlap,
 )
-from .geometry import LinkGeometry, _Checked, _require, _require_bounds, _shown
+from .geometry import LinkGeometry, _Checked, _require, _require_bounds
 from .hetnet_cost import DEFAULT_AREA, Area, CostParams
 from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams, efficiencies_from_optical_loss
 from .scenario import (
@@ -88,11 +89,12 @@ class RunConfig:
     cost: CostConfig = field(default_factory=CostConfig)
 
     def __post_init__(self) -> None:
+        # The only check of the list fields; each message names its config key.
         _require_bounds(self)
-        _check_no_overlap(self.clouds)
-        _check_scenarios(self.scenario_names, "scenario_names")
+        _build(lambda: _check_no_overlap(self.clouds), "clouds")
+        _check_scenarios(self.scenario_names)
         if self.divergence_values_rad is not None:
-            _check_divergences(self.divergence_values_rad, "divergence_values_rad")
+            _check_divergences(self.divergence_values_rad)
 
     def scenario(self, name: str) -> WeatherScenario:
         """Build one named preset with this config's weather components."""
@@ -108,19 +110,17 @@ class RunConfig:
         return [self.scenario(name) for name in self.scenario_names]
 
 
-# Rules for the list fields, shared by RunConfig and the loader (path: the YAML key).
-
-
-def _check_scenarios(names: Sequence, path: str) -> None:
+def _check_scenarios(names: Sequence) -> None:
     if not names:
-        raise ConfigError(f"{path}: expected a non-empty list of preset names")
+        raise ConfigError("scenarios: expected a non-empty list of preset names")
     for i, name in enumerate(names):
-        _build(lambda: preset(name), f"{path}[{i}]")
+        _build(lambda: preset(name), f"scenarios[{i}]")
         if name in names[:i]:
-            raise ConfigError(f"{path}[{i}]: duplicate preset {name!r}")
+            raise ConfigError(f"scenarios[{i}]: duplicate preset {name!r}")
 
 
-def _check_divergences(angles: Sequence, path: str) -> None:
+def _check_divergences(angles: Sequence) -> None:
+    path = "divergence_values_rad"
     if not angles:
         raise ConfigError(f"{path}: expected a non-empty list of angles")
     first_with = {}  # file name tag -> the first index that has it
@@ -139,7 +139,7 @@ def _theta_tag(divergence_rad: float) -> str:
     return f"theta_{divergence_rad * 1e6:g}urad"
 
 
-# --- scalar values -----------------------------------------------------------
+# --- parsing -------------------------------------------------------------------
 
 _ROOT = "config"
 
@@ -162,48 +162,26 @@ def _reject_unknown(section: dict, path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s) {keys}")
 
 
-def _number(raw: Any, path: str) -> float:
-    value = None
-    try:
-        # YAML 1.1 leaves forms like "1e-6" as strings; accept them anyway.
-        if isinstance(raw, (int, float, str)) and not isinstance(raw, bool):
-            value = float(raw)
-    except ValueError:
-        pass
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if value is None:
-        raise ConfigError(f"{path}: expected a number, got {raw!r}")
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {_shown(raw, repr)}")
-    return value
-
-
-def _integer(raw: Any, path: str) -> int:
-    if isinstance(raw, bool) or not isinstance(raw, int):
-        raise ConfigError(f"{path}: expected an integer, got {raw!r}")
+def _number(raw: Any) -> Any:
+    """A float field's YAML value parsed: an int, or a numeric string (YAML 1.1 leaves forms
+    like "1e-6" as strings), as a float. Anything else, an int beyond the float range too,
+    is left as it is, for the constructor to judge."""
+    if isinstance(raw, (int, str)) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except (ValueError, OverflowError):
+            pass
     return raw
 
 
-def _string(raw: Any, path: str) -> str:
-    if not isinstance(raw, str):
-        raise ConfigError(f"{path}: expected a string, got {raw!r}")
-    return raw
-
-
-def _optional_number(raw: Any, path: str) -> Optional[float]:
-    return None if raw is None else _number(raw, path)
-
-
-# Field annotation -> reader of a value of that type.
-_SCALARS = {"float": _number, "int": _integer, "str": _string, "Optional[float]": _optional_number}
-
-
-def _build(factory, path: str):
+def _build(factory, path: str, prefix: str = ""):
+    """factory(), with a ValueError it raises led by path (and its field name by prefix);
+    a root key's error, which names the key, stays as it is."""
     try:
         return factory()
     except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        message = f"{prefix}{exc}"
+        raise ConfigError(message if path == _ROOT else f"{path}: {message}") from exc
 
 
 # --- fields read by hand -------------------------------------------------------
@@ -219,9 +197,8 @@ def _read_transceiver(default: TransceiverParams, raw: Any, path: str) -> Transc
                 f"{path}: give either optical_loss_db or the "
                 "tx_efficiency/rx_efficiency pair, not both"
             )
-        loss_path = _join(path, "optical_loss_db")
-        loss = _number(section.pop("optical_loss_db"), loss_path)
-        etas = _build(lambda: efficiencies_from_optical_loss(loss), loss_path)
+        loss = _number(section.pop("optical_loss_db"))
+        etas = _build(lambda: efficiencies_from_optical_loss(loss), path)
         section["tx_efficiency"], section["rx_efficiency"] = etas
     elif pair:
         for key in ("tx_efficiency", "rx_efficiency"):
@@ -235,35 +212,26 @@ def _read_clouds(default: tuple, raw: Any, path: str) -> tuple[CloudLayer, ...]:
     if not isinstance(raw, list):
         raise ConfigError(f"{path}: expected a list of layers, got {type(raw).__name__}")
     # The keys a layer leaves out come from the default deck's layer.
-    layers = tuple(
-        _read(DEFAULT_CLOUD_PROFILE[0], layer, f"{path}[{i}]") for i, layer in enumerate(raw)
-    )
-    _build(lambda: _check_no_overlap(layers), path)
-    return layers
+    return tuple(_read(DEFAULT_CLOUD_PROFILE[0], layer, f"{path}[{i}]") for i, layer in enumerate(raw))
 
 
 def _read_scenarios(default: tuple, raw: Any, path: str) -> tuple[str, ...]:
     if raw is None:
         return default
     names = [raw] if isinstance(raw, str) else raw
-    names = tuple(names) if isinstance(names, list) else ()
-    _check_scenarios(names, path)
-    return names
+    return tuple(names) if isinstance(names, list) else ()
 
 
 def _read_divergences(default: Optional[tuple], raw: Any, path: str) -> Optional[tuple[float, ...]]:
     if raw is None:
         return default
-    items = raw if isinstance(raw, list) else []
-    angles = tuple(_number(item, f"{path}[{i}]") for i, item in enumerate(items))
-    _check_divergences(angles, path)
-    return angles
+    return tuple(map(_number, raw)) if isinstance(raw, list) else ()
 
 
 def _converted(key: str, to_field, to_yaml):
     """A field given in other units under `key`, the key's range checked before conversion."""
     def read(default, raw: Any, path: str):
-        value = _number(raw, path)
+        value = _number(raw)
         _build(lambda: _require(key, value), path.rpartition(".")[0])
         return to_field(value)
 
@@ -314,12 +282,9 @@ def _fill(default, section: dict, path: str, prefix: str = ""):
         elif is_dataclass(current):
             given[f.name] = _read(current, raw, key_path)
         else:
-            given[f.name] = _SCALARS[f.type](raw, key_path)
-    try:
-        return replace(default, **given)
-    except ValueError as exc:  # a field's rule names it; a flattened section's key adds prefix
-        named = any(str(exc).startswith(f"{f.name} must be ") for f in fields(default))
-        raise ConfigError(f"{path}: {prefix if named else ''}{exc}") from exc
+            given[f.name] = _number(raw) if f.type in ("float", "Optional[float]") else raw
+    # The constructor judges every value; a flattened section's prefix makes its field a key.
+    return _build(lambda: replace(default, **given), path, prefix)
 
 
 def _emit(value: Any) -> Any:

@@ -111,11 +111,11 @@ _DOUBLES = (-_FLOAT_MAX, _FLOAT_MAX)
 _bounds = _DOMAIN.get  # looked up once, not on each of _require's many calls
 
 
-def _shown(value, text=str) -> str:
-    """text(value) for a message, but an int beyond the float range as its digit count,
+def _shown(value) -> str:
+    """str(value) for a message, but an int beyond the float range as its digit count,
     not the ~400 digits str gives (or the error str raises beyond 4300)."""
     if not (isinstance(value, int) and abs(value) > _FLOAT_MAX):
-        return text(value)
+        return str(value)
     magnitude = abs(value)
     digits = int(math.log10(magnitude)) + 1  # one off where log10 rounds across a power of 10
     digits += (magnitude >= 10**digits) - (magnitude < 10 ** (digits - 1))
@@ -130,13 +130,15 @@ def _interval(name: str) -> str:
 
 
 def _require(name: str, value):
-    """The one check of a number: value, or a ValueError naming `name` if value is NaN or
-    infinite, breaks name's rule in _RULES or leaves its range in _DOMAIN, checked in that
-    order. Bounded by the largest double, not inf, so a Python int beyond the float range
-    counts as infinite."""
+    """The one check of a number: value, or a ValueError naming `name` if value is not a
+    real number (or is a bool), is NaN or infinite, breaks name's rule in _RULES or leaves
+    its range in _DOMAIN, checked in that order. Bounded by the largest double, not inf, so
+    a Python int beyond the float range counts as infinite."""
     low, high = _bounds(name, _DOUBLES)
-    if 0 < value and low <= value <= high:  # the common case, valid by every rule
+    if isinstance(value, float) and 0 < value and low <= value <= high:  # the common case
         return value
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
         raise ValueError(f"{name} must be finite, got {_shown(value)}")
     rule = _RULES.get(name)
@@ -148,10 +150,9 @@ def _require(name: str, value):
 
 
 def _require_int(name: str, value):
-    """_require of a count, which must also be an int (not a bool), checked after the rest."""
-    if isinstance(value, Real):
-        _require(name, value)
-    if isinstance(value, bool) or not isinstance(value, Integral):
+    """_require of a count, which must also be an int, checked after the rest."""
+    _require(name, value)
+    if not isinstance(value, Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 
@@ -166,16 +167,16 @@ def _valid_entries(name: str, values):
 
 def _require_bounds(instance) -> None:
     """A dataclass constructor's check, each field's read from its annotation: _require_int
-    of an int, _require of a float or of an Optional[float] that is set, which must be a
-    real number (not a bool)."""
+    of an int, _require of a float or of an Optional[float] that is set, and a str must be
+    one."""
     for f in fields(instance):
         value = getattr(instance, f.name)
         if f.type == "int":
             _require_int(f.name, value)
         elif f.type == "float" or (f.type == "Optional[float]" and value is not None):
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
             _require(f.name, value)
+        elif f.type == "str" and not isinstance(value, str):
+            raise ValueError(f"{f.name} must be a string, got {value!r}")
 
 
 class _Checked:

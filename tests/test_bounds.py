@@ -105,24 +105,31 @@ BOUNDED = POSITIVE + NON_NEGATIVE
 # A valid instance of every dataclass whose constructor runs _require_bounds.
 CHECKED = [
     TRANSCEIVER, GEOMETRY, DEFAULT_FOG, DEFAULT_RAIN, CLOUD, DEFAULT_TURBULENCE, DEFAULT_AREA,
-    *COST_PARAMS, CostConfig(), RunConfig(), DEFAULT_TRAFFIC, DEFAULT_SWEEP,
+    *COST_PARAMS, CostConfig(), RunConfig(), DEFAULT_TRAFFIC, DEFAULT_SWEEP, preset("clear_sky"),
 ]
 # Python ints that no double holds: finite, yet outside the float range.
 BEYOND_FLOATS = (10**400, -(10**400))
 
 
 def in_message(value) -> str:
-    """value as an error message prints it: an int beyond the float range by its digit count."""
+    """value as an error message prints it: a non-number by repr, an int beyond the float
+    range by its digit count."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return repr(value)
     return {10**400: "a 401-digit int", -(10**400): "a negative 401-digit int"}.get(value, str(value))
 
 
+# Values that no numeric field or argument takes: a numeric str, a bool, None and a list.
+NOT_NUMBERS = ("1.0", True, None, [1.0])
+
+
 CASES = [
-    # A count is an int: a float or a bool inside its range breaks that rule alone.
+    # A count is an int: a float inside its range breaks that rule alone; a bool is no number.
     (DEFAULT_SWEEP, "points", 2.5, "must be an integer, got 2.5"),
     (RunConfig(), "seed", 1.5, "must be an integer, got 1.5"),
     (CostConfig(), "n_macro", 2.5, "must be an integer, got 2.5"),
     (VerticalFsoCostParams(), "n_platforms", 2.5, "must be an integer, got 2.5"),
-    (RfNlosCostParams(), "modules_per_hub", True, "must be an integer, got True"),
+    (RfNlosCostParams(), "modules_per_hub", True, "must be a number, got True"),
     *[(valid, name, 0.0, "must be positive, got 0.0") for valid, name in POSITIVE],
     *[(valid, name, -1.0, "must be non-negative, got -1.0") for valid, name in NON_NEGATIVE],
     # A float field holds a real number: not a str, a bool, a list or (unless Optional) None.
@@ -131,7 +138,14 @@ CASES = [
         for valid in CHECKED
         for f in fields(valid)
         if f.type in ("float", "Optional[float]")
-        for value in ("1.0", True, [1.0], *[None] * (f.type == "float"))
+        for value in NOT_NUMBERS
+        if value is not None or f.type == "float"
+    ],
+    # A str field holds a str.
+    *[
+        (valid, name, value, f"must be a string, got {value!r}")
+        for valid, name in [(RunConfig(), "output_dir"), (DEFAULT_SWEEP, "variable"), (DEFAULT_SWEEP, "scale")]
+        for value in (5, None, True)
     ],
     *[(valid, name, math.nan, "must be finite, got nan") for valid, name in BOUNDED],
     *[
@@ -237,8 +251,12 @@ ARGUMENT_CASES = [
     for big in BEYOND_FLOATS
 ] + [
     (generate_layout, "n_macro", 2.5, "an integer"),
-    (generate_layout, "n_small", True, "an integer"),
     (aggregated_demand, "n_cells", 2.5, "an integer"),
+] + [
+    (function, name, value, "a number")
+    for function, name, _, _ in ARGUMENTS
+    if not isinstance(VALID_CALLS[function][name], list)
+    for value in NOT_NUMBERS
 ]
 
 
@@ -279,8 +297,9 @@ def test_the_checked_instances_are_every_checked_dataclass():
     assert {type(valid) for valid in CHECKED} == checked_classes()
 
 
-# Fields whose annotation names float or int in a container, each checked by a rule of its own.
-CONTAINERS = {(RunConfig, "divergence_values_rad")}  # each angle as LinkGeometry's divergence
+# Fields whose annotation names float, int or str in a container, each checked by a rule of its own:
+# each angle as LinkGeometry's divergence, each name as a preset's.
+CONTAINERS = {(RunConfig, "divergence_values_rad"), (RunConfig, "scenario_names")}
 
 
 def test_every_numeric_field_has_an_annotation_the_constructor_check_reads():
@@ -289,6 +308,15 @@ def test_every_numeric_field_has_an_annotation_the_constructor_check_reads():
         for f in fields(cls):
             if re.search(r"\b(float|int)\b", str(f.type)) and (cls, f.name) not in CONTAINERS:
                 assert f.type in ("float", "int", "Optional[float]"), (cls.__name__, f.name, f.type)
+
+
+def test_no_field_is_annotated_as_a_str_without_being_checked():
+    # _require_bounds reads exactly `str`; a field written `Optional[str]` would go unchecked.
+    for valid in CHECKED:
+        for f in fields(valid):
+            if re.search(r"\bstr\b", str(f.type)) and (type(valid), f.name) not in CONTAINERS:
+                with pytest.raises(ValueError, match=f"^{f.name} must be a string, got 5$"):
+                    replace(valid, **{f.name: 5})
 
 
 def test_the_rules_are_the_whole_rule_table():

@@ -283,8 +283,8 @@ class TestErrorsAndDeterminism:
     @pytest.mark.parametrize(
         "command, override, message",
         [
-            ("evaluate", "transceiver.transmit_power_w=.inf", "transceiver.transmit_power_w: "),
-            ("evaluate", "fog.visibility_m=.nan", "fog.visibility_m: "),
+            ("evaluate", "transceiver.transmit_power_w=.inf", "transceiver: transmit_power_w must be finite"),
+            ("evaluate", "fog.visibility_m=.nan", "fog: visibility_m must be finite"),
             (
                 "evaluate",
                 "fog.visibility_m=1e-322",
@@ -298,11 +298,11 @@ class TestErrorsAndDeterminism:
             (
                 "evaluate",
                 "turbulence.reference_altitude_m=.nan",
-                "turbulence.reference_altitude_m: ",
+                "turbulence: reference_altitude_m must be finite",
             ),
-            ("evaluate", 'geometry.divergence_rad="inf"', "geometry.divergence_rad: "),
-            ("cost", "cost.area_width_m=.inf", "cost.area_width_m: "),
-            ("cost", "cost.years=.inf", "cost.years: "),
+            ("evaluate", 'geometry.divergence_rad="inf"', "geometry: divergence_rad must be finite"),
+            ("cost", "cost.area_width_m=.inf", "cost: area_width_m must be finite"),
+            ("cost", "cost.years=.inf", "cost: years must be finite"),
             (
                 "cost",
                 "cost.fiber.install_cost_per_m=-5",
@@ -328,7 +328,7 @@ class TestErrorsAndDeterminism:
                 "cost.vertical_fso.n_platforms=-1",
                 "cost.vertical_fso: n_platforms must be non-negative",
             ),
-            ("aggregate", "traffic.peak_rate_bps=-.inf", "traffic.peak_rate_bps: "),
+            ("aggregate", "traffic.peak_rate_bps=-.inf", "traffic: peak_rate_bps must be finite"),
             (
                 "aggregate",
                 "traffic={busy_rate_bps: 1e-300, peak_rate_bps: 1e-300}",
@@ -355,8 +355,8 @@ class TestErrorsAndDeterminism:
                 "transceiver: transmit_power_w must be in (0, 1e+06], got 1e+300\n",
             ),
             ("sweep", "divergence_values_rad=[.nan]", "divergence_values_rad[0]: "),
-            ("evaluate", "target_rate_bps=1e-300", "config: target_rate_bps must be in [1, 1e+12], got 1e-300\n"),
-            ("sweep", "target_rate_bps=1e-300", "config: target_rate_bps must be in [1, 1e+12], got 1e-300\n"),
+            ("evaluate", "target_rate_bps=1e-300", "target_rate_bps must be in [1, 1e+12], got 1e-300\n"),
+            ("sweep", "target_rate_bps=1e-300", "target_rate_bps must be in [1, 1e+12], got 1e-300\n"),
             (
                 "evaluate",
                 "clouds=[{base_altitude_m: 1000}, {base_altitude_m: 1010}]",
@@ -411,7 +411,7 @@ class TestErrorsAndDeterminism:
             ),
             (
                 ["transceiver.optical_loss_db=4000"],
-                "transceiver.optical_loss_db: optical_loss_db must be in [0, 600], got 4000.0",
+                "transceiver: optical_loss_db must be in [0, 600], got 4000.0",
             ),
             # 23.17 k^(7/6) would underflow to 0.
             (

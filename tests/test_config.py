@@ -100,7 +100,7 @@ class TestValidation:
             )
 
     def test_non_numeric_value_is_rejected(self):
-        with pytest.raises(ConfigError, match="fog.visibility_m"):
+        with pytest.raises(ConfigError, match="fog: visibility_m must be a number, got 'dense'"):
             config_from_mapping({"fog": {"visibility_m": "dense"}})
 
     def test_section_that_is_not_a_mapping(self):
@@ -108,7 +108,7 @@ class TestValidation:
             config_from_mapping(parse_overrides(["fog=3"]))
 
     def test_string_field_given_a_number(self):
-        with pytest.raises(ConfigError, match="^sweep.variable: expected a string, got 5$"):
+        with pytest.raises(ConfigError, match="^sweep: variable must be a string, got 5$"):
             config_from_mapping(parse_overrides(["sweep.variable=5"]))
 
     @pytest.mark.parametrize("text, kind", [("3", "int"), ("{thickness_m: 48}", "dict"), ("deck", "str")])
@@ -282,14 +282,16 @@ class TestNonFiniteNumbers:
     @pytest.mark.parametrize("text", NON_FINITE)
     @pytest.mark.parametrize("key", FLOAT_KEYS)
     def test_rejected_with_the_key_path(self, key, text):
-        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: must be finite"):
+        section, _, name = key.rpartition(".")
+        named = f"{section}: {name}" if section else name
+        with pytest.raises(ConfigError, match=f"^{re.escape(named)} must be finite"):
             config_from_mapping(parse_overrides([f"{key}={text}"]))
 
     @pytest.mark.parametrize("text", NON_FINITE)
     def test_rejected_in_lists(self, text):
-        with pytest.raises(ConfigError, match=r"^divergence_values_rad\[1\]: must be finite"):
+        with pytest.raises(ConfigError, match=r"^divergence_values_rad\[1\]: divergence_rad must be finite"):
             config_from_mapping(parse_overrides([f"divergence_values_rad=[1.0e-3, {text}]"]))
-        with pytest.raises(ConfigError, match=r"^clouds\[0\].thickness_m: must be finite"):
+        with pytest.raises(ConfigError, match=r"^clouds\[0\]: thickness_m must be finite"):
             config_from_mapping(parse_overrides([f"clouds=[{{thickness_m: {text}}}]"]))
 
     @pytest.mark.parametrize(
@@ -300,7 +302,7 @@ class TestNonFiniteNumbers:
     )
     def test_integer_beyond_the_float_range(self, value, shown):
         # Its digit count, not its digits: str of an int fails beyond 4300 of them.
-        with pytest.raises(ConfigError, match=f"^sweep.stop: must be finite, got {shown}$"):
+        with pytest.raises(ConfigError, match=f"^sweep: stop must be finite, got {shown}$"):
             config_from_mapping({"sweep": {"stop": value}})
 
 
@@ -334,11 +336,11 @@ class TestRunConfigChecksItsLists:
     @pytest.mark.parametrize(
         "changes, message",
         [
-            ({"scenario_names": ("nope",)}, r"^scenario_names\[0\]: unknown preset 'nope'"),
-            ({"scenario_names": ()}, "^scenario_names: expected a non-empty list of preset"),
+            ({"scenario_names": ("nope",)}, r"^scenarios\[0\]: unknown preset 'nope'"),
+            ({"scenario_names": ()}, "^scenarios: expected a non-empty list of preset"),
             (
                 {"scenario_names": ("clear_sky", "clear_sky")},
-                r"^scenario_names\[1\]: duplicate preset 'clear_sky'$",
+                r"^scenarios\[1\]: duplicate preset 'clear_sky'$",
             ),
             (
                 {"divergence_values_rad": (-1.0,)},
@@ -347,7 +349,7 @@ class TestRunConfigChecksItsLists:
             ({"divergence_values_rad": ()}, "^divergence_values_rad: expected a non-empty list"),
             (
                 {"clouds": (CUMULUS, replace(CUMULUS, base_altitude_m=1010.0))},
-                "^cloud layers overlap: ",
+                "^clouds: cloud layers overlap: ",
             ),
             ({"target_rate_bps": 1e-300}, r"^target_rate_bps must be in \[1, 1e\+12\], got 1e-300$"),
         ],
@@ -383,7 +385,7 @@ class TestWholeConfigValidatedAtLoad:
         [
             ([1e-3, 0.0], r"^divergence_values_rad\[1\]: divergence_rad must be positive"),
             ([-1e-3], r"^divergence_values_rad\[0\]: divergence_rad must be positive"),
-            (["wide"], r"^divergence_values_rad\[0\]: expected a number, got 'wide'$"),
+            (["wide"], r"^divergence_values_rad\[0\]: divergence_rad must be a number, got 'wide'$"),
         ],
     )
     def test_each_divergence_must_make_a_geometry(self, values, message):
@@ -396,7 +398,7 @@ class TestWholeConfigValidatedAtLoad:
             ({"n_macro": 0}, "^cost: n_macro must be positive, got 0$"),
             ({"years": -1}, "^cost: years must be non-negative"),
             ({"area_height_m": 0}, "^cost: area_height_m must be positive, got 0.0$"),
-            ({"rf_nlos": {"population": 2.5}}, "^cost.rf_nlos.population: expected an integer"),
+            ({"rf_nlos": {"population": 2.5}}, "^cost.rf_nlos: population must be an integer"),
         ],
     )
     def test_cost_section(self, cost, message):

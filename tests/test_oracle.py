@@ -17,7 +17,10 @@ and the margin may read -inf, the link-failure sentinel; it may read -inf
 nowhere else.
 
 A second property runs the CLI on the same drawn configs: a config the loader
-accepts never fails a command.
+accepts never fails a command, and its bundle reproduces itself. The echo
+reloads to the same config, a rerun from it writes the same bytes, no command
+writes a bundle path twice, and every float CSV cell reads back as the double
+the library handed the writer.
 """
 
 import contextlib
@@ -27,18 +30,22 @@ import io
 import math
 import os
 import re
+import shutil
+import struct
 import sys
 import tempfile
 from dataclasses import fields, replace
 from decimal import Context, Decimal, localcontext
+from unittest import mock
 
+import numpy as np
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from vfso import cli
 
 from vfso.atmosphere import cloud_visibility
-from vfso.config import ConfigError, _theta_tag, config_from_mapping
+from vfso.config import ConfigError, _theta_tag, config_from_mapping, load_config
 from vfso.hetnet_cost import FiberCostParams, RfNlosCostParams, TerrestrialFsoCostParams, VerticalFsoCostParams
 from vfso.link_budget import LIGHT_SPEED_M_PER_S, PLANCK_J_S, LossBreakdown, evaluate_link
 from vfso.scenario import PRESET_NAMES, run_sweep
@@ -341,8 +348,8 @@ BEYOND = st.one_of(st.none(), st.tuples(st.sampled_from(BUDGET_KEYS), floats(-FL
 
 # A rejection names the rule, range, type or cross-field rule that the value breaks.
 NAMED_BOUND = re.compile(
-    r"must be (finite|positive|non-negative|in [\[(][^,]+, [^\]]+\]|>= )"
-    r"|expected an integer|shares the file name|cloud layers overlap"
+    r"must be (finite|positive|non-negative|in [\[(][^,]+, [^\]]+\]|>= |an integer)"
+    r"|shares the file name|cloud layers overlap"
 )
 
 
@@ -385,8 +392,9 @@ def test_every_config_is_rejected_naming_a_bound_or_answered_within_the_oracle(d
     except ConfigError as exc:
         assert beyond is not None, exc  # every draw inside the domain is answered
         key = beyond[0]
-        section = "config" if len(key) == 1 else key[0]
-        assert re.match(rf"{section}(\[0\])?(\.\w+)*: ", str(exc)), str(exc)
+        # A root key's message starts with the key, any other's with its section.
+        lead = f"{key[0]} must be " if len(key) == 1 else rf"{key[0]}(\[0\])?(\.\w+)*: "
+        assert re.match(lead, str(exc)), str(exc)
         assert NAMED_BOUND.search(str(exc)), str(exc)
         return
     tx, target = config.transceiver, config.target_rate_bps
@@ -415,6 +423,54 @@ def run_main(argv: list) -> tuple:
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+@contextlib.contextmanager
+def recorded_writes():
+    """While active, the names of the bundle files the CLI opens, and the path and
+    {column: cells} table of every CSV it writes, in call order."""
+    names, tables = [], []
+    bundle_path, write_csv = cli._bundle_path, cli._write_csv
+
+    def record_name(config, name):
+        names.append(name)
+        return bundle_path(config, name)
+
+    def record_table(path, table, reuse=None):
+        tables.append((path, table))
+        write_csv(path, table, reuse)
+
+    with mock.patch.object(cli, "_bundle_path", record_name), mock.patch.object(cli, "_write_csv", record_table):
+        yield names, tables
+
+
+def bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+def assert_every_float_cell_is_the_written_double(path: str, table: dict) -> None:
+    """Each float of the table parses back from its CSV cell bit for bit (a NaN as a NaN)."""
+    with open(path, newline="", encoding="utf-8") as handle:
+        header, *rows = csv.reader(handle)
+    assert header == list(table), (path, header)
+    for (column, cells), texts in zip(table.items(), zip(*rows)):
+        values = cells.tolist() if isinstance(cells, np.ndarray) else list(cells)
+        assert len(values) == len(texts), (path, column)
+        for value, text in zip(values, texts):
+            if isinstance(value, float):
+                read = float(text)
+                assert bits(read) == bits(value) or math.isnan(read) and math.isnan(value), (
+                    path, column, value, text,
+                )
+
+
+def read_bundle(outdir: str) -> dict:
+    """Every file of a bundle: {name: bytes}."""
+    bundle = {}
+    for name in sorted(os.listdir(outdir)):
+        with open(os.path.join(outdir, name), "rb") as handle:
+            bundle[name] = handle.read()
+    return bundle
 
 
 def assert_every_float_cell_is_finite(outdir: str, failed: set) -> None:
@@ -456,19 +512,31 @@ def test_a_config_that_loads_never_fails_a_command(document, beyond):
         with open(path, "w", encoding="utf-8") as handle:
             yaml.safe_dump({**document, "output_dir": outdir}, handle)
         try:
-            config_from_mapping(document)
+            config = load_config(path)
         except ConfigError as exc:
             assert NAMED_BOUND.search(str(exc)), str(exc)
             for command in COMMANDS:
                 assert run_main([command, "--config", path]) == (1, "", f"config error: {exc}\n")
                 assert not os.path.exists(outdir)
             return
-        failed = set()
+        failed, answers = set(), []
         for command in COMMANDS:
-            code, _, err = run_main([command, "--config", path])
+            with recorded_writes() as (names, tables):
+                answers.append(run_main([command, "--config", path]))
+            code, _, err = answers[-1]
             assert code == 0 or (command, code) == ("evaluate", 2), (command, code, err)
             for line in err.splitlines():
                 warning = WARNING.fullmatch(line)
                 assert command == "sweep" and warning and NAMED_BOUND.search(warning[3]), line
                 failed.add(warning.group(1, 2))
+            assert len(set(names)) == len(names), (command, names)
+            for csv_path, table in tables:
+                assert_every_float_cell_is_the_written_double(csv_path, table)
         assert_every_float_cell_is_finite(outdir, failed)
+        # The echo reloads to the config, and every command rerun from it writes the same bundle.
+        bundle, echo = read_bundle(outdir), os.path.join(scratch, "echo.yaml")
+        shutil.copyfile(os.path.join(outdir, "resolved_config.yaml"), echo)
+        assert load_config(echo) == config
+        shutil.rmtree(outdir)
+        assert [run_main([command, "--config", echo]) for command in COMMANDS] == answers
+        assert read_bundle(outdir) == bundle
