@@ -11,9 +11,10 @@ free-space-optical link:
 * turbulence-induced scintillation from the Hufnagel-Valley profile of the
   refractive-index structure parameter.
 
-All losses are returned in positive dB. Thicknesses and altitudes enter the
-API in meters and are converted to km internally where the empirical
-formulas expect km. Everything in this module is a pure function; there is
+All losses are returned in positive dB. Visibilities, thicknesses and
+altitudes enter the descriptors in meters and are converted to km internally
+where the empirical formulas expect km; the Kruse functions themselves take
+the visibility in km. Everything in this module is a pure function; there is
 no shared state. The terms that vary along a sweep grid are private
 functions of a math namespace `xp` (see geometry), called on floats here.
 """
@@ -32,9 +33,10 @@ HV_BACKGROUND = 2.7e-16
 
 @dataclass(frozen=True)
 class FogDescriptor(_Checked):
-    """A ground-anchored fog layer: visibility inside it and its thickness."""
+    """A ground-anchored fog layer: the visibility inside it and its thickness, both in
+    meters (the visibility from 1e-3 m to 1e15 m, Kruse's 1e-6 km to 1e12 km)."""
 
-    visibility_km: float
+    visibility_m: float
     layer_thickness_m: float
 
 
@@ -128,14 +130,21 @@ def mie_specific_attenuation(visibility_km: float, wavelength_nm: float) -> floa
 
 def fog_attenuation(fog: FogDescriptor, elevation_rad: float, wavelength_nm: float) -> float:
     """Total fog loss in dB over the slanted crossing of the fog layer."""
-    slant_km = fog.layer_thickness_m / 1000.0 * _slant_factor(elevation_rad)
-    return mie_specific_attenuation(fog.visibility_km, wavelength_nm) * slant_km
+    return _fog_db(fog, _slant_factor(elevation_rad), wavelength_nm)
+
+
+def _fog_db(fog: FogDescriptor, factor: float, wavelength_nm: float) -> float:
+    specific = mie_specific_attenuation(fog.visibility_m / 1000.0, wavelength_nm)
+    return specific * (fog.layer_thickness_m / 1000.0 * factor)
 
 
 def rain_attenuation(rain: RainDescriptor, elevation_rad: float) -> float:
     """Total rain loss in dB: 1.076 * R^0.67 dB/km over the slanted layer."""
-    slant_km = rain.layer_thickness_m / 1000.0 * _slant_factor(elevation_rad)
-    return 1.076 * rain.rate_mm_per_hour**0.67 * slant_km
+    return _rain_db(rain, _slant_factor(elevation_rad))
+
+
+def _rain_db(rain: RainDescriptor, factor: float) -> float:
+    return 1.076 * rain.rate_mm_per_hour**0.67 * (rain.layer_thickness_m / 1000.0 * factor)
 
 
 def cloud_visibility(layer: CloudLayer) -> float:
@@ -158,7 +167,7 @@ def _check_no_overlap(layers: Sequence[CloudLayer]) -> None:
             )
 
 
-def _cloud_db(layers, nfp_altitude_m, elevation_rad, wavelength_nm, xp):
+def _cloud_db(layers, nfp_altitude_m, factor, wavelength_nm, xp):
     """Summed cloud loss in dB for every layer pierced by the path.
 
     Each layer is converted to an equivalent visibility, priced with the
@@ -166,7 +175,6 @@ def _cloud_db(layers, nfp_altitude_m, elevation_rad, wavelength_nm, xp):
     layer below the platform. Layers wholly above the platform contribute
     nothing; a layer the platform sits inside contributes pro rata.
     """
-    factor = _slant_factor(elevation_rad)
     total = 0.0 * nfp_altitude_m  # over a grid, an array even without layers
     for layer in layers:
         base = layer.base_altitude_m
@@ -212,12 +220,12 @@ def _scintillation_db(wavelength_nm: float, cn2, path_length_m, xp):
     return 2.0 * xp.sqrt(23.17 * wavenumber ** (7.0 / 6.0) * cn2 * path_length_m ** (11.0 / 6.0))
 
 
-def _atmospheric_terms(scenario, altitude_m, elevation, wavelength_nm, path_m, xp) -> tuple:
-    """(fog, rain, cloud, scintillation) dB; fog and rain are floats."""
+def _atmospheric_terms(scenario, altitude_m, factor, wavelength_nm, path_m, xp) -> tuple:
+    """(fog, rain, cloud, scintillation) dB at slant factor 1/sin(phi); fog and rain are floats."""
     fog, rain, turbulence = scenario.fog, scenario.rain, scenario.turbulence
-    fog_db = 0.0 if fog is None else fog_attenuation(fog, elevation, wavelength_nm)
-    rain_db = 0.0 if rain is None else rain_attenuation(rain, elevation)
-    cloud_db = _cloud_db(scenario.clouds, altitude_m, elevation, wavelength_nm, xp)
+    fog_db = 0.0 if fog is None else _fog_db(fog, factor, wavelength_nm)
+    rain_db = 0.0 if rain is None else _rain_db(rain, factor)
+    cloud_db = _cloud_db(scenario.clouds, altitude_m, factor, wavelength_nm, xp)
     if turbulence is None:
         return fog_db, rain_db, cloud_db, 0.0 * altitude_m
     reference_m = turbulence.reference_altitude_m

@@ -13,7 +13,6 @@ configuration error, 2 link failure (``evaluate`` only).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields, replace
@@ -182,7 +181,7 @@ def _evaluate_report(label: str, config: RunConfig, result: LinkBudgetResult) ->
     lines = [
         f"link evaluation: {label}",
         f"  NFP altitude         : {_fixed(config.geometry.nfp_altitude_m, 1)} m",
-        f"  elevation            : {math.degrees(config.geometry.elevation_rad):.2f} deg",
+        f"  elevation            : {config.geometry.elevation_deg:.2f} deg",
         f"  divergence           : {config.geometry.divergence_rad:.3e} rad",
         "  losses (dB)          : "
         + " ".join(f"{f.name.removesuffix('_db')}={_fixed(getattr(b, f.name), 3)}" for f in fields(b)),

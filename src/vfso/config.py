@@ -18,7 +18,6 @@ in YAML are listed in ``_SPECIAL`` and ``_FLATTENED``.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Any, Optional, Sequence
@@ -34,7 +33,7 @@ from .atmosphere import (
     WeatherScenario,
     _check_no_overlap,
 )
-from .geometry import LinkGeometry, _Checked, _require, _require_bounds
+from .geometry import LinkGeometry, _Checked, _require_bounds
 from .hetnet_cost import DEFAULT_AREA, Area, CostParams
 from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams, efficiencies_from_optical_loss
 from .scenario import (
@@ -228,30 +227,6 @@ def _read_divergences(default: Optional[tuple], raw: Any, path: str) -> Optional
     return tuple(map(_number, raw)) if isinstance(raw, list) else ()
 
 
-def _converted(key: str, to_field, to_yaml):
-    """A field given in other units under `key`, the key's range checked before conversion."""
-    def read(default, raw: Any, path: str):
-        value = _number(raw)
-        _build(lambda: _require(key, value), path.rpartition(".")[0])
-        return to_field(value)
-
-    return key, read, to_yaml
-
-
-def _echoed_degrees(radians: float) -> float:
-    """The degrees to echo for an elevation: math.degrees(radians), or where that does not
-    reload to radians, the double a few ulps away that does. A value read from a config
-    always has one within an ulp."""
-    guess = math.degrees(radians)
-    toward = math.inf if math.radians(guess) < radians else -math.inf
-    near = guess
-    for _ in range(3):
-        if math.radians(near) == radians:
-            return near
-        near = math.nextafter(near, toward)
-    return guess
-
-
 # --- the generic reader and writer ---------------------------------------------
 
 
@@ -310,10 +285,6 @@ def _write(obj, out: dict, prefix: str = "") -> dict:
 # Fields spelled differently in YAML: (owner, field) -> (YAML key, reader, writer).
 # reader(default, raw, path) gives the field value, writer(value) the YAML value.
 _SPECIAL = {
-    (LinkGeometry, "elevation_rad"): _converted("elevation_deg", math.radians, _echoed_degrees),
-    (FogDescriptor, "visibility_km"): _converted(
-        "visibility_m", lambda m: m / 1000.0, lambda km: km * 1000.0
-    ),
     (RunConfig, "transceiver"): ("transceiver", _read_transceiver, _emit),
     (RunConfig, "clouds"): ("clouds", _read_clouds, _emit),
     (RunConfig, "scenario_names"): ("scenarios", _read_scenarios, _emit),
@@ -391,10 +362,7 @@ def resolved_mapping(config: RunConfig) -> dict:
     """The fully resolved configuration as a plain mapping.
 
     Feeding this back through config_from_mapping reconstructs an equal
-    RunConfig for every config that was loaded, which is what makes result
-    bundles self-reproducing. A RunConfig built in code may hold an
-    elevation_rad that no degrees value converts to (1.258084464684313, say);
-    its echo then reloads as the neighbouring double, one ulp off.
+    RunConfig, which is what makes result bundles self-reproducing.
     """
     return _emit(config)
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cache
 from numbers import Integral, Real
 from types import SimpleNamespace
+from typing import Union, get_args, get_origin, get_type_hints
 
 
 def _log10(x: float) -> float:
@@ -52,11 +54,13 @@ _DOMAIN = {
     "target_rate_bps": (1.0, 1e12),
     "nfp_altitude_m": (0.0, 1e6),
     "elevation_rad": (1e-4, math.pi / 2),
+    "elevation_deg": (math.degrees(1e-4), 90.0),  # radians() maps it onto elevation_rad's
     "divergence_rad": (0.0, math.pi),
     "receiver_radius_m": (1e-6, 1e6),
     "path_length_m": (0.0, 1e11),  # 1e6 m at the least elevation is ~1e10 m
     "fraction": (0.0, 1.0),
     "visibility_km": (1e-6, 1e12),
+    "visibility_m": (1e-3, 1e15),  # / 1000 maps it onto visibility_km's
     "layer_thickness_m": (0.0, 1e6),
     "base_altitude_m": (0.0, 1e6),
     "thickness_m": (0.0, 1e6),
@@ -67,10 +71,6 @@ _DOMAIN = {
     "wind_speed_m_per_s": (0.0, 1e3),
     "structure_constant_a": (0.0, 1e-6),
     "cn2": (0.0, 1e-5),  # above A's bound: the profile adds up to ~4e-14 to A
-    # Config keys in other units, checked before conversion: radians() maps elevation_deg's
-    # range onto elevation_rad's, and / 1000 visibility_m's onto visibility_km's.
-    "elevation_deg": (math.degrees(1e-4), 90.0),
-    "visibility_m": (1e-3, 1e15),
     "points": (2.0, 1e8),
     # Traffic, and link rates up to above the link domain's fastest (~5.03e29 bit/s).
     **dict.fromkeys(("busy_rate_bps", "peak_rate_bps"), (1.0, 1e15)),
@@ -165,18 +165,38 @@ def _valid_entries(name: str, values):
     return signed & (values >= low) & (values <= high)
 
 
+@cache
+def _field_types(cls) -> tuple:  # (name, resolved annotation) of each field
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls))
+
+
 def _require_bounds(instance) -> None:
-    """A dataclass constructor's check, each field's read from its annotation: _require_int
-    of an int, _require of a float or of an Optional[float] that is set, and a str must be
-    one."""
-    for f in fields(instance):
-        value = getattr(instance, f.name)
-        if f.type == "int":
-            _require_int(f.name, value)
-        elif f.type == "float" or (f.type == "Optional[float]" and value is not None):
-            _require(f.name, value)
-        elif f.type == "str" and not isinstance(value, str):
-            raise ValueError(f"{f.name} must be a string, got {value!r}")
+    """A dataclass constructor's check, each field's read from its annotation."""
+    for name, kind in _field_types(type(instance)):
+        _require_kind(name, getattr(instance, name), kind)
+
+
+def _require_kind(name: str, value, kind) -> None:
+    """_require_int of an int, _require of a float, nothing of an Optional left None, a tuple
+    (or list) of which each dataclass item is checked, and an instance of any other type. A
+    tuple of numbers or names is left to its field's own rule."""
+    if get_origin(kind) is Union:  # Optional[X]
+        if value is not None:
+            _require_kind(name, value, get_args(kind)[0])
+    elif kind is int:
+        _require_int(name, value)
+    elif kind is float:
+        _require(name, value)
+    elif get_origin(kind) is tuple:
+        if not isinstance(value, (tuple, list)):
+            raise ValueError(f"{name} must be a tuple or list, got {value!r}")
+        item = get_args(kind)[0]
+        for i, entry in enumerate(value if is_dataclass(item) else ()):
+            _require_kind(f"{name}[{i}]", entry, item)
+    elif not isinstance(value, kind):
+        type_name = "string" if kind is str else kind.__name__
+        raise ValueError(f"{name} must be a {type_name}, got {value!r}")
 
 
 class _Checked:
@@ -195,24 +215,20 @@ class LinkGeometry(_Checked):
     """Geometry of one ground-to-platform optical link.
 
     nfp_altitude_m: platform altitude above the ground terminal (m)
-    elevation_rad: elevation angle of the path, 1e-4 <= phi <= pi/2
-    divergence_rad: full divergence angle of the transmit beam
+    elevation_deg: elevation angle of the path in degrees, ~0.00573 (1e-4 rad) to 90
+    divergence_rad: full divergence angle of the transmit beam (rad)
     receiver_radius_m: radius of the circular receive aperture (m)
     """
 
     nfp_altitude_m: float
-    elevation_rad: float
+    elevation_deg: float
     divergence_rad: float
     receiver_radius_m: float
 
 
 def slant_path(geometry: LinkGeometry) -> float:
     """Length of the inclined path in meters: l = h / sin(phi)."""
-    return _slant_path(geometry.nfp_altitude_m, geometry.elevation_rad)
-
-
-def _slant_path(altitude_m, elevation_rad: float):
-    return altitude_m / math.sin(elevation_rad)
+    return geometry.nfp_altitude_m / math.sin(math.radians(geometry.elevation_deg))
 
 
 def geometrical_capture_fraction(geometry: LinkGeometry) -> float:

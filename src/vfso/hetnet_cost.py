@@ -105,20 +105,20 @@ def nearest_macro_distances(layout: HetNetLayout) -> np.ndarray:
         cells = cells[np.argsort(small[cells, 0])]
         strip_x, strip_y = small[cells].T
         for start in range(0, len(cells), NEAREST_TILE_CELLS):
-            end = start + NEAREST_TILE_CELLS
-            nearest[cells[start:end]] = _tile_nearest_squared(
-                strip_x[start:end], strip_y[start:end], macro_x, macro_y
-            )
+            tile = slice(start, start + NEAREST_TILE_CELLS)
+            x, y = strip_x[tile], strip_y[tile]
+            keep = _tile_candidates(x, y, macro_x, macro_y)
+            nearest[cells[tile]] = _tile_nearest_squared(x, y, macro_x[keep], macro_y[keep])
     return np.sqrt(nearest, out=nearest)
 
 
-def _tile_nearest_squared(x, y, macro_x, macro_y) -> np.ndarray:
-    """Least squared distance from each cell (x, y) of a tile to a macro.
+def _tile_candidates(x, y, macro_x, macro_y) -> np.ndarray:
+    """The mask of the macros that may be nearest to a cell (x, y) of a tile.
 
-    The pairs computed are fl(fl(dx)^2 + fl(dy)^2), as by brute force. A
-    macro is skipped only if that can never be the least for any cell, and
-    this holds in floating point, not just in exact arithmetic: rounding to
-    nearest is monotone, so a <= b gives fl(a) <= fl(b) at every step.
+    A macro is skipped only if its squared distance fl(fl(dx)^2 + fl(dy)^2)
+    can never be the least for any cell, and this holds in floating point,
+    not just in exact arithmetic: rounding to nearest is monotone, so a <= b
+    gives fl(a) <= fl(b) at every step.
     - gap2(m), the squared gap from macro m to the tile's bounding box, is
       built from the box edges: fl(x0 - mx) <= fl(cx - mx) for every cell
       x0 <= cx, and likewise on each side and axis, so gap2(m) <= d2(c, m).
@@ -141,9 +141,14 @@ def _tile_nearest_squared(x, y, macro_x, macro_y) -> np.ndarray:
     p = gap_x.argmin()
     far_x = max(macro_x[p] - x0, x1 - macro_x[p])
     far_y = max(macro_y[p] - y0, y1 - macro_y[p])
-    keep = gap_x <= far_x * far_x + far_y * far_y
-    dx = macro_x[keep][:, None] - x
-    dy = macro_y[keep][:, None] - y
+    return gap_x <= far_x * far_x + far_y * far_y
+
+
+def _tile_nearest_squared(x, y, macro_x, macro_y) -> np.ndarray:
+    """Least squared distance from each cell (x, y) of a tile to one of the macros,
+    over the pairs fl(fl(dx)^2 + fl(dy)^2), as by brute force."""
+    dx = macro_x[:, None] - x
+    dy = macro_y[:, None] - y
     dx *= dx
     dy *= dy
     dx += dy

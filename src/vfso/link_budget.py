@@ -28,7 +28,6 @@ from .geometry import (
     _capture_loss_db,
     _Checked,
     _require,
-    _slant_path,
     _valid_entries,
     geometrical_capture_fraction,
 )
@@ -237,11 +236,11 @@ def _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad,
     """The budget at altitude(s) altitude_m and divergence(s) divergence_rad,
     the rest of `geometry` fixed, in math namespace xp: numpy for arrays,
     geometry._SCALAR_MATH for floats."""
-    elevation, wavelength = geometry.elevation_rad, tx.wavelength_nm
-    path_m = _slant_path(altitude_m, elevation)
+    sine, wavelength = math.sin(math.radians(geometry.elevation_deg)), tx.wavelength_nm
+    path_m = altitude_m / sine
     fraction = _capture_fraction(geometry.receiver_radius_m, divergence_rad, path_m, xp)
     losses = LossBreakdown(
-        *_atmospheric_terms(scenario, altitude_m, elevation, wavelength, path_m, xp),
+        *_atmospheric_terms(scenario, altitude_m, 1.0 / sine, wavelength, path_m, xp),
         geometrical_db=_capture_loss_db(fraction, xp),
         pointing_db=tx.pointing_loss_db,
         optical_db=optical_loss(tx.tx_efficiency, tx.rx_efficiency),

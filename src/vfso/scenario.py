@@ -12,7 +12,6 @@ one row per grid point; they are deterministic and rows are independent.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
@@ -56,7 +55,7 @@ DEFAULT_CLOUD_PROFILE: tuple[CloudLayer, ...] = (
     ),
 )
 
-DEFAULT_FOG = FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0)
+DEFAULT_FOG = FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0)
 DEFAULT_RAIN = RainDescriptor(rate_mm_per_hour=50.0, layer_thickness_m=1000.0)
 DEFAULT_TURBULENCE = TurbulenceDescriptor(
     wind_speed_m_per_s=21.0, structure_constant_a=1.7e-14
@@ -78,7 +77,7 @@ def default_parameters() -> tuple[TransceiverParams, LinkGeometry, TurbulenceDes
     )
     geometry = LinkGeometry(
         nfp_altitude_m=ALTITUDE_SWEEP_BOUNDS_M[1],
-        elevation_rad=math.radians(45.0),
+        elevation_deg=45.0,
         divergence_rad=1e-3,
         receiver_radius_m=0.04,
     )

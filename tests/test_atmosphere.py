@@ -131,40 +131,40 @@ class TestMieSpecificAttenuation:
             assert mie_specific_attenuation(v, lam) == direct
 
 
-DEFAULT_FOG_LAYER = FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0)
+DEFAULT_FOG_LAYER = FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0)
 
 
 class TestFogAttenuation:
     def test_dense_fog_slant(self):
-        fog = FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0)
+        fog = FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0)
         # 271.4695 dB/km * (0.05 km / sin 45)
         assert fog_attenuation(fog, DEG45, 1550.0) == pytest.approx(
             19.195791967395415, rel=1e-12
         )
 
     def test_zero_thickness_is_lossless(self):
-        fog = FogDescriptor(visibility_km=0.05, layer_thickness_m=0.0)
+        fog = FogDescriptor(visibility_m=50.0, layer_thickness_m=0.0)
         assert fog_attenuation(fog, DEG45, 1550.0) == 0.0
 
     def test_longest_slant_of_the_domain_is_finite(self):
         # The densest fog over its thickest layer at the least elevation, and the
         # inputs that would make an infinite slant, beyond the domain.
-        assert fog_attenuation(FogDescriptor(1e-6, 1e6), 1e-4, 100.0) == pytest.approx(1.70e14, rel=1e-2)
+        assert fog_attenuation(FogDescriptor(1e-3, 1e6), 1e-4, 100.0) == pytest.approx(1.70e14, rel=1e-2)
         with pytest.raises(ValueError, match=beyond("layer_thickness_m", "[0, 1e+06]", 1e308)):
-            FogDescriptor(0.05, 1e308)
+            FogDescriptor(50.0, 1e308)
         grazing = math.radians(1e-300)
         with pytest.raises(ValueError, match=beyond("elevation_rad", "[0.0001, pi/2]", grazing)):
             fog_attenuation(DEFAULT_FOG_LAYER, grazing, 1550.0)
 
     def test_vertical_path(self):
-        fog = FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0)
+        fog = FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0)
         assert fog_attenuation(fog, DEG90, 1550.0) == pytest.approx(
             13.573474670391555, rel=1e-12
         )
 
     @pytest.mark.parametrize("elevation", [0.0, -0.1, math.pi / 2 + 0.01])
     def test_rejects_bad_elevation(self, elevation):
-        fog = FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0)
+        fog = FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0)
         with pytest.raises(ValueError):
             fog_attenuation(fog, elevation, 1550.0)
 
@@ -173,15 +173,15 @@ class TestFogAttenuation:
         st.floats(min_value=1.0, max_value=4.0),
     )
     def test_linear_in_thickness(self, thickness_m, factor):
-        base = FogDescriptor(visibility_km=0.05, layer_thickness_m=thickness_m)
-        scaled = FogDescriptor(visibility_km=0.05, layer_thickness_m=factor * thickness_m)
+        base = FogDescriptor(visibility_m=50.0, layer_thickness_m=thickness_m)
+        scaled = FogDescriptor(visibility_m=50.0, layer_thickness_m=factor * thickness_m)
         a = fog_attenuation(base, DEG45, 1550.0)
         b = fog_attenuation(scaled, DEG45, 1550.0)
         assert b == pytest.approx(factor * a, rel=1e-9)
 
     @given(st.floats(min_value=0.1, max_value=math.pi / 2))
     def test_scales_as_inverse_sine_of_elevation(self, elevation):
-        fog = FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0)
+        fog = FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0)
         vertical = fog_attenuation(fog, DEG90, 1550.0)
         slanted = fog_attenuation(fog, elevation, 1550.0)
         assert slanted == pytest.approx(vertical / math.sin(elevation), rel=1e-9)
@@ -473,7 +473,7 @@ class TestScintillationLoss:
 
 
 GEOMETRY_20KM = LinkGeometry(
-    nfp_altitude_m=20000.0, elevation_rad=DEG45, divergence_rad=1e-3, receiver_radius_m=0.04
+    nfp_altitude_m=20000.0, elevation_deg=45.0, divergence_rad=1e-3, receiver_radius_m=0.04
 )
 
 
@@ -493,7 +493,7 @@ class TestAtmosphericLossBreakdown:
     def test_dense_fog_adds_to_scintillation(self):
         scenario = WeatherScenario(
             label="fog",
-            fog=FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0),
+            fog=FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0),
             turbulence=TURB,
         )
         loss = atmospheric_losses(scenario)
@@ -510,7 +510,7 @@ class TestAtmosphericLossBreakdown:
     def test_components_are_kept_separately(self):
         scenario = WeatherScenario(
             label="everything",
-            fog=FogDescriptor(visibility_km=0.05, layer_thickness_m=50.0),
+            fog=FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0),
             rain=RainDescriptor(rate_mm_per_hour=50.0, layer_thickness_m=1000.0),
             clouds=(CUMULUS,),
             turbulence=TURB,
@@ -545,7 +545,7 @@ class TestDescriptorValidation:
 
     def test_fog_rejects_non_positive_visibility(self):
         with pytest.raises(ValueError):
-            FogDescriptor(visibility_km=0.0, layer_thickness_m=10.0)
+            FogDescriptor(visibility_m=0.0, layer_thickness_m=10.0)
 
     def test_turbulence_rejects_negative_wind(self):
         with pytest.raises(ValueError):

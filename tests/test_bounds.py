@@ -77,7 +77,6 @@ POSITIVE = [
     (GEOMETRY, "nfp_altitude_m"),
     (GEOMETRY, "divergence_rad"),
     (GEOMETRY, "receiver_radius_m"),
-    (DEFAULT_FOG, "visibility_km"),
     (CLOUD, "lwc_g_per_m3"),
     (CLOUD, "droplet_density_per_cm3"),
     (DEFAULT_TRAFFIC, "busy_rate_bps"),
@@ -101,7 +100,9 @@ NON_NEGATIVE = [
     (CostConfig(), "years"),
     *[(params, f.name) for params in COST_PARAMS for f in fields(params)],
 ]
-BOUNDED = POSITIVE + NON_NEGATIVE
+# Fields with a range but no sign rule, whose 0 lies outside it.
+RANGED = [(GEOMETRY, "elevation_deg", "[0.00572958, 90]"), (DEFAULT_FOG, "visibility_m", "[0.001, 1e+15]")]
+BOUNDED = POSITIVE + NON_NEGATIVE + [(valid, name) for valid, name, _ in RANGED]
 # A valid instance of every dataclass whose constructor runs _require_bounds.
 CHECKED = [
     TRANSCEIVER, GEOMETRY, DEFAULT_FOG, DEFAULT_RAIN, CLOUD, DEFAULT_TURBULENCE, DEFAULT_AREA,
@@ -132,6 +133,7 @@ CASES = [
     (RfNlosCostParams(), "modules_per_hub", True, "must be a number, got True"),
     *[(valid, name, 0.0, "must be positive, got 0.0") for valid, name in POSITIVE],
     *[(valid, name, -1.0, "must be non-negative, got -1.0") for valid, name in NON_NEGATIVE],
+    *[(valid, name, 0.0, f"must be in {interval}, got 0.0") for valid, name, interval in RANGED],
     # A float field holds a real number: not a str, a bool, a list or (unless Optional) None.
     *[
         (valid, f.name, value, f"must be a number, got {value!r}")
@@ -319,6 +321,84 @@ def test_no_field_is_annotated_as_a_str_without_being_checked():
                     replace(valid, **{f.name: 5})
 
 
+# Every field annotated with a dataclass, Optional or not, with the type its message names.
+SCENARIO = preset("clear_sky")
+NESTED = {
+    (RunConfig(), "transceiver"): "TransceiverParams",
+    (RunConfig(), "geometry"): "LinkGeometry",
+    (RunConfig(), "turbulence"): "TurbulenceDescriptor",
+    (RunConfig(), "fog"): "FogDescriptor",
+    (RunConfig(), "rain"): "RainDescriptor",
+    (RunConfig(), "sweep"): "SweepSpec",
+    (RunConfig(), "traffic"): "TrafficProfile",
+    (RunConfig(), "cost"): "CostConfig",
+    (CostConfig(), "area"): "Area",
+    (CostConfig(), "params"): "CostParams",
+    (SCENARIO, "fog"): "FogDescriptor",
+    (SCENARIO, "rain"): "RainDescriptor",
+    (SCENARIO, "turbulence"): "TurbulenceDescriptor",
+}
+# Every field annotated with a tuple: its items' dataclass, or None for a tuple of numbers
+# or names, whose items CONTAINERS' own rules check.
+TUPLES = {
+    (RunConfig(), "clouds"): "CloudLayer",
+    (SCENARIO, "clouds"): "CloudLayer",
+    (RunConfig(), "scenario_names"): None,
+    (RunConfig(), "divergence_values_rad"): None,
+}
+
+
+def may_be_none(valid, name) -> bool:
+    return next(f.type for f in fields(valid) if f.name == name).startswith("Optional[")
+
+
+def type_id(value) -> str:
+    """value's type in a test id, a sequence's with its items' types."""
+    items = f"[{','.join(map(type_id, value))}]" if isinstance(value, (list, tuple)) else ""
+    return type(value).__name__ + items
+
+
+TYPE_CASES = [
+    # An Optional field may be None; any other holds its dataclass.
+    *[
+        (valid, name, value, f"{name} must be a {kind}, got {value!r}")
+        for (valid, name), kind in NESTED.items()
+        for value in (None, 3, "x", CLOUD)
+        if value is not None or not may_be_none(valid, name)
+    ],
+    # A tuple field holds a tuple or a list, each item of its items' dataclass.
+    *[
+        (valid, name, value, f"{name} must be a tuple or list, got {value!r}")
+        for valid, name in TUPLES
+        for value in (None, 5, "x", CLOUD)
+        if value is not None or not may_be_none(valid, name)
+    ],
+    *[
+        (valid, name, items, f"{name}[{len(items) - 1}] must be a {kind}, got {items[-1]!r}")
+        for (valid, name), kind in TUPLES.items()
+        if kind is not None
+        for items in ([None], (CLOUD, 3), [CLOUD, GEOMETRY])
+    ],
+]
+
+
+@pytest.mark.parametrize(
+    "valid, name, value, message",
+    TYPE_CASES,
+    ids=[f"{type(valid).__name__}.{name}={type_id(value)}" for valid, name, value, _ in TYPE_CASES],
+)
+def test_each_nested_field_holds_its_annotated_type(valid, name, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(valid, **{name: value})
+
+
+def test_the_nested_and_tuple_fields_are_every_field_of_another_type():
+    # Every field of a checked dataclass that is no number or string is in one of the tables.
+    scalar = ("float", "int", "Optional[float]", "str")
+    expected = {(type(valid), name) for valid, name in [*NESTED, *TUPLES]}
+    assert {(cls, f.name) for cls in checked_classes() for f in fields(cls) if f.type not in scalar} == expected
+
+
 def test_the_rules_are_the_whole_rule_table():
     # Every field and argument row that expects a sign rule, by name: each name under one rule.
     rows = [(name, "positive") for _, name in POSITIVE]
@@ -406,12 +486,15 @@ RANGES = {
         [RunConfig(), link_margin, evaluate_link, evaluate_grid, run_sweep],
     ),
     "nfp_altitude_m": ("(0, 1e+06]", [GEOMETRY, evaluate_grid]),
-    "elevation_rad": ("[0.0001, pi/2]", [GEOMETRY, fog_attenuation, rain_attenuation]),
+    "elevation_rad": ("[0.0001, pi/2]", [fog_attenuation, rain_attenuation]),
+    # A str owner is a config section, whose rejection its name starts.
+    "elevation_deg": ("[0.00572958, 90]", [GEOMETRY, "geometry"]),
     "divergence_rad": ("(0, pi]", [GEOMETRY, evaluate_grid]),
     "receiver_radius_m": ("[1e-06, 1e+06]", [GEOMETRY]),
     "path_length_m": ("(0, 1e+11]", [scintillation_loss]),
     "fraction": ("[0, 1]", [capture_loss_db]),
-    "visibility_km": ("[1e-06, 1e+12]", [DEFAULT_FOG, kruse_size_exponent, mie_specific_attenuation]),
+    "visibility_km": ("[1e-06, 1e+12]", [kruse_size_exponent, mie_specific_attenuation]),
+    "visibility_m": ("[0.001, 1e+15]", [DEFAULT_FOG, "fog"]),
     "layer_thickness_m": ("[0, 1e+06]", [DEFAULT_FOG, DEFAULT_RAIN]),
     "base_altitude_m": ("[0, 1e+06]", [CLOUD]),
     "thickness_m": ("[0, 1e+06]", [CLOUD]),
@@ -422,9 +505,6 @@ RANGES = {
     "wind_speed_m_per_s": ("[0, 1000]", [DEFAULT_TURBULENCE]),
     "structure_constant_a": ("[0, 1e-06]", [DEFAULT_TURBULENCE]),
     "cn2": ("[0, 1e-05]", [scintillation_loss]),
-    # A str owner is a config section, whose rejection its name starts.
-    "elevation_deg": ("[0.00572958, 90]", ["geometry"]),
-    "visibility_m": ("[0.001, 1e+15]", ["fog"]),
     "points": ("[2, 1e+08]", [DEFAULT_SWEEP]),
     "busy_rate_bps": ("[1, 1e+15]", [TrafficProfile(1.0, 1e15)]),
     "peak_rate_bps": ("[1, 1e+15]", [TrafficProfile(1.0, 1e15)]),
@@ -503,8 +583,9 @@ def test_each_domain_bound_is_accepted_and_the_next_double_rejected(name, owner)
             with_value(owner, name, value)
 
 
-def test_the_converted_keys_ranges_are_the_fields_ranges():
-    # A key in the domain converts to a field value in it; the next double out of it does not.
+def test_the_fields_ranges_convert_onto_the_formula_arguments_ranges():
+    # The budget converts a field in its domain to a formula argument in the argument's; the
+    # next double out of the field's domain would convert out of the argument's.
     low, high = _DOMAIN["elevation_deg"]
     assert (math.radians(low), math.radians(high)) == _DOMAIN["elevation_rad"]
     assert math.radians(math.nextafter(low, 0.0)) < _DOMAIN["elevation_rad"][0]

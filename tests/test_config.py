@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from vfso.aggregation import DEFAULT_TRAFFIC
 from vfso.config import (
@@ -42,10 +42,10 @@ class TestDefaults:
         assert config.transceiver.transmit_power_w == 0.2
         assert config.transceiver.wavelength_nm == 1550.0
         assert config.geometry.nfp_altitude_m == 20000.0
-        assert config.geometry.elevation_rad == pytest.approx(math.radians(45.0))
+        assert config.geometry.elevation_deg == pytest.approx(45.0)
         assert config.geometry.receiver_radius_m == 0.04
         assert config.turbulence.wind_speed_m_per_s == 21.0
-        assert config.fog.visibility_km == pytest.approx(0.05)
+        assert config.fog.visibility_m == pytest.approx(50.0)
         assert config.rain.rate_mm_per_hour == 50.0
         assert config.target_rate_bps == 3.0e9
         assert config.scenario_names == ("clear_sky",)
@@ -147,9 +147,9 @@ class TestValidation:
 class TestOverrides:
     def test_fog_visibility_override_reaches_presets(self):
         config = config_from_mapping({"fog": {"visibility_m": 770}})
-        assert config.fog.visibility_km == pytest.approx(0.77)
+        assert config.fog.visibility_m == pytest.approx(770.0)
         scenario = config.scenario("fog_dense")
-        assert scenario.fog.visibility_km == pytest.approx(0.77)
+        assert scenario.fog.visibility_m == pytest.approx(770.0)
 
     def test_parse_overrides_builds_nested_tree(self):
         tree = parse_overrides(
@@ -216,38 +216,21 @@ class TestResolvedEcho:
         reparsed = yaml.safe_load(resolved_yaml(config))
         assert config_from_mapping(reparsed) == config
 
-    def test_elevation_echo_reloads_to_the_same_radians(self):
-        # math.degrees of its radians is 85.10172725207606, which reloads to the next double.
-        config = load_config(overrides=["geometry.elevation_deg=85.10172725207605"])
-        assert resolved_mapping(config)["geometry"]["elevation_deg"] == 85.10172725207605
-        assert config_from_mapping(resolved_mapping(config)) == config
-        assert math.radians(math.degrees(config.geometry.elevation_rad)) != config.geometry.elevation_rad
-
-    @pytest.mark.parametrize("degrees, echo", [(45.0, 45.0), (60.0, 59.99999999999999)])
-    def test_where_math_degrees_reloads_it_is_the_echo(self, degrees, echo):
-        # 59.99999999999999 reloads to the radians of 60.0 too, and is what the echo has printed.
+    # math.degrees(math.radians(d)) is another double for 60.0 (59.99999999999999) and
+    # 85.10172725207605 (...606): the echo is the field, not a conversion back.
+    @pytest.mark.parametrize("degrees", [45.0, 60.0, 85.10172725207605])
+    def test_an_elevation_echoes_as_given(self, degrees):
         config = load_config(overrides=[f"geometry.elevation_deg={degrees}"])
-        assert resolved_mapping(config)["geometry"]["elevation_deg"] == echo
+        assert resolved_mapping(config)["geometry"]["elevation_deg"] == degrees
+        assert f"  elevation_deg: {degrees!r}\n" in resolved_yaml(config)
 
-    @given(st.floats(0.00573, 90.0))  # the domain's elevations, 1e-4 rad to pi/2
-    @example(85.10172725207605)
-    def test_every_elevation_echo_reloads_to_the_same_radians(self, degrees):
-        config = config_from_mapping({"geometry": {"elevation_deg": degrees}})
-        echoed = yaml.safe_load(resolved_yaml(config))
-        assert config_from_mapping(echoed).geometry.elevation_rad == config.geometry.elevation_rad
-
-    def test_an_elevation_built_in_code_may_reload_one_ulp_off(self):
-        radians = 1.258084464684313
-        config = RunConfig(geometry=replace(RunConfig().geometry, elevation_rad=radians))
-        degrees = resolved_mapping(config)["geometry"]["elevation_deg"]
-        assert degrees == math.degrees(radians)
-        reloaded = config_from_mapping(resolved_mapping(config))
-        assert reloaded.geometry.elevation_rad == math.nextafter(radians, math.inf)
-        assert reloaded != config
-        # math.radians is one correctly rounded product, so monotone: the degrees next to
-        # the echo convert to either side of the radians, and no double converts onto them.
-        below = math.nextafter(degrees, 0.0)
-        assert math.radians(below) < radians < math.radians(degrees)
+    @given(st.floats(0.00573, 90.0), st.floats(1e-3, 1e15))  # the fields' domains
+    def test_every_geometry_and_fog_built_in_code_reloads_from_its_echo(self, degrees, visibility_m):
+        config = RunConfig(
+            geometry=replace(RunConfig().geometry, elevation_deg=degrees),
+            fog=replace(RunConfig().fog, visibility_m=visibility_m),
+        )
+        assert config_from_mapping(yaml.safe_load(resolved_yaml(config))) == config
 
     def test_echo_is_complete(self):
         mapping = resolved_mapping(load_config())
@@ -502,8 +485,8 @@ class TestRoundTrip:
 
     def test_every_section_override_lands(self):
         config = load_config(None, EVERY_SECTION)
-        assert config.geometry.elevation_rad == math.radians(60.0)
-        assert config.fog.visibility_km == 0.2
+        assert config.geometry.elevation_deg == 60.0
+        assert config.fog.visibility_m == 200.0
         assert config.cost.area.width_m == 3000.0
         assert config.cost.params.vertical_fso.n_platforms == 7
         assert resolved_mapping(config)["cost"]["area_width_m"] == 3000.0

@@ -18,30 +18,27 @@ from vfso.geometry import (
     slant_path,
 )
 
-DEG45 = math.radians(45.0)
-
-
-def geom(h=20000.0, elevation=DEG45, theta=1e-3, r=0.04):
+def geom(h=20000.0, elevation=45.0, theta=1e-3, r=0.04):
     return LinkGeometry(
-        nfp_altitude_m=h, elevation_rad=elevation, divergence_rad=theta, receiver_radius_m=r
+        nfp_altitude_m=h, elevation_deg=elevation, divergence_rad=theta, receiver_radius_m=r
     )
 
 
 class TestSlantPath:
     def test_vertical(self):
-        assert slant_path(geom(elevation=math.pi / 2)) == 20000.0
+        assert slant_path(geom(elevation=90.0)) == 20000.0
 
     def test_45_degrees(self):
         assert slant_path(geom()) == pytest.approx(28284.271247461904, rel=1e-12)
 
     def test_30_degrees(self):
-        assert slant_path(geom(h=1000.0, elevation=math.radians(30.0))) == pytest.approx(
+        assert slant_path(geom(h=1000.0, elevation=30.0)) == pytest.approx(
             2000.0, rel=1e-12
         )
 
     @given(
         st.floats(min_value=100.0, max_value=50000.0),
-        st.floats(min_value=0.05, max_value=math.pi / 2),
+        st.floats(min_value=math.degrees(0.05), max_value=90.0),
     )
     def test_never_shorter_than_altitude(self, h, elevation):
         assert slant_path(geom(h=h, elevation=elevation)) >= h
@@ -57,7 +54,7 @@ class TestCaptureFraction:
 
     def test_boundary_beam_equals_aperture(self):
         # choose theta so that r_B == r exactly: theta = 2 r / l
-        g = geom(elevation=math.pi / 2, theta=2 * 0.04 / 20000.0)
+        g = geom(elevation=90.0, theta=2 * 0.04 / 20000.0)
         assert geometrical_capture_fraction(g) == 1.0
 
     @given(st.floats(min_value=1e-6, max_value=1e-2), st.floats(min_value=1.5, max_value=10.0))
@@ -78,7 +75,7 @@ class TestCaptureFraction:
 
     def test_widest_footprint_still_captures_a_normal_double(self):
         # The domain's corner: the widest beam, longest path and least aperture.
-        widest = geom(h=1e6, elevation=1e-4, theta=math.pi, r=1e-6)
+        widest = geom(h=1e6, elevation=math.degrees(1e-4), theta=math.pi, r=1e-6)
         assert geometrical_capture_fraction(widest) == pytest.approx(4.0e-33, rel=1e-3)
         with pytest.raises(ValueError, match=r"^divergence_rad must be in \(0, pi\], got 1e\+300$"):
             geom(theta=1e300)
@@ -99,7 +96,7 @@ class TestGeometricalLoss:
     def test_nothing_captured_is_an_infinite_loss(self):
         assert capture_loss_db(0.0) == math.inf
         # No geometry of the domain gets there: its widest beam loses ~324 dB.
-        widest = geom(h=1e6, elevation=1e-4, theta=math.pi, r=1e-6)
+        widest = geom(h=1e6, elevation=math.degrees(1e-4), theta=math.pi, r=1e-6)
         assert geometrical_loss(widest) == pytest.approx(323.9, abs=0.1)
         with pytest.raises(ValueError, match=r"^receiver_radius_m must be in \[1e-06, 1e\+06\]"):
             geom(r=1e-7)
@@ -125,7 +122,7 @@ class TestValidation:
             {"h": 0.0},
             {"h": -5.0},
             {"elevation": 0.0},
-            {"elevation": math.pi / 2 + 0.001},
+            {"elevation": math.degrees(math.pi / 2 + 0.001)},
             {"theta": 0.0},
             {"r": -0.01},
         ],
@@ -136,11 +133,11 @@ class TestValidation:
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "field", ["nfp_altitude_m", "elevation_rad", "divergence_rad", "receiver_radius_m"]
+        "field", ["nfp_altitude_m", "elevation_deg", "divergence_rad", "receiver_radius_m"]
     )
     def test_rejects_non_finite_geometry(self, field, value):
         kwargs = dict(
-            nfp_altitude_m=20000.0, elevation_rad=DEG45, divergence_rad=1e-3, receiver_radius_m=0.04
+            nfp_altitude_m=20000.0, elevation_deg=45.0, divergence_rad=1e-3, receiver_radius_m=0.04
         )
         kwargs[field] = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
@@ -151,9 +148,9 @@ class TestValidation:
 # below makes one field of one of them non-finite.
 VALID_KWARGS = {
     LinkGeometry: dict(
-        nfp_altitude_m=20000.0, elevation_rad=DEG45, divergence_rad=1e-3, receiver_radius_m=0.04
+        nfp_altitude_m=20000.0, elevation_deg=45.0, divergence_rad=1e-3, receiver_radius_m=0.04
     ),
-    FogDescriptor: dict(visibility_km=0.05, layer_thickness_m=50.0),
+    FogDescriptor: dict(visibility_m=50.0, layer_thickness_m=50.0),
     RainDescriptor: dict(rate_mm_per_hour=50.0, layer_thickness_m=1000.0),
     CloudLayer: dict(
         base_altitude_m=1000.0, thickness_m=48.0, lwc_g_per_m3=1.0, droplet_density_per_cm3=250.0

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vfso import hetnet_cost
 from vfso.hetnet_cost import (
     NEAREST_TILE_CELLS,
     Area,
@@ -65,6 +66,23 @@ class TestNearestMacroDistances:
     )
     def test_uniform_layouts(self, n_small):
         assert_equals_brute_force(generate_layout(37, n_small, AREA, seed=n_small))
+
+    @pytest.mark.parametrize(
+        "n_macro, n_small, pairs", [(1000, 30_000, 1_057_152), (1, 10_000, 10_000)]
+    )
+    def test_tiles_are_given_only_the_macros_that_may_be_nearest(self, monkeypatch, n_macro, n_small, pairs):
+        # A search that kept every macro would still equal the brute force, at n_macro *
+        # n_small pairs; the committed counts are the pairs this filter leaves.
+        counts = []
+        tile_nearest = hetnet_cost._tile_nearest_squared
+
+        def counted(x, y, macro_x, macro_y):
+            counts.append(len(x) * len(macro_x))
+            return tile_nearest(x, y, macro_x, macro_y)
+
+        monkeypatch.setattr(hetnet_cost, "_tile_nearest_squared", counted)
+        nearest_macro_distances(generate_layout(n_macro, n_small, seed=0))
+        assert sum(counts) == pairs
 
     @pytest.mark.parametrize("n_small", [1, 7, NEAREST_TILE_CELLS + 1, 2000])
     def test_single_macro(self, n_small):

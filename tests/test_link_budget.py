@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from vfso.atmosphere import TurbulenceDescriptor, WeatherScenario
+from vfso import atmosphere, geometry, link_budget
+from vfso.atmosphere import TurbulenceDescriptor, WeatherScenario, fog_attenuation, rain_attenuation
 from vfso.geometry import LinkGeometry, geometrical_capture_fraction
 from vfso.link_budget import (
     LinkBudgetResult,
@@ -20,7 +21,7 @@ from vfso.link_budget import (
     photon_energy,
     received_power,
 )
-from vfso.scenario import PRESET_NAMES, default_parameters, preset
+from vfso.scenario import DEFAULT_FOG, DEFAULT_RAIN, PRESET_NAMES, default_parameters, preset
 
 TX, GEOMETRY_20KM, TURB = default_parameters()
 GEOMETRY_5KM = replace(GEOMETRY_20KM, nfp_altitude_m=5000.0)
@@ -254,6 +255,26 @@ class TestEvaluateLink:
         per_bit_j = photon_energy(TX.wavelength_nm) * TX.receiver_sensitivity_photons_per_bit
         rate = TX.transmit_power_w * 10.0 ** (-result.loss_breakdown.total_db / 10.0) / per_bit_j
         assert result.data_rate_bps == pytest.approx(rate, rel=1e-12, abs=0)
+
+    def test_the_checked_elevation_is_not_checked_again(self, monkeypatch):
+        # LinkGeometry checks its elevation once; the budget hands each term the slant
+        # factor, and only the public fog and rain terms check an elevation argument.
+        checked = []
+        require = geometry._require
+
+        def counted(name, value):
+            checked.append(name)
+            return require(name, value)
+
+        for module in (geometry, atmosphere, link_budget):
+            monkeypatch.setattr(module, "_require", counted)
+        cloud_and_fog = preset("cloud_and_fog")
+        evaluate_link(TX, GEOMETRY_20KM, cloud_and_fog)
+        evaluate_link(TX, GEOMETRY_20KM, replace(cloud_and_fog, rain=DEFAULT_RAIN))
+        assert checked.count("elevation_rad") == 0
+        fog_attenuation(DEFAULT_FOG, 0.5, 1550.0)
+        rain_attenuation(DEFAULT_RAIN, 0.5)
+        assert checked.count("elevation_rad") == 2
 
     def test_result_fields_are_non_negative(self):
         result = evaluate_link(TX, GEOMETRY_20KM, preset("rain_and_cloud"))

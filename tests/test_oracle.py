@@ -78,7 +78,7 @@ def d(x) -> Decimal:
 
 def mie(visibility_km: Decimal, branch_km: float, wavelength_nm: Decimal) -> Decimal:
     """Kruse's dB/km. The exponent's regime (the model is discontinuous at 6 and 50 km) is
-    chosen at branch_km, the visibility as the library holds it."""
+    chosen at branch_km, the visibility in km as the library computes it."""
     if branch_km > 50.0:
         delta = Decimal("1.6")
     elif branch_km >= 6.0:
@@ -92,14 +92,15 @@ def oracle(tx, geometry, scenario, target_rate_bps) -> dict:
     """Every per-point number of evaluate_link, in 50-digit decimals."""
     with localcontext(CONTEXT):
         wavelength = d(tx.wavelength_nm)
-        factor = 1 / sin(d(geometry.elevation_rad))
+        factor = 1 / sin(d(geometry.elevation_deg) * PI / 180)
         altitude = d(geometry.nfp_altitude_m)
         path = altitude * factor
         footprint = d(geometry.divergence_rad) * path / 2
         fraction = min(Decimal(1), (d(geometry.receiver_radius_m) / footprint) ** 2)
         out = dict.fromkeys(("fog_db", "rain_db", "cloud_db", "scintillation_db"), Decimal(0))
         if scenario.fog is not None:
-            specific = mie(d(scenario.fog.visibility_km), scenario.fog.visibility_km, wavelength)
+            visibility_m = scenario.fog.visibility_m
+            specific = mie(d(visibility_m) / 1000, visibility_m / 1000.0, wavelength)
             out["fog_db"] = specific * d(scenario.fog.layer_thickness_m) / 1000 * factor
         if scenario.rain is not None:
             specific = Decimal("1.076") * d(scenario.rain.rate_mm_per_hour) ** Decimal("0.67")

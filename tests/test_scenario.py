@@ -39,7 +39,7 @@ class TestDefaultParameters:
             2.0, rel=1e-12
         )
         assert GEOMETRY.divergence_rad == 1e-3
-        assert GEOMETRY.elevation_rad == pytest.approx(math.radians(45.0), rel=1e-15, abs=0)
+        assert GEOMETRY.elevation_deg == pytest.approx(45.0, rel=1e-15, abs=0)
         assert TURB.structure_constant_a == 1.7e-14
         assert ALTITUDE_SWEEP_BOUNDS_M == (1000.0, 20000.0)
 
@@ -53,7 +53,7 @@ class TestPresets:
 
     def test_fog_dense_visibility(self):
         scenario = preset("fog_dense")
-        assert scenario.fog.visibility_km == pytest.approx(0.05)
+        assert scenario.fog.visibility_m == pytest.approx(50.0)
         assert scenario.fog.layer_thickness_m == 50.0
 
     def test_heavy_rain_layer(self):
@@ -75,12 +75,12 @@ class TestPresets:
             preset("monsoon")
 
     def test_component_override(self):
-        light = FogDescriptor(visibility_km=0.77, layer_thickness_m=50.0)
+        light = FogDescriptor(visibility_m=770.0, layer_thickness_m=50.0)
         scenario = preset("fog_dense", fog=light)
-        assert scenario.fog.visibility_km == 0.77
+        assert scenario.fog.visibility_m == 770.0
 
     def test_override_does_not_leak_into_other_presets(self):
-        scenario = preset("clear_sky", fog=FogDescriptor(0.77, 50.0))
+        scenario = preset("clear_sky", fog=FogDescriptor(770.0, 50.0))
         assert scenario.fog is None
 
     @pytest.mark.parametrize(
@@ -403,7 +403,7 @@ def test_longest_path_matches_per_point_evaluation(name):
     # m at the least elevation. The paths where l^(11/6) would overflow, beyond
     # ~1.377e168 m, lie beyond the domain's altitudes: row errors.
     scenario = preset(name, turbulence=replace(TURB, reference_altitude_m=1000.0))
-    grazing = replace(GEOMETRY, elevation_rad=1e-4)
+    grazing = replace(GEOMETRY, elevation_deg=math.degrees(1e-4))
     spec = FixedGrid("altitude", 1.0, 2.0, 3, values=(2e4, 1e6, 1e168))
     sweep, (*answered, beyond) = matching_per_point_evaluation(spec, scenario, geometry=grazing)
     for result in answered:
