@@ -99,7 +99,6 @@ class WeatherScenario:
         _require_bounds(self)
         if not self.label:
             raise ValueError("label must be non-empty")
-        object.__setattr__(self, "clouds", tuple(self.clouds))
         _check_no_overlap(self.clouds)
 
 

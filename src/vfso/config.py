@@ -247,7 +247,7 @@ def _fill(default, section: dict, path: str, prefix: str = ""):
         if spec in _FLATTENED:
             given[f.name] = _fill(current, section, path, _FLATTENED[spec])
             continue
-        key, reader, _ = _SPECIAL.get(spec, (f.name, None, None))
+        key, reader = _SPECIAL.get(spec, (f.name, None))
         key = prefix + key
         if key not in section:
             continue
@@ -277,18 +277,18 @@ def _write(obj, out: dict, prefix: str = "") -> dict:
         if spec in _FLATTENED:
             _write(value, out, _FLATTENED[spec])
         else:
-            key, _, writer = _SPECIAL.get(spec, (f.name, None, _emit))
-            out[prefix + key] = writer(value)
+            key, _ = _SPECIAL.get(spec, (f.name, None))
+            out[prefix + key] = _emit(value)
     return out
 
 
-# Fields spelled differently in YAML: (owner, field) -> (YAML key, reader, writer).
-# reader(default, raw, path) gives the field value, writer(value) the YAML value.
+# Fields read by hand, each written back by _emit: (owner, field) -> (YAML key, reader).
+# reader(default, raw, path) gives the field value.
 _SPECIAL = {
-    (RunConfig, "transceiver"): ("transceiver", _read_transceiver, _emit),
-    (RunConfig, "clouds"): ("clouds", _read_clouds, _emit),
-    (RunConfig, "scenario_names"): ("scenarios", _read_scenarios, _emit),
-    (RunConfig, "divergence_values_rad"): ("divergence_values_rad", _read_divergences, _emit),
+    (RunConfig, "transceiver"): ("transceiver", _read_transceiver),
+    (RunConfig, "clouds"): ("clouds", _read_clouds),
+    (RunConfig, "scenario_names"): ("scenarios", _read_scenarios),
+    (RunConfig, "divergence_values_rad"): ("divergence_values_rad", _read_divergences),
 }
 
 # Nested dataclasses whose fields sit in the parent's section: (owner, field) -> key prefix.

@@ -172,31 +172,37 @@ def _field_types(cls) -> tuple:  # (name, resolved annotation) of each field
 
 
 def _require_bounds(instance) -> None:
-    """A dataclass constructor's check, each field's read from its annotation."""
+    """A dataclass constructor's check, each field's read from its annotation. A list given
+    for a tuple field is stored as a tuple."""
     for name, kind in _field_types(type(instance)):
-        _require_kind(name, getattr(instance, name), kind)
+        value = getattr(instance, name)
+        checked = _require_kind(name, value, kind)
+        if checked is not value:
+            object.__setattr__(instance, name, checked)
 
 
-def _require_kind(name: str, value, kind) -> None:
-    """_require_int of an int, _require of a float, nothing of an Optional left None, a tuple
-    (or list) of which each dataclass item is checked, and an instance of any other type. A
-    tuple of numbers or names is left to its field's own rule."""
+def _require_kind(name: str, value, kind):
+    """value, checked against its annotation: _require_int of an int, _require of a float,
+    nothing of an Optional left None, a tuple (or a list, returned as a tuple) of which each
+    dataclass item is checked, and an instance of any other type. A tuple of numbers or names
+    is left to its field's own rule."""
     if get_origin(kind) is Union:  # Optional[X]
-        if value is not None:
-            _require_kind(name, value, get_args(kind)[0])
-    elif kind is int:
+        return value if value is None else _require_kind(name, value, get_args(kind)[0])
+    if kind is int:
         _require_int(name, value)
     elif kind is float:
         _require(name, value)
     elif get_origin(kind) is tuple:
         if not isinstance(value, (tuple, list)):
             raise ValueError(f"{name} must be a tuple or list, got {value!r}")
+        value = tuple(value)
         item = get_args(kind)[0]
         for i, entry in enumerate(value if is_dataclass(item) else ()):
             _require_kind(f"{name}[{i}]", entry, item)
     elif not isinstance(value, kind):
         type_name = "string" if kind is str else kind.__name__
         raise ValueError(f"{name} must be a {type_name}, got {value!r}")
+    return value
 
 
 class _Checked:

@@ -61,7 +61,15 @@ DEFAULT_TURBULENCE = TurbulenceDescriptor(
     wind_speed_m_per_s=21.0, structure_constant_a=1.7e-14
 )
 
-PRESET_NAMES = ("clear_sky", "fog_dense", "heavy_rain", "cloud_and_fog", "rain_and_cloud")
+# The weather components of each preset, by name; turbulence is part of every one.
+_PRESETS = {
+    "clear_sky": (),
+    "fog_dense": ("fog",),
+    "heavy_rain": ("rain",),
+    "cloud_and_fog": ("fog", "clouds"),
+    "rain_and_cloud": ("rain", "clouds"),
+}
+PRESET_NAMES = tuple(_PRESETS)
 
 
 def default_parameters() -> tuple[TransceiverParams, LinkGeometry, TurbulenceDescriptor]:
@@ -98,22 +106,18 @@ def preset(
     components; a preset only picks up the components it includes
     (e.g. overriding rain does not add rain to clear_sky).
     """
-    fog = fog if fog is not None else DEFAULT_FOG
-    rain = rain if rain is not None else DEFAULT_RAIN
-    clouds = tuple(clouds) if clouds is not None else DEFAULT_CLOUD_PROFILE
-    turbulence = turbulence if turbulence is not None else DEFAULT_TURBULENCE
-
-    if name == "clear_sky":
-        return WeatherScenario(label=name, turbulence=turbulence)
-    if name == "fog_dense":
-        return WeatherScenario(label=name, fog=fog, turbulence=turbulence)
-    if name == "heavy_rain":
-        return WeatherScenario(label=name, rain=rain, turbulence=turbulence)
-    if name == "cloud_and_fog":
-        return WeatherScenario(label=name, fog=fog, clouds=clouds, turbulence=turbulence)
-    if name == "rain_and_cloud":
-        return WeatherScenario(label=name, rain=rain, clouds=clouds, turbulence=turbulence)
-    raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    if name not in PRESET_NAMES:  # by ==: a list is a ValueError too
+        raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+    components = {
+        "fog": fog if fog is not None else DEFAULT_FOG,
+        "rain": rain if rain is not None else DEFAULT_RAIN,
+        "clouds": tuple(clouds) if clouds is not None else DEFAULT_CLOUD_PROFILE,
+    }
+    return WeatherScenario(
+        label=name,
+        turbulence=turbulence if turbulence is not None else DEFAULT_TURBULENCE,
+        **{component: components[component] for component in _PRESETS[name]},
+    )
 
 
 _SWEPT_FIELD = {"altitude": "nfp_altitude_m", "divergence": "divergence_rad"}

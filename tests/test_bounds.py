@@ -27,7 +27,7 @@ from vfso.atmosphere import (
     refractive_index_structure,
     scintillation_loss,
 )
-from vfso.config import CostConfig, RunConfig, config_from_mapping
+from vfso.config import CostConfig, RunConfig, config_from_mapping, parse_overrides
 from vfso.geometry import _DOMAIN, _RULES, capture_loss_db
 from vfso.hetnet_cost import (
     DEFAULT_AREA,
@@ -60,6 +60,7 @@ from vfso.scenario import (
     preset,
     run_sweep,
 )
+from test_config import KEYS
 
 TRANSCEIVER, GEOMETRY, _ = default_parameters()
 CLOUD = DEFAULT_CLOUD_PROFILE[0]
@@ -102,11 +103,14 @@ NON_NEGATIVE = [
 ]
 # Fields with a range but no sign rule, whose 0 lies outside it.
 RANGED = [(GEOMETRY, "elevation_deg", "[0.00572958, 90]"), (DEFAULT_FOG, "visibility_m", "[0.001, 1e+15]")]
-BOUNDED = POSITIVE + NON_NEGATIVE + [(valid, name) for valid, name, _ in RANGED]
 # A valid instance of every dataclass whose constructor runs _require_bounds.
 CHECKED = [
     TRANSCEIVER, GEOMETRY, DEFAULT_FOG, DEFAULT_RAIN, CLOUD, DEFAULT_TURBULENCE, DEFAULT_AREA,
     *COST_PARAMS, CostConfig(), RunConfig(), DEFAULT_TRAFFIC, DEFAULT_SWEEP, preset("clear_sky"),
+]
+# Every numeric field of a checked dataclass, bounded or not.
+NUMERIC = [
+    (valid, f.name) for valid in CHECKED for f in fields(valid) if f.type in ("float", "int", "Optional[float]")
 ]
 # Python ints that no double holds: finite, yet outside the float range.
 BEYOND_FLOATS = (10**400, -(10**400))
@@ -149,11 +153,11 @@ CASES = [
         for valid, name in [(RunConfig(), "output_dir"), (DEFAULT_SWEEP, "variable"), (DEFAULT_SWEEP, "scale")]
         for value in (5, None, True)
     ],
-    *[(valid, name, math.nan, "must be finite, got nan") for valid, name in BOUNDED],
+    # Not finite, checked before any rule or range: NaN, +-inf and an int no double holds.
     *[
-        (valid, name, big, f"must be finite, got {in_message(big)}")
-        for valid, name in BOUNDED
-        for big in BEYOND_FLOATS
+        (valid, name, value, f"must be finite, got {in_message(value)}")
+        for valid, name in NUMERIC
+        for value in (math.nan, math.inf, -math.inf, *BEYOND_FLOATS)
     ],
 ]
 
@@ -456,17 +460,10 @@ def test_any_float_argument_is_rejected_or_answered_without_nan(drawn):
     assert not any(math.isnan(x) for x in floats_in(result)), (function, changes)
 
 
-def test_a_wavelength_below_the_domain_is_rejected_by_mie_and_fog():
-    # 5e-324 nm: wavelength_nm / 550 would underflow to 0, which has no negative power.
-    message = r"^wavelength_nm must be in \[100, 100000\], got 5e-324$"
-    with pytest.raises(ValueError, match=message):
-        mie_specific_attenuation(1.0, 5e-324)
-    with pytest.raises(ValueError, match=message):
-        fog_attenuation(DEFAULT_FOG, 0.5, 5e-324)
-    # A fog of zero thickness adds 0 dB, but the wavelength is checked all the same.
-    with pytest.raises(ValueError, match=message):
+def test_a_fog_of_zero_thickness_still_checks_the_wavelength():
+    # It adds 0 dB, but 5e-324 nm / 550 would underflow to 0, which has no negative power.
+    with pytest.raises(ValueError, match=r"^wavelength_nm must be in \[100, 100000\], got 5e-324$"):
         fog_attenuation(replace(DEFAULT_FOG, layer_thickness_m=0.0), 0.5, 5e-324)
-    assert fog_attenuation(replace(DEFAULT_FOG, layer_thickness_m=0.0), 0.5, 1550.0) == 0.0
 
 
 # Every range of the model's domain, as its messages state it, with the fields
@@ -487,14 +484,13 @@ RANGES = {
     ),
     "nfp_altitude_m": ("(0, 1e+06]", [GEOMETRY, evaluate_grid]),
     "elevation_rad": ("[0.0001, pi/2]", [fog_attenuation, rain_attenuation]),
-    # A str owner is a config section, whose rejection its name starts.
-    "elevation_deg": ("[0.00572958, 90]", [GEOMETRY, "geometry"]),
+    "elevation_deg": ("[0.00572958, 90]", [GEOMETRY]),
     "divergence_rad": ("(0, pi]", [GEOMETRY, evaluate_grid]),
     "receiver_radius_m": ("[1e-06, 1e+06]", [GEOMETRY]),
     "path_length_m": ("(0, 1e+11]", [scintillation_loss]),
     "fraction": ("[0, 1]", [capture_loss_db]),
     "visibility_km": ("[1e-06, 1e+12]", [kruse_size_exponent, mie_specific_attenuation]),
-    "visibility_m": ("[0.001, 1e+15]", [DEFAULT_FOG, "fog"]),
+    "visibility_m": ("[0.001, 1e+15]", [DEFAULT_FOG]),
     "layer_thickness_m": ("[0, 1e+06]", [DEFAULT_FOG, DEFAULT_RAIN]),
     "base_altitude_m": ("[0, 1e+06]", [CLOUD]),
     "thickness_m": ("[0, 1e+06]", [CLOUD]),
@@ -541,27 +537,37 @@ def test_the_ranges_are_the_whole_domain():
     assert set(RANGES) == set(_DOMAIN)
 
 
+# A str owner is a config section by its dotted path, "" the document's root. The traffic
+# section spans the whole range, so that either rate may take either bound.
+TRAFFIC_SPAN = ["traffic.busy_rate_bps=1", "traffic.peak_rate_bps=1e15"]
+
+
 def with_value(owner, name, value):
     """owner (a valid instance, a function on its valid call, or a config section) with
-    name set to value."""
+    name set to value; a config section reads value from the text of a --set."""
     if isinstance(owner, str):
-        return config_from_mapping({owner: {name: value}})
+        return config_from_mapping(parse_overrides([*TRAFFIC_SPAN, f"{owner}.{name}={value!r}".lstrip(".")]))
     return call(owner, **{name: value}) if callable(owner) else replace(owner, **{name: value})
 
 
 def owner_id(owner) -> str:
-    return owner if isinstance(owner, str) else getattr(owner, "__qualname__", type(owner).__name__)
+    if isinstance(owner, str):
+        return f"config[{owner}]"
+    return getattr(owner, "__qualname__", type(owner).__name__)
 
 
 def is_count(owner, name) -> bool:
     """Whether the owner's valid value of name is an int."""
     if isinstance(owner, str):
-        return False
-    valid = VALID_CALLS[owner][name] if callable(owner) else getattr(owner, name)
+        valid = KEYS[f"{owner}.{name}".lstrip(".")]
+    else:
+        valid = VALID_CALLS[owner][name] if callable(owner) else getattr(owner, name)
     return isinstance(valid, int)
 
 
-DOMAIN_CASES = [(name, owner) for name, (_, owners) in RANGES.items() for owner in owners]
+DOMAIN_CASES = [(name, owner) for name, (_, owners) in RANGES.items() for owner in owners] + [
+    (name, section) for section, _, name in (path.rpartition(".") for path in KEYS) if name in _DOMAIN
+]
 
 
 @pytest.mark.parametrize(
@@ -576,7 +582,7 @@ def test_each_domain_bound_is_accepted_and_the_next_double_rejected(name, owner)
         with_value(owner, name, accepted(low))
     # Below a range from 0 the positive or non-negative rule speaks instead. A count's
     # neighbouring doubles break its range before they break the integer rule.
-    prefix = f"{owner}: " if isinstance(owner, str) else ""
+    prefix = f"{owner}: " if isinstance(owner, str) and owner else ""
     for value in [math.nextafter(high, math.inf)] + [math.nextafter(low, -math.inf)] * (low > 0):
         message = f"{prefix}{name} must be in {interval}, got {value}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

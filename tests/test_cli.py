@@ -22,10 +22,6 @@ def run(tmp_path, *argv):
     return main(list(argv) + [f"--set=output_dir={outdir}"]), outdir
 
 
-def cloud_override(lwc, density):
-    return f"clouds=[{{lwc_g_per_m3: {lwc}, droplet_density_per_cm3: {density}}}]"
-
-
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
@@ -61,6 +57,10 @@ class TestEvaluate:
         rows = read_csv(os.path.join(outdir2, "evaluate.csv"))
         assert float(rows[0]["link_margin_db"]) == 0.0
 
+    def test_the_report_gives_the_elevation_to_two_decimals(self, tmp_path, capsys):
+        run(tmp_path, "evaluate", "--set=geometry.elevation_deg=33.25")
+        assert "  elevation            : 33.25 deg\n" in capsys.readouterr().out
+
     def test_bundle_contains_echo_and_summary(self, tmp_path):
         _, outdir = run(tmp_path, "evaluate")
         assert os.path.exists(os.path.join(outdir, "resolved_config.yaml"))
@@ -79,16 +79,9 @@ class TestSweep:
         for name in ("clear_sky", "heavy_rain", "cloud_and_fog"):
             assert os.path.exists(os.path.join(outdir, f"sweep_{name}.csv"))
 
-    def test_column_schema_and_row_count(self, tmp_path):
+    def test_row_count_and_grid(self, tmp_path):
         _, outdir = run(tmp_path, "sweep", "--set=sweep.points=2")
-        path = os.path.join(outdir, "sweep_clear_sky.csv")
-        with open(path, newline="", encoding="utf-8") as handle:
-            header = next(csv.reader(handle))
-        assert header == [
-            "variable", "data_rate_bps", "link_margin_db",
-            "l_fog_db", "l_rain_db", "l_cloud_db", "l_sci_db", "l_geo_db",
-        ]
-        rows = read_csv(path)
+        rows = read_csv(os.path.join(outdir, "sweep_clear_sky.csv"))
         assert len(rows) == 2
         assert [float(r["variable"]) for r in rows] == [1000.0, 20000.0]
 
@@ -189,29 +182,6 @@ class TestCost:
         assert code == EXIT_OK
         assert max(map(len, capsys.readouterr().out.splitlines())) <= 75
 
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            (
-                ["cost.vertical_fso.platform_cost=1.7976931348623157e308"],
-                "cost.vertical_fso: platform_cost must be in [0, 1e+09], got 1.7976931348623157e+308",
-            ),
-            (["cost.years=1e305"], "cost: years must be in [0, 1000], got 1e+305"),
-            (["cost.fiber.routing_factor=1e305"], "cost.fiber: routing_factor must be in [0, 1000], got 1e+305"),
-            (
-                ["cost.area_width_m=1e160", "cost.area_height_m=1e160"],
-                "cost: area_width_m must be in (0, 1e+06], got 1e+160",
-            ),
-            (["cost.n_small=100000000"], "cost: n_small must be in [1, 1e+07], got 100000000"),
-        ],
-        ids=["price", "years", "routing_factor", "area", "n_small"],
-    )
-    def test_cost_inputs_beyond_the_domain_exit_1(self, tmp_path, capsys, overrides, message):
-        code, outdir = run(tmp_path, "cost", *[f"--set={override}" for override in overrides])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not os.path.exists(outdir)
-
     def test_huge_prices_print_in_e_notation(self, tmp_path, capsys):
         run(
             tmp_path, "cost", "--set=cost.vertical_fso.platform_cost=1e9",
@@ -257,189 +227,21 @@ class TestAggregate:
         assert cells == math.ceil(rate / 50e6)
         assert int(rows[0]["supported_cells_floor"]) <= cells
 
-    def test_exact_multiple_is_not_oversubscribed(self, tmp_path):
-        _, outdir = run(
-            tmp_path, "aggregate", "--set=traffic.busy_rate_bps=1e6",
-            "--set=traffic.peak_rate_bps=1e6",
-        )
+    def test_the_advisory_is_printed_exactly_when_the_link_is_oversubscribed(self, tmp_path, capsys):
+        advisory = "  advisory             : ceiling count oversubscribes the link during busy hour\n"
+        _, outdir = run(tmp_path, "aggregate")
         rows = read_csv(os.path.join(outdir, "aggregate.csv"))
-        assert rows[0]["oversubscribed"] in ("true", "false")
+        assert rows[0]["oversubscribed"] == "true"  # 42.06 Gbit/s is no multiple of 50 Mbit/s
+        assert advisory in capsys.readouterr().out
+        rate = rows[0]["data_rate_bps"]  # one cell whose busy rate is the link's
+        _, outdir = run(tmp_path / "exact", "aggregate", f"--set=traffic.busy_rate_bps={rate}",
+                        f"--set=traffic.peak_rate_bps={rate}")
+        assert read_csv(os.path.join(outdir, "aggregate.csv"))[0]["oversubscribed"] == "false"
+        assert advisory not in capsys.readouterr().out
 
 
 class TestErrorsAndDeterminism:
-    def test_config_error_exits_1(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "evaluate", "--set=geometry.divergence_rad=-1")
-        assert code == EXIT_USAGE
-        assert "config error" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "override", ["geometry.divergence_rad=.nan", "geometry.nfp_altitude_m=.inf"]
-    )
-    def test_non_finite_geometry_exits_1(self, tmp_path, capsys, override):
-        code, _ = run(tmp_path, "evaluate", f"--set={override}")
-        assert code == EXIT_USAGE
-        assert "must be finite" in capsys.readouterr().err
-
-    @pytest.mark.parametrize(
-        "command, override, message",
-        [
-            ("evaluate", "transceiver.transmit_power_w=.inf", "transceiver: transmit_power_w must be finite"),
-            ("evaluate", "fog.visibility_m=.nan", "fog: visibility_m must be finite"),
-            (
-                "evaluate",
-                "fog.visibility_m=1e-322",
-                "fog: visibility_m must be in [0.001, 1e+15], got 1e-322\n",
-            ),
-            (
-                "evaluate",
-                "geometry.elevation_deg=1e-322",
-                "geometry: elevation_deg must be in [0.00572958, 90], got 1e-322\n",
-            ),
-            (
-                "evaluate",
-                "turbulence.reference_altitude_m=.nan",
-                "turbulence: reference_altitude_m must be finite",
-            ),
-            ("evaluate", 'geometry.divergence_rad="inf"', "geometry: divergence_rad must be finite"),
-            ("cost", "cost.area_width_m=.inf", "cost: area_width_m must be finite"),
-            ("cost", "cost.years=.inf", "cost: years must be finite"),
-            (
-                "cost",
-                "cost.fiber.install_cost_per_m=-5",
-                "cost.fiber: install_cost_per_m must be non-negative",
-            ),
-            (
-                "cost",
-                "cost.rf_nlos.modules_per_hub=0",
-                "cost.rf_nlos: modules_per_hub must be in [1, 1e+07], got 0\n",
-            ),
-            (
-                "cost",
-                "cost.terrestrial_fso.nlos_fraction=1.5",
-                "cost.terrestrial_fso: nlos_fraction must be in [0, 1], got 1.5\n",
-            ),
-            (
-                "cost",
-                "cost.terrestrial_fso.nlos_hop_count=0",
-                "cost.terrestrial_fso: nlos_hop_count must be in [1, 1e+07], got 0\n",
-            ),
-            (
-                "cost",
-                "cost.vertical_fso.n_platforms=-1",
-                "cost.vertical_fso: n_platforms must be non-negative",
-            ),
-            ("aggregate", "traffic.peak_rate_bps=-.inf", "traffic: peak_rate_bps must be finite"),
-            (
-                "aggregate",
-                "traffic={busy_rate_bps: 1e-300, peak_rate_bps: 1e-300}",
-                "traffic: busy_rate_bps must be in [1, 1e+15], got 1e-300\n",
-            ),
-            (
-                "evaluate",
-                "transceiver.wavelength_nm=5e-324",
-                "transceiver: wavelength_nm must be in [100, 100000], got 5e-324\n",
-            ),
-            (
-                "evaluate",
-                "transceiver.receiver_sensitivity_photons_per_bit=5e-324",
-                "transceiver: receiver_sensitivity_photons_per_bit must be in [0.001, 1e+06], got 5e-324\n",
-            ),
-            (
-                "evaluate",
-                "transceiver.transmit_power_w=1e300",
-                "transceiver: transmit_power_w must be in (0, 1e+06], got 1e+300\n",
-            ),
-            (
-                "sweep",
-                "transceiver.transmit_power_w=1e300",
-                "transceiver: transmit_power_w must be in (0, 1e+06], got 1e+300\n",
-            ),
-            ("sweep", "divergence_values_rad=[.nan]", "divergence_values_rad[0]: "),
-            ("evaluate", "target_rate_bps=1e-300", "target_rate_bps must be in [1, 1e+12], got 1e-300\n"),
-            ("sweep", "target_rate_bps=1e-300", "target_rate_bps must be in [1, 1e+12], got 1e-300\n"),
-            (
-                "evaluate",
-                "clouds=[{base_altitude_m: 1000}, {base_altitude_m: 1010}]",
-                "clouds: cloud layers overlap",
-            ),
-        ],
-    )
-    def test_invalid_numbers_exit_1_without_traceback(
-        self, tmp_path, capsys, command, override, message
-    ):
-        code, outdir = run(tmp_path, command, f"--set={override}")
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {message}")
-        assert not os.path.exists(outdir)
-
-    @pytest.mark.parametrize(
-        "overrides, message",
-        [
-            # (lambda / 550)^(-delta) would overflow in the Mie term: inf dB of fog.
-            (
-                ["scenarios=[fog_dense]", "transceiver.wavelength_nm=1e-300", "fog.visibility_m=1e4"],
-                "transceiver: wavelength_nm must be in [100, 100000], got 1e-300",
-            ),
-            # LWC * N_d would underflow: a cloud visibility of ~8e258 km.
-            (
-                ["scenarios=[cloud_and_fog]", cloud_override("1e-200", "1e-200")],
-                "clouds[0]: lwc_g_per_m3 must be in [1e-09, 1000], got 1e-200",
-            ),
-            # LWC * N_d would overflow and the visibility underflow to 0: inf dB of cloud.
-            (
-                ["scenarios=[cloud_and_fog]", cloud_override("1e300", "1e300")],
-                "clouds[0]: lwc_g_per_m3 must be in [1e-09, 1000], got 1e+300",
-            ),
-            # No rain, or a Mie loss that underflows to 0, over an infinite slant.
-            (
-                ["scenarios=[heavy_rain]", "rain.rate_mm_per_hour=0", "rain.layer_thickness_m=1e308"],
-                "rain: layer_thickness_m must be in [0, 1e+06], got 1e+308",
-            ),
-            (
-                ["scenarios=[fog_dense]", "geometry.elevation_deg=1e-300"],
-                "geometry: elevation_deg must be in [0.00572958, 90], got 1e-300",
-            ),
-            (
-                ["scenarios=[fog_dense]", "fog.visibility_m=1e300"],
-                "fog: visibility_m must be in [0.001, 1e+15], got 1e+300",
-            ),
-            # 1e-200 * 1e-200 would underflow: 4000 dB of optical loss.
-            (
-                ["transceiver.tx_efficiency=1e-200", "transceiver.rx_efficiency=1e-200"],
-                "transceiver: tx_efficiency must be in [1e-30, 1], got 1e-200",
-            ),
-            (
-                ["transceiver.optical_loss_db=4000"],
-                "transceiver: optical_loss_db must be in [0, 600], got 4000.0",
-            ),
-            # 23.17 k^(7/6) would underflow to 0.
-            (
-                ["transceiver.wavelength_nm=1e290"],
-                "transceiver: wavelength_nm must be in [100, 100000], got 1e+290",
-            ),
-            # The capture fraction would underflow to 0: an inf geometrical loss.
-            (["geometry.divergence_rad=1e300"], "geometry: divergence_rad must be in (0, pi], got 1e+300"),
-            # (1e-5 h)^10 in the Cn^2 wind term, and l^(11/6), would overflow.
-            (["geometry.nfp_altitude_m=1e36"], "geometry: nfp_altitude_m must be in (0, 1e+06], got 1e+36"),
-            (["geometry.nfp_altitude_m=1e200"], "geometry: nfp_altitude_m must be in (0, 1e+06], got 1e+200"),
-            # (v / 27)^2 in the Cn^2 wind term would overflow: Cn^2 would be inf.
-            (
-                ["turbulence.wind_speed_m_per_s=1e200"],
-                "turbulence: wind_speed_m_per_s must be in [0, 1000], got 1e+200",
-            ),
-        ],
-    )
-    @pytest.mark.parametrize("command", ["evaluate", "sweep"])
-    def test_inputs_beyond_the_model_domain_exit_1_naming_the_bound(
-        self, tmp_path, capsys, command, overrides, message
-    ):
-        code, outdir = run(tmp_path, command, *[f"--set={override}" for override in overrides])
-        assert code == EXIT_USAGE
-        assert capsys.readouterr().err == f"config error: {message}\n"
-        assert not os.path.exists(outdir)
-
-    # 1e300 rad, whose capture would underflow to 0, is beyond the domain (above).
+    # 1e300 rad, whose capture would underflow to 0, is beyond the domain: a config error.
     @pytest.mark.parametrize("divergence, expected", [("1e-300", EXIT_OK)])
     def test_extreme_divergence_is_answered(self, tmp_path, capsys, divergence, expected):
         code, outdir = run(tmp_path, "evaluate", f"--set=geometry.divergence_rad={divergence}")
@@ -486,32 +288,6 @@ class TestErrorsAndDeterminism:
     def test_unknown_key_exits_1(self, tmp_path, capsys):
         code, _ = run(tmp_path, "evaluate", "--set=warp_drive=1")
         assert code == EXIT_USAGE
-
-    def test_identical_runs_are_byte_identical(self, tmp_path):
-        _, outdir1 = run(tmp_path / "a", "sweep", "--set=sweep.points=7", "--set=seed=5")
-        _, outdir2 = run(tmp_path / "b", "sweep", "--set=sweep.points=7", "--set=seed=5")
-        names1 = sorted(os.listdir(outdir1))
-        assert names1 == sorted(os.listdir(outdir2))
-        for name in names1:
-            a = open(os.path.join(outdir1, name), "rb").read()
-            b = open(os.path.join(outdir2, name), "rb").read()
-            if name == "resolved_config.yaml":
-                # differs only in the output_dir line, by construction
-                continue
-            assert a == b, name
-
-    def test_resolved_echo_reproduces_the_bundle(self, tmp_path):
-        _, outdir1 = run(tmp_path / "a", "sweep", "--set=sweep.points=4")
-        echo = os.path.join(outdir1, "resolved_config.yaml")
-        outdir2 = str(tmp_path / "b")
-        code = main(["sweep", "--config", echo, f"--set=output_dir={outdir2}"])
-        assert code == EXIT_OK
-        for name in sorted(os.listdir(outdir1)):
-            if name == "resolved_config.yaml":
-                continue
-            a = open(os.path.join(outdir1, name), "rb").read()
-            b = open(os.path.join(outdir2, name), "rb").read()
-            assert a == b, name
 
 
 # Each CSV's columns, in order. The CLI states them only in its table literals.

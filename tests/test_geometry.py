@@ -1,15 +1,10 @@
 """Tests of slant-path and beam-spread geometry."""
 
 import math
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
 
-from vfso.aggregation import TrafficProfile
-from vfso.atmosphere import CloudLayer, FogDescriptor, RainDescriptor, TurbulenceDescriptor
-from vfso.hetnet_cost import Area
-from vfso.link_budget import TransceiverParams
 from vfso.geometry import (
     LinkGeometry,
     capture_loss_db,
@@ -77,8 +72,6 @@ class TestCaptureFraction:
         # The domain's corner: the widest beam, longest path and least aperture.
         widest = geom(h=1e6, elevation=math.degrees(1e-4), theta=math.pi, r=1e-6)
         assert geometrical_capture_fraction(widest) == pytest.approx(4.0e-33, rel=1e-3)
-        with pytest.raises(ValueError, match=r"^divergence_rad must be in \(0, pi\], got 1e\+300$"):
-            geom(theta=1e300)
 
 
 class TestGeometricalLoss:
@@ -98,8 +91,6 @@ class TestGeometricalLoss:
         # No geometry of the domain gets there: its widest beam loses ~324 dB.
         widest = geom(h=1e6, elevation=math.degrees(1e-4), theta=math.pi, r=1e-6)
         assert geometrical_loss(widest) == pytest.approx(323.9, abs=0.1)
-        with pytest.raises(ValueError, match=r"^receiver_radius_m must be in \[1e-06, 1e\+06\]"):
-            geom(r=1e-7)
 
     @given(st.floats(min_value=2e-4, max_value=1e-2), st.floats(min_value=1.1, max_value=8.0))
     def test_scaling_divergence_adds_20log10(self, theta, k):
@@ -113,68 +104,3 @@ class TestGeometricalLoss:
         base = geometrical_loss(geom(h=10000.0))
         scaled = geometrical_loss(geom(h=k * 10000.0))
         assert scaled - base == pytest.approx(20.0 * math.log10(k), abs=1e-9)
-
-
-class TestValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"h": 0.0},
-            {"h": -5.0},
-            {"elevation": 0.0},
-            {"elevation": math.degrees(math.pi / 2 + 0.001)},
-            {"theta": 0.0},
-            {"r": -0.01},
-        ],
-    )
-    def test_rejects_invalid_geometry(self, kwargs):
-        with pytest.raises(ValueError):
-            geom(**kwargs)
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize(
-        "field", ["nfp_altitude_m", "elevation_deg", "divergence_rad", "receiver_radius_m"]
-    )
-    def test_rejects_non_finite_geometry(self, field, value):
-        kwargs = dict(
-            nfp_altitude_m=20000.0, elevation_deg=45.0, divergence_rad=1e-3, receiver_radius_m=0.04
-        )
-        kwargs[field] = value
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            LinkGeometry(**kwargs)
-
-
-# One valid instance of every constructor that takes numbers; the property
-# below makes one field of one of them non-finite.
-VALID_KWARGS = {
-    LinkGeometry: dict(
-        nfp_altitude_m=20000.0, elevation_deg=45.0, divergence_rad=1e-3, receiver_radius_m=0.04
-    ),
-    FogDescriptor: dict(visibility_m=50.0, layer_thickness_m=50.0),
-    RainDescriptor: dict(rate_mm_per_hour=50.0, layer_thickness_m=1000.0),
-    CloudLayer: dict(
-        base_altitude_m=1000.0, thickness_m=48.0, lwc_g_per_m3=1.0, droplet_density_per_cm3=250.0
-    ),
-    TurbulenceDescriptor: dict(
-        wind_speed_m_per_s=21.0, structure_constant_a=1.7e-14, reference_altitude_m=3000.0
-    ),
-    TransceiverParams: dict(
-        transmit_power_w=0.2,
-        tx_efficiency=0.9,
-        rx_efficiency=0.9,
-        wavelength_nm=1550.0,
-        pointing_loss_db=2.0,
-        receiver_sensitivity_photons_per_bit=100.0,
-    ),
-    TrafficProfile: dict(busy_rate_bps=50e6, peak_rate_bps=300e6),
-    Area: dict(width_m=5000.0, height_m=5000.0),
-}
-
-
-@given(st.data(), st.sampled_from([math.nan, math.inf, -math.inf]))
-def test_every_constructor_rejects_non_finite_fields(data, value):
-    cls = data.draw(st.sampled_from(list(VALID_KWARGS)), label="class")
-    field = data.draw(st.sampled_from([f.name for f in fields(cls)]), label="field")
-    kwargs = {**VALID_KWARGS[cls], field: value}
-    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
-        cls(**kwargs)

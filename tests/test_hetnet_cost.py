@@ -1,8 +1,6 @@
 """Tests of HetNet layout generation and per-technology costing."""
 
 import math
-import re
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -174,10 +172,6 @@ class TestGenerateLayout:
         grand_mean = float(np.mean(means))
         assert grand_mean == pytest.approx(250.0, rel=0.10)
 
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            generate_layout(0, 10, AREA, 0)
-
 
 class TestRfNlosCost:
     def test_equipment_decomposition(self):
@@ -192,6 +186,12 @@ class TestRfNlosCost:
             + items["remote module installation"].total
         )
         assert equipment == 250 * 4270 + 1000 * 2140 == 3_207_500
+
+    @pytest.mark.parametrize("n_small, hubs", [(1, 1), (4, 1), (5, 2), (8, 2), (9, 3)])
+    def test_a_hub_serves_up_to_four_cells(self, n_small, hubs):
+        items = {item.label: item for item in cost_rf_nlos(generate_layout(1, n_small, AREA, 0)).line_items}
+        assert items["hub equipment"].quantity == hubs
+        assert items["pole lease"].quantity == hubs + n_small
 
     def test_zero_population_means_free_spectrum(self):
         params = RfNlosCostParams(population=0)
@@ -252,10 +252,6 @@ class TestTerrestrialFsoCost:
         result = cost_terrestrial_fso(default_layout(), params)
         assert result.capex == 1000 * 20000 == 20_000_000
 
-    def test_one_year_tco_in_reported_band(self):
-        result = cost_terrestrial_fso(default_layout())
-        assert 42e6 <= result.tco(1.0) <= 44e6
-
 
 class TestVerticalFsoCost:
     def test_fleet_capex(self):
@@ -294,27 +290,6 @@ class TestTcoInvariants:
         assert result.tco(years) == result.capex + years * result.opex_per_year
 
     @pytest.mark.parametrize(
-        "make, message",
-        [
-            (lambda: VerticalFsoCostParams(platform_cost=1e308), "platform_cost must be in [0, 1e+09], got 1e+308"),
-            (lambda: FiberCostParams(routing_factor=1e308), "routing_factor must be in [0, 1000], got 1e+308"),
-            (lambda: RfNlosCostParams(spectrum_mhz=1e306), "spectrum_mhz must be in [0, 1e+06], got 1e+306"),
-            (
-                lambda: RfNlosCostParams(hub_unit_cost=1e308, hub_install_cost=1e308),
-                "hub_unit_cost must be in [0, 1e+09], got 1e+308",
-            ),
-            (
-                lambda: RfNlosCostParams(pole_lease_per_site_year=5e307, power_maintenance_per_site_year=5e307),
-                "pole_lease_per_site_year must be in [0, 1e+09], got 5e+307",
-            ),
-        ],
-        ids=["item_total", "quantity", "product_quantity", "capex", "opex"],
-    )
-    def test_a_price_that_would_overflow_a_cost_is_beyond_the_domain(self, make, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            make()
-
-    @pytest.mark.parametrize(
         "params, got", [(FiberCostParams(), "inf"), (FiberCostParams(0.0, 0.0), "nan")], ids=["inf", "nan"]
     )
     def test_an_infinite_trench_of_a_hand_built_layout_names_fiber(self, params, got):
@@ -324,12 +299,6 @@ class TestTcoInvariants:
             with pytest.raises(ValueError, match=f"^fiber capex must be finite, got {got}$"):
                 cost_fiber(layout, params)
 
-    def test_tco_beyond_the_years_domain_is_rejected(self):
-        result = cost_vertical_fso(default_layout())
-        assert math.isfinite(result.tco(1e3))
-        with pytest.raises(ValueError, match=r"^years must be in \[0, 1000\], got 1e\+305$"):
-            result.tco(1e305)
-
     def test_fiber_capex_monotone_in_cell_count(self):
         small = generate_layout(100, 500, AREA, 0)
         big = generate_layout(100, 1500, AREA, 0)
@@ -337,19 +306,6 @@ class TestTcoInvariants:
 
 
 class TestCompareTco:
-    def test_default_one_year_ordering(self):
-        results = compare_tco(default_layout(), CostParams(), years=1.0)
-        assert [r.technology for r in results] == [
-            "rf_nlos_ptm",
-            "terrestrial_fso",
-            "fiber",
-            "vertical_fso",
-        ]
-
-    def test_capex_only_ranking_has_fiber_highest(self):
-        results = compare_tco(default_layout(), CostParams(), years=0.0)
-        assert results[-1].technology == "fiber"
-
     def test_zero_costs_zero_tco(self):
         params = CostParams(
             rf_nlos=RfNlosCostParams(
@@ -369,12 +325,6 @@ class TestCompareTco:
         results = compare_tco(default_layout(), params, years=1.0)
         assert all(r.tco(1.0) == 0.0 for r in results)
 
-    def test_ordering_stable_across_seeds(self):
-        expected = ["rf_nlos_ptm", "terrestrial_fso", "fiber", "vertical_fso"]
-        for seed in range(25):
-            results = compare_tco(default_layout(seed), CostParams(), years=1.0)
-            assert [r.technology for r in results] == expected
-
 
 class TestValidation:
     GOOD_POSITIONS = {"macro_positions": np.zeros((1, 2)), "small_positions": np.ones((2, 2))}
@@ -391,21 +341,6 @@ class TestValidation:
         with pytest.raises(ValueError, match=name):
             HetNetLayout(AREA, **given)
 
-    @pytest.mark.parametrize(
-        "width, height, message",
-        [
-            (1e160, 1e160, "width_m must be in (0, 1e+06], got 1e+160"),
-            (1e154, 1e154, "width_m must be in (0, 1e+06], got 1e+154"),
-            (1.5e154, 1.0, "width_m must be in (0, 1e+06], got 1.5e+154"),
-            (1.0, 1.5e154, "height_m must be in (0, 1e+06], got 1.5e+154"),
-            (10**200, 1, f"width_m must be in (0, 1e+06], got {10**200}"),
-        ],
-        ids=["both_1e160", "sum_overflows", "width_squared", "height_squared", "python_int"],
-    )
-    def test_area_rejects_sides_beyond_the_domain(self, width, height, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            Area(width_m=width, height_m=height)
-
     @pytest.mark.filterwarnings("error")
     def test_largest_areas_give_finite_distances(self):
         layout = generate_layout(30, 700, Area(width_m=1e6, height_m=1e6), seed=4)
@@ -418,33 +353,6 @@ class TestValidation:
         assert layout.macro_positions.dtype == np.float64
         assert layout.small_positions.shape == (2, 2)
         assert nearest_macro_distances(layout).tolist() == [math.sqrt(8.0), math.sqrt(32.0)]
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
-    @pytest.mark.parametrize(
-        "params, name",
-        [
-            (params, f.name)
-            for params in (
-                RfNlosCostParams, FiberCostParams, TerrestrialFsoCostParams, VerticalFsoCostParams
-            )
-            for f in fields(params)
-        ],
-    )
-    def test_cost_params_reject_non_finite_and_negative(self, params, name, bad):
-        with pytest.raises(ValueError, match=name):
-            params(**{name: bad})
-
-    @pytest.mark.parametrize(
-        "params, values, message",
-        [
-            (RfNlosCostParams, {"modules_per_hub": 0}, "modules_per_hub must be in [1, 1e+07], got 0"),
-            (TerrestrialFsoCostParams, {"nlos_hop_count": 0}, "nlos_hop_count must be in [1, 1e+07], got 0"),
-            (TerrestrialFsoCostParams, {"nlos_fraction": 1.5}, "nlos_fraction must be in [0, 1], got 1.5"),
-        ],
-    )
-    def test_cost_params_reject_out_of_domain_counts(self, params, values, message):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            params(**values)
 
     def test_nan_fiber_price_is_rejected_before_any_ranking(self):
         with pytest.raises(ValueError, match="cable_cost_per_m must be finite"):

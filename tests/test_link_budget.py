@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vfso import atmosphere, geometry, link_budget
-from vfso.atmosphere import TurbulenceDescriptor, WeatherScenario, fog_attenuation, rain_attenuation
-from vfso.geometry import LinkGeometry, geometrical_capture_fraction
+from vfso.atmosphere import WeatherScenario, fog_attenuation, rain_attenuation
 from vfso.link_budget import (
-    LinkBudgetResult,
     TransceiverParams,
     achievable_rate,
     evaluate_grid,
@@ -41,13 +39,6 @@ class TestOpticalLoss:
     def test_least_efficiencies_lose_600_db(self):
         # The domain's least pair: their product is a normal double, 1e-60.
         assert optical_loss(1e-30, 1e-30) == pytest.approx(600.0, rel=1e-15, abs=0)
-        with pytest.raises(ValueError, match=r"^tx_efficiency must be in \[1e-30, 1\], got 1e-200$"):
-            optical_loss(1e-200, 1e-200)
-
-    @pytest.mark.parametrize("eta", [0.0, -0.1, 1.1])
-    def test_rejects_out_of_range_efficiency(self, eta):
-        with pytest.raises(ValueError):
-            optical_loss(eta, 0.5)
 
 
 class TestPhotonEnergy:
@@ -60,12 +51,6 @@ class TestPhotonEnergy:
 
     def test_650_nm(self):
         assert photon_energy(650.0) == pytest.approx(3.058153846153846e-19, rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("wavelength_nm", [5e-324, 99.99999999999999, 100000.00000000001])
-    def test_rejects_a_wavelength_beyond_the_domain(self, wavelength_nm):
-        message = f"^wavelength_nm must be in \\[100, 100000\\], got {wavelength_nm}$"
-        with pytest.raises(ValueError, match=message):
-            photon_energy(wavelength_nm)
 
 
 class TestReceivedPower:
@@ -159,42 +144,9 @@ class TestLinkMargin:
     def test_margin_identity(self, k):
         assert link_margin(k * 3e9, 3e9) == pytest.approx(10.0 * math.log10(k), abs=1e-9)
 
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            link_margin(-1.0, 3e9)
-        with pytest.raises(ValueError):
-            link_margin(1.0, 0.0)
-
-    @pytest.mark.parametrize(
-        "rate, target, message",
-        [
-            (math.nan, 3e9, "rate_bps must be finite, got nan"),
-            (math.inf, 3e9, "rate_bps must be finite, got inf"),
-            (1e9, math.nan, "target_rate_bps must be finite, got nan"),
-            (1e9, math.inf, "target_rate_bps must be finite, got inf"),
-        ],
-    )
-    def test_rejects_non_finite_input(self, rate, target, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            link_margin(rate, target)
-
-    def test_rejects_a_target_beyond_the_domain(self):
+    def test_the_largest_rate_over_the_least_target_is_finite(self):
         # From 1 bit/s up, no rate a double holds overflows the quotient.
-        with pytest.raises(ValueError, match=r"^target_rate_bps must be in \[1, 1e\+12\], got 1e-300$"):
-            link_margin(1e10, 1e-300)
         assert link_margin(1.7e308, 1.0) == pytest.approx(3082.3, abs=0.1)
-
-    @pytest.mark.parametrize("evaluate", [evaluate_link, evaluate_grid])
-    @pytest.mark.parametrize("target", [1e-300, 0.5, 1.0000000000001e12])
-    def test_evaluations_reject_a_target_beyond_the_domain(self, evaluate, target):
-        with pytest.raises(ValueError, match=rf"^target_rate_bps must be in \[1, 1e\+12\], got {target}$"):
-            evaluate(TX, GEOMETRY_20KM, CLEAR, target)
-
-    @pytest.mark.parametrize("evaluate", [evaluate_link, evaluate_grid])
-    @pytest.mark.parametrize("target", [math.nan, math.inf])
-    def test_evaluations_reject_non_finite_target(self, evaluate, target):
-        with pytest.raises(ValueError, match="^target_rate_bps must be finite"):
-            evaluate(TX, GEOMETRY_20KM, CLEAR, target)
 
 
 class TestEvaluateLink:
@@ -276,6 +228,17 @@ class TestEvaluateLink:
         rain_attenuation(DEFAULT_RAIN, 0.5)
         assert checked.count("elevation_rad") == 2
 
+    def test_fastest_link_of_the_domain_has_a_finite_rate(self):
+        # The most power per bit the domain allows, all of it captured and none lost.
+        tx = TransceiverParams(1e6, 1.0, 1.0, 1e5, 0.0, 1e-3)
+        narrow = replace(GEOMETRY_20KM, divergence_rad=1e-9)
+        result = evaluate_link(tx, narrow, WeatherScenario(label="none"), 1.0)
+        assert result.received_power_w == 1e6
+        assert result.data_rate_bps == pytest.approx(5.03e29, rel=1e-3)
+        assert result.link_margin_db == pytest.approx(297.0, abs=0.1)
+        with pytest.raises(ValueError, match=r"^transmit_power_w must be in \(0, 1e\+06\]"):
+            replace(tx, transmit_power_w=1.7e308)
+
     def test_result_fields_are_non_negative(self):
         result = evaluate_link(TX, GEOMETRY_20KM, preset("rain_and_cloud"))
         b = result.loss_breakdown
@@ -293,56 +256,3 @@ class TestEvaluateGrid:
         grid = evaluate_grid(TX, GEOMETRY_20KM, WeatherScenario("x"), nfp_altitude_m=altitudes)
         assert grid.loss_breakdown.cloud_db.tolist() == [0.0]
         assert grid.loss_breakdown.scintillation_db.tolist() == [0.0]
-
-
-class TestTransceiverValidation:
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"transmit_power_w": 0.0},
-            {"tx_efficiency": 0.0},
-            {"rx_efficiency": 1.2},
-            {"wavelength_nm": -1.0},
-            {"pointing_loss_db": -0.5},
-            {"receiver_sensitivity_photons_per_bit": 0.0},
-        ],
-    )
-    def test_rejects_invalid_parameters(self, kwargs):
-        base = dict(
-            transmit_power_w=0.2,
-            tx_efficiency=0.794,
-            rx_efficiency=0.794,
-            wavelength_nm=1550.0,
-            pointing_loss_db=2.0,
-            receiver_sensitivity_photons_per_bit=100.0,
-        )
-        base.update(kwargs)
-        with pytest.raises(ValueError):
-            TransceiverParams(**base)
-
-    @pytest.mark.parametrize(
-        "kwargs, message",
-        [
-            ({"wavelength_nm": 5e-324}, r"wavelength_nm must be in \[100, 100000\], got 5e-324"),
-            (
-                {"receiver_sensitivity_photons_per_bit": 5e-324},
-                r"receiver_sensitivity_photons_per_bit must be in \[0.001, 1e\+06\], got 5e-324",
-            ),
-            ({"transmit_power_w": 1e300}, r"transmit_power_w must be in \(0, 1e\+06\], got 1e\+300"),
-            ({"wavelength_nm": 1e300}, r"wavelength_nm must be in \[100, 100000\], got 1e\+300"),
-        ],
-    )
-    def test_rejects_parameters_beyond_the_domain(self, kwargs, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            replace(TX, **kwargs)
-
-    def test_fastest_link_of_the_domain_has_a_finite_rate(self):
-        # The most power per bit the domain allows, all of it captured and none lost.
-        tx = TransceiverParams(1e6, 1.0, 1.0, 1e5, 0.0, 1e-3)
-        narrow = replace(GEOMETRY_20KM, divergence_rad=1e-9)
-        result = evaluate_link(tx, narrow, WeatherScenario(label="none"), 1.0)
-        assert result.received_power_w == 1e6
-        assert result.data_rate_bps == pytest.approx(5.03e29, rel=1e-3)
-        assert result.link_margin_db == pytest.approx(297.0, abs=0.1)
-        with pytest.raises(ValueError, match=r"^transmit_power_w must be in \(0, 1e\+06\]"):
-            replace(tx, transmit_power_w=1.7e308)

@@ -70,10 +70,6 @@ class TestPresets:
         assert layer.lwc_g_per_m3 == 1.0
         assert layer.droplet_density_per_cm3 == 250.0
 
-    def test_unknown_preset_is_rejected(self):
-        with pytest.raises(ValueError, match="unknown preset"):
-            preset("monsoon")
-
     def test_component_override(self):
         light = FogDescriptor(visibility_m=770.0, layer_thickness_m=50.0)
         scenario = preset("fog_dense", fog=light)
@@ -118,7 +114,6 @@ class TestSweepSpec:
             {"variable": "wavelength"},
             {"variable": ["altitude"]},  # unhashable: still a ValueError, not a TypeError
             {"start": 2000.0, "stop": 1000.0},
-            {"points": 1},
             {"scale": "cubic"},
             {"start": 0.0, "scale": "log"},
         ],
@@ -144,41 +139,11 @@ class TestRunSweep:
         rates = [row.result.data_rate_bps for row in result.rows]
         assert all(a >= b for a, b in zip(rates, rates[1:]))  # theta ascending, rate falling
 
-    def test_two_point_sweep_has_exactly_the_endpoints(self):
-        spec = SweepSpec(variable="altitude", start=1000.0, stop=2000.0, points=2)
-        result = run_sweep(spec, preset("clear_sky"), TX, GEOMETRY)
-        assert [row.value for row in result.rows] == [1000.0, 2000.0]
-
-    def test_rows_are_ordered_and_counted(self):
-        spec = SweepSpec(variable="altitude", start=1000.0, stop=20000.0, points=17)
-        result = run_sweep(spec, preset("heavy_rain"), TX, GEOMETRY)
-        values = [row.value for row in result.rows]
-        assert len(values) == 17 == result.spec.points
-        assert values == sorted(values)
-
-    def test_deterministic_rerun(self):
-        spec = SweepSpec(variable="altitude", start=1000.0, stop=20000.0, points=10)
-        a = run_sweep(spec, preset("rain_and_cloud"), TX, GEOMETRY)
-        b = run_sweep(spec, preset("rain_and_cloud"), TX, GEOMETRY)
-        assert a == b
-
     def test_scenario_label_is_recorded(self):
         spec = SweepSpec(variable="altitude", start=1000.0, stop=2000.0, points=2)
         result = run_sweep(spec, preset("fog_dense"), TX, GEOMETRY)
         assert result.scenario_label == "fog_dense"
         assert all(row.error is None for row in result.rows)
-
-    def test_invalid_grid_points_become_row_errors(self):
-        # altitudes <= 0 cannot form a geometry; the sweep records the error
-        # on those rows and keeps going
-        spec = SweepSpec(variable="altitude", start=-1000.0, stop=2000.0, points=4)
-        result = run_sweep(spec, preset("clear_sky"), TX, GEOMETRY)
-        assert len(result.rows) == 4
-        failed = [row for row in result.rows if row.error is not None]
-        succeeded = [row for row in result.rows if row.result is not None]
-        assert {row.value for row in failed} == {-1000.0, 0.0}
-        assert {row.value for row in succeeded} == {1000.0, 2000.0}
-        assert all("nfp_altitude_m" in row.error for row in failed)
 
 
 SWEPT_FIELD = {"altitude": "nfp_altitude_m", "divergence": "divergence_rad"}
