@@ -51,7 +51,6 @@ from .link_budget import (
     LossBreakdown,
     TransceiverParams,
     achievable_rate,
-    evaluate_grid,
     evaluate_link,
     link_margin,
     optical_loss,
@@ -107,7 +106,6 @@ __all__ = [
     "cost_terrestrial_fso",
     "cost_vertical_fso",
     "default_parameters",
-    "evaluate_grid",
     "evaluate_link",
     "fog_attenuation",
     "generate_layout",

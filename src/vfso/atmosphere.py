@@ -127,9 +127,9 @@ def mie_specific_attenuation(visibility_km: float, wavelength_nm: float) -> floa
     return 4.34 * (3.91 / visibility_km) * ratio**-delta
 
 
-def fog_attenuation(fog: FogDescriptor, elevation_rad: float, wavelength_nm: float) -> float:
+def fog_attenuation(fog: FogDescriptor, elevation_deg: float, wavelength_nm: float) -> float:
     """Total fog loss in dB over the slanted crossing of the fog layer."""
-    return _fog_db(fog, _slant_factor(elevation_rad), wavelength_nm)
+    return _fog_db(fog, _slant_factor(elevation_deg), wavelength_nm)
 
 
 def _fog_db(fog: FogDescriptor, factor: float, wavelength_nm: float) -> float:
@@ -137,9 +137,9 @@ def _fog_db(fog: FogDescriptor, factor: float, wavelength_nm: float) -> float:
     return specific * (fog.layer_thickness_m / 1000.0 * factor)
 
 
-def rain_attenuation(rain: RainDescriptor, elevation_rad: float) -> float:
+def rain_attenuation(rain: RainDescriptor, elevation_deg: float) -> float:
     """Total rain loss in dB: 1.076 * R^0.67 dB/km over the slanted layer."""
-    return _rain_db(rain, _slant_factor(elevation_rad))
+    return _rain_db(rain, _slant_factor(elevation_deg))
 
 
 def _rain_db(rain: RainDescriptor, factor: float) -> float:

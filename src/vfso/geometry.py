@@ -53,8 +53,7 @@ _DOMAIN = {
     "receiver_sensitivity_photons_per_bit": (1e-3, 1e6),
     "target_rate_bps": (1.0, 1e12),
     "nfp_altitude_m": (0.0, 1e6),
-    "elevation_rad": (1e-4, math.pi / 2),
-    "elevation_deg": (math.degrees(1e-4), 90.0),  # radians() maps it onto elevation_rad's
+    "elevation_deg": (math.degrees(1e-4), 90.0),  # radians() maps it onto [1e-4, pi/2]
     "divergence_rad": (0.0, math.pi),
     "receiver_radius_m": (1e-6, 1e6),
     "path_length_m": (0.0, 1e11),  # 1e6 m at the least elevation is ~1e10 m
@@ -125,7 +124,7 @@ def _shown(value) -> str:
 def _interval(name: str) -> str:
     """The range _DOMAIN gives name, as a message states it."""
     low, high = _DOMAIN[name]
-    high_text = {math.pi: "pi", math.pi / 2: "pi/2"}.get(high, f"{high:g}")
+    high_text = "pi" if high == math.pi else f"{high:g}"
     return f"{'(' if _RULES.get(name) == 'positive' and low == 0 else '['}{low:g}, {high_text}]"
 
 
@@ -212,8 +211,8 @@ class _Checked:
         _require_bounds(self)
 
 
-def _slant_factor(elevation_rad: float) -> float:
-    return 1.0 / math.sin(_require("elevation_rad", elevation_rad))
+def _slant_factor(elevation_deg: float) -> float:
+    return 1.0 / math.sin(math.radians(_require("elevation_deg", elevation_deg)))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
-
-import numpy as np
 
 from .atmosphere import WeatherScenario, _atmospheric_terms
 from .geometry import (
@@ -28,7 +25,6 @@ from .geometry import (
     _capture_loss_db,
     _Checked,
     _require,
-    _valid_entries,
     geometrical_capture_fraction,
 )
 
@@ -197,45 +193,10 @@ def evaluate_link(
     return _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad, _SCALAR_MATH)
 
 
-def evaluate_grid(
-    tx: TransceiverParams,
-    geometry: LinkGeometry,
-    scenario: WeatherScenario,
-    target_rate_bps: float = DEFAULT_TARGET_RATE_BPS,
-    *,
-    nfp_altitude_m: Optional[np.ndarray] = None,
-    divergence_rad: Optional[np.ndarray] = None,
-) -> LinkBudgetResult:
-    """evaluate_link over arrays of platform altitude and/or beam divergence.
-
-    The given arrays replace those fields of `geometry`, which supplies the
-    rest. Every array entry must pass the LinkGeometry checks (positive and
-    within the model's domain), or a ValueError names the first that fails and
-    its bound; run_sweep masks them.
-
-    Returns a LinkBudgetResult whose fields are arrays over the grid for the
-    terms that vary along it (capture fraction, power, rate, margin; cloud and
-    scintillation along altitude) and floats for the others (fog, rain, pointing, optics).
-    It runs the very formulas of evaluate_link, on numpy arrays instead of
-    floats, so every entry agrees with evaluate_link to within the rounding
-    of numpy's vectorised exp/log/pow (tests hold it to 1e-12).
-    """
-    altitude = geometry.nfp_altitude_m if nfp_altitude_m is None else np.asarray(nfp_altitude_m)
-    divergence = geometry.divergence_rad if divergence_rad is None else np.asarray(divergence_rad)
-    for name, values in (("nfp_altitude_m", altitude), ("divergence_rad", divergence)):
-        values = np.asarray(values)
-        invalid = values[~_valid_entries(name, values)]
-        if invalid.size:  # the first invalid entry, named as LinkGeometry names it
-            _require(name, invalid.flat[0].item())
-    # A rate that underflows to 0 has log10 -inf: the margin sentinel, as in evaluate_link.
-    with np.errstate(divide="ignore"):
-        return _budget(tx, geometry, scenario, target_rate_bps, altitude, divergence, np)
-
-
 def _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad, xp):
     """The budget at altitude(s) altitude_m and divergence(s) divergence_rad,
-    the rest of `geometry` fixed, in math namespace xp: numpy for arrays,
-    geometry._SCALAR_MATH for floats."""
+    the rest of `geometry` fixed, in math namespace xp: numpy for a sweep's
+    grid (scenario.run_sweep), geometry._SCALAR_MATH for one point."""
     sine, wavelength = math.sin(math.radians(geometry.elevation_deg)), tx.wavelength_nm
     path_m = altitude_m / sine
     fraction = _capture_fraction(geometry.receiver_radius_m, divergence_rad, path_m, xp)

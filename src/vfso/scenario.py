@@ -30,10 +30,10 @@ from .link_budget import (
     DEFAULT_TARGET_RATE_BPS,
     LinkBudgetResult,
     TransceiverParams,
+    _budget,
     _from_per_point,
     _per_point,
     efficiencies_from_optical_loss,
-    evaluate_grid,
 )
 
 # Altitude range the simulations sweep by default, in meters.
@@ -218,12 +218,14 @@ def run_sweep(
 ) -> SweepResult:
     """Evaluate the link at every grid point, all other parameters fixed.
 
-    The whole grid is evaluated in one evaluate_grid call, each invalid
-    point (not finite, not positive, or outside the model's domain) standing
-    in at the geometry's own value. Such a point is recorded as a row-level
-    error carrying LinkGeometry's own message, which names the rule or bound
-    it breaks, instead of aborting the sweep; its columns are NaN. Identical
-    inputs produce identical results.
+    The whole grid is evaluated in one numpy pass of evaluate_link's own
+    formulas, each invalid point (not finite, not positive, or outside the
+    model's domain) standing in at the geometry's own value. Such a point is
+    recorded as a row-level error carrying LinkGeometry's own message, which
+    names the rule or bound it breaks, instead of aborting the sweep; its
+    columns are NaN. Every other row agrees with evaluate_link at its point to
+    within the rounding of numpy's vectorised exp/log/pow (tests hold it to
+    1e-12). Identical inputs produce identical results.
     """
     field = _SWEPT_FIELD[spec.variable]
     values = np.array(spec.grid())
@@ -235,7 +237,11 @@ def run_sweep(
         except ValueError as exc:
             errors[i] = str(exc)
     parked = np.where(valid, values, getattr(geometry, field))
-    grid = evaluate_grid(tx, geometry, scenario, target_rate_bps, **{field: parked})
+    altitude = parked if field == "nfp_altitude_m" else geometry.nfp_altitude_m
+    divergence = parked if field == "divergence_rad" else geometry.divergence_rad
+    # A rate that underflows to 0 has log10 -inf: the margin sentinel, as in evaluate_link.
+    with np.errstate(divide="ignore"):
+        grid = _budget(tx, geometry, scenario, target_rate_bps, altitude, divergence, np)
     columns = [np.where(valid, column, np.nan) for column in _per_point(grid)]
     return SweepResult(
         spec, scenario.label, values, _from_per_point(columns, target_rate_bps), tuple(errors)

@@ -1,4 +1,8 @@
-"""Golden reference data shared by the unit and acceptance suites."""
+"""Golden reference data and test helpers shared by the unit and acceptance suites."""
+
+from dataclasses import dataclass
+
+from vfso.scenario import SweepSpec
 
 # Specific attenuation in dB/km for the five standard foggy-condition
 # visibility classes at four common operating wavelengths.
@@ -16,3 +20,13 @@ FOG_TABLE_CELLS = [
     for v_m, row in FOG_ATTENUATION_TABLE.items()
     for wavelength_nm, expected in row.items()
 ]
+
+
+@dataclass(frozen=True)
+class FixedGrid(SweepSpec):
+    """A sweep spec with a hand-written grid, to reach values no linspace yields."""
+
+    values: tuple = ()
+
+    def grid(self) -> list[float]:
+        return list(self.values)

@@ -61,6 +61,19 @@ MUTANTS = [
      "a sweep keeps a grid point of 0 for a positive field"),
     ("geometry.py", "        value = tuple(value)\n", "",
      "a list given for a tuple field stays a list"),
+    ("geometry.py", "math.sin(math.radians(_require(\"elevation_deg\", elevation_deg)))",
+     "math.sin(_require(\"elevation_deg\", elevation_deg))", "fog and rain take the elevation's degrees as radians"),
+    # atmosphere and link_budget: the physics of one point and of a grid.
+    ("atmosphere.py", "if visibility_km >= 6.0:", "if visibility_km > 6.0:",
+     "a visibility of exactly 6 km takes Kruse's low-visibility exponent"),
+    ("atmosphere.py", "xp.minimum(xp.maximum(nfp_altitude_m, base), layer.top_altitude_m) - base",
+     "xp.minimum(nfp_altitude_m, layer.top_altitude_m) - base", "a cloud above the platform adds a negative loss"),
+    ("atmosphere.py", "HV_BACKGROUND * xp.exp(-h / 1500.0)", "HV_BACKGROUND * xp.exp(-h / 1000.0)",
+     "the Hufnagel-Valley background term decays over 1 km, not 1.5 km"),
+    ("atmosphere.py", "1.076 * rain.rate_mm_per_hour**0.67", "1.076 * rain.rate_mm_per_hour**0.76",
+     "the rain power law's exponent is 0.76"),
+    ("link_budget.py", "* 10.0 ** (-tx.pointing_loss_db / 10.0)", "* 10.0 ** (-tx.pointing_loss_db / 20.0)",
+     "the pointing loss counts half its dB"),
     # hetnet_cost: the tiled nearest-hub search and the costings.
     ("hetnet_cost.py", "far_x = max(macro_x[p] - x0, x1 - macro_x[p])\n    far_y = max(macro_y[p] - y0, y1 - macro_y[p])",
      "far_x = min(macro_x[p] - x0, x1 - macro_x[p])\n    far_y = min(macro_y[p] - y0, y1 - macro_y[p])",
@@ -86,6 +99,10 @@ MUTANTS = [
     # scenario and config: presets, readers and the echo.
     ("scenario.py", '"cloud_and_fog": ("fog", "clouds"),', '"cloud_and_fog": ("fog",),',
      "cloud_and_fog has no clouds"),
+    ("scenario.py", "columns = [np.where(valid, column, np.nan) for column in _per_point(grid)]",
+     "columns = list(_per_point(grid))", "a sweep's failed rows keep the parked point's numbers"),
+    ("scenario.py", 'with np.errstate(divide="ignore"):', "with np.errstate():",
+     "a sweep whose rate underflows to 0 warns on its -inf margin"),
     ("config.py", "return [self.scenario(name) for name in self.scenario_names]",
      "return [self.scenario(name) for name in self.scenario_names[:1]]", "a command runs the first scenario only"),
     ("config.py", 'section["tx_efficiency"], section["rx_efficiency"] = etas',

@@ -28,11 +28,12 @@ from vfso.atmosphere import (
     scintillation_loss,
 )
 from vfso.geometry import LinkGeometry
-from vfso.link_budget import evaluate_grid, evaluate_link
-from vfso.scenario import default_parameters
+from vfso.link_budget import evaluate_link
+from vfso.scenario import default_parameters, run_sweep
 
-DEG45 = math.radians(45.0)
-DEG90 = math.radians(90.0)
+from golden import FixedGrid
+
+SIN45 = math.sin(math.radians(45.0))
 TURB = TurbulenceDescriptor(wind_speed_m_per_s=21.0, structure_constant_a=1.7e-14)
 
 
@@ -118,21 +119,21 @@ class TestFogAttenuation:
     def test_dense_fog_slant(self):
         fog = FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0)
         # 271.4695 dB/km * (0.05 km / sin 45)
-        assert fog_attenuation(fog, DEG45, 1550.0) == pytest.approx(
+        assert fog_attenuation(fog, 45.0, 1550.0) == pytest.approx(
             19.195791967395415, rel=1e-12
         )
 
     def test_zero_thickness_is_lossless(self):
         fog = FogDescriptor(visibility_m=50.0, layer_thickness_m=0.0)
-        assert fog_attenuation(fog, DEG45, 1550.0) == 0.0
+        assert fog_attenuation(fog, 45.0, 1550.0) == 0.0
 
     def test_longest_slant_of_the_domain_is_finite(self):
         # The densest fog over its thickest layer at the least elevation.
-        assert fog_attenuation(FogDescriptor(1e-3, 1e6), 1e-4, 100.0) == pytest.approx(1.70e14, rel=1e-2)
+        assert fog_attenuation(FogDescriptor(1e-3, 1e6), math.degrees(1e-4), 100.0) == pytest.approx(1.70e14, rel=1e-2)
 
     def test_vertical_path(self):
         fog = FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0)
-        assert fog_attenuation(fog, DEG90, 1550.0) == pytest.approx(
+        assert fog_attenuation(fog, 90.0, 1550.0) == pytest.approx(
             13.573474670391555, rel=1e-12
         )
 
@@ -143,43 +144,43 @@ class TestFogAttenuation:
     def test_linear_in_thickness(self, thickness_m, factor):
         base = FogDescriptor(visibility_m=50.0, layer_thickness_m=thickness_m)
         scaled = FogDescriptor(visibility_m=50.0, layer_thickness_m=factor * thickness_m)
-        a = fog_attenuation(base, DEG45, 1550.0)
-        b = fog_attenuation(scaled, DEG45, 1550.0)
+        a = fog_attenuation(base, 45.0, 1550.0)
+        b = fog_attenuation(scaled, 45.0, 1550.0)
         assert b == pytest.approx(factor * a, rel=1e-9)
 
-    @given(st.floats(min_value=0.1, max_value=math.pi / 2))
+    @given(st.floats(min_value=math.degrees(0.1), max_value=90.0))
     def test_scales_as_inverse_sine_of_elevation(self, elevation):
         fog = FogDescriptor(visibility_m=50.0, layer_thickness_m=50.0)
-        vertical = fog_attenuation(fog, DEG90, 1550.0)
+        vertical = fog_attenuation(fog, 90.0, 1550.0)
         slanted = fog_attenuation(fog, elevation, 1550.0)
-        assert slanted == pytest.approx(vertical / math.sin(elevation), rel=1e-9)
+        assert slanted == pytest.approx(vertical / math.sin(math.radians(elevation)), rel=1e-9)
 
 
 class TestRainAttenuation:
     def test_heavy_rain_slant(self):
         rain = RainDescriptor(rate_mm_per_hour=50.0, layer_thickness_m=1000.0)
         # 1.076 * 50^0.67 * (1 km / sin 45)
-        assert rain_attenuation(rain, DEG45) == pytest.approx(20.92363676561084, rel=1e-12)
+        assert rain_attenuation(rain, 45.0) == pytest.approx(20.92363676561084, rel=1e-12)
 
     def test_no_rain_is_lossless(self):
         rain = RainDescriptor(rate_mm_per_hour=0.0, layer_thickness_m=1000.0)
-        assert rain_attenuation(rain, DEG45) == 0.0
+        assert rain_attenuation(rain, 45.0) == 0.0
 
     def test_no_rain_over_the_longest_slant_is_lossless(self):
         # The domain's longest slant is ~1e7 km: no rain adds 0 dB and any rain a
         # finite loss.
-        assert rain_attenuation(RainDescriptor(0.0, 1e6), 1e-4) == 0.0
-        assert rain_attenuation(RainDescriptor(1.0, 1e6), 1e-4) == pytest.approx(1.076e7, rel=1e-6)
+        assert rain_attenuation(RainDescriptor(0.0, 1e6), math.degrees(1e-4)) == 0.0
+        assert rain_attenuation(RainDescriptor(1.0, 1e6), math.degrees(1e-4)) == pytest.approx(1.076e7, rel=1e-6)
 
     def test_vertical_path(self):
         rain = RainDescriptor(rate_mm_per_hour=50.0, layer_thickness_m=1000.0)
-        assert rain_attenuation(rain, DEG90) == pytest.approx(14.795245444047584, rel=1e-12)
+        assert rain_attenuation(rain, 90.0) == pytest.approx(14.795245444047584, rel=1e-12)
 
     @given(st.floats(min_value=0.1, max_value=200.0))
     def test_doubling_rate_multiplies_by_power_law(self, rate):
         thin = RainDescriptor(rate_mm_per_hour=rate, layer_thickness_m=1000.0)
         double = RainDescriptor(rate_mm_per_hour=2 * rate, layer_thickness_m=1000.0)
-        ratio = rain_attenuation(double, DEG45) / rain_attenuation(thin, DEG45)
+        ratio = rain_attenuation(double, 45.0) / rain_attenuation(thin, 45.0)
         assert ratio == pytest.approx(2**0.67, rel=1e-12)
 
     @given(
@@ -189,16 +190,16 @@ class TestRainAttenuation:
     def test_linear_in_thickness(self, thickness_m, factor):
         base = RainDescriptor(rate_mm_per_hour=50.0, layer_thickness_m=thickness_m)
         scaled = RainDescriptor(rate_mm_per_hour=50.0, layer_thickness_m=factor * thickness_m)
-        assert rain_attenuation(scaled, DEG45) == pytest.approx(
-            factor * rain_attenuation(base, DEG45), rel=1e-9
+        assert rain_attenuation(scaled, 45.0) == pytest.approx(
+            factor * rain_attenuation(base, 45.0), rel=1e-9
         )
 
-    @given(st.floats(min_value=0.1, max_value=math.pi / 2))
+    @given(st.floats(min_value=math.degrees(0.1), max_value=90.0))
     def test_scales_as_inverse_sine_of_elevation(self, elevation):
         rain = RainDescriptor(rate_mm_per_hour=50.0, layer_thickness_m=1000.0)
-        vertical = rain_attenuation(rain, DEG90)
+        vertical = rain_attenuation(rain, 90.0)
         assert rain_attenuation(rain, elevation) == pytest.approx(
-            vertical / math.sin(elevation), rel=1e-9
+            vertical / math.sin(math.radians(elevation)), rel=1e-9
         )
 
 
@@ -264,13 +265,12 @@ CUMULUS = CloudLayer(
 
 def cloud_db(layers, altitude_m):
     """The cloud term of evaluate_link on the default link (45 deg, 1550 nm)
-    with the platform at altitude_m; evaluate_grid must give the same."""
+    with the platform at altitude_m; a sweep through altitude_m must give the same."""
     tx, geometry, _ = default_parameters()
-    geometry = replace(geometry, nfp_altitude_m=altitude_m)
     scenario = WeatherScenario("clouds", clouds=layers)
-    got = evaluate_link(tx, geometry, scenario).loss_breakdown.cloud_db
-    grid = evaluate_grid(tx, geometry, scenario, nfp_altitude_m=np.array([altitude_m]))
-    assert np.ravel(grid.loss_breakdown.cloud_db).tolist() == [got]  # a float without layers
+    got = evaluate_link(tx, replace(geometry, nfp_altitude_m=altitude_m), scenario).loss_breakdown.cloud_db
+    sweep = run_sweep(FixedGrid("altitude", 1.0, 2.0, 2, values=(altitude_m,) * 2), scenario, tx, geometry)
+    assert sweep.columns.loss_breakdown.cloud_db.tolist() == [got] * 2
     return got
 
 
@@ -300,8 +300,8 @@ class TestCloudAttenuation:
         assert cloud_db([densest], 1024.0) == pytest.approx(3.82e5, rel=1e-2)
         scenario = WeatherScenario("densest", clouds=(densest,))
         tx, geometry, _ = default_parameters()
-        altitudes = np.array([500.0, 1000.0, 1024.0, 20000.0])
-        grid = evaluate_grid(tx, geometry, scenario, nfp_altitude_m=altitudes)
+        spec = FixedGrid("altitude", 1.0, 2.0, 4, values=(500.0, 1000.0, 1024.0, 20000.0))
+        grid = run_sweep(spec, scenario, tx, geometry).columns
         assert grid.loss_breakdown.cloud_db[:2].tolist() == [0.0, 0.0]
         assert np.isfinite(grid.loss_breakdown.cloud_db).all()
         assert grid.link_margin_db[2:].tolist() == [-math.inf, -math.inf]
@@ -381,12 +381,12 @@ class TestRefractiveIndexStructure:
 class TestScintillationLoss:
     def test_20_km_slant(self):
         cn2 = refractive_index_structure(20000.0, TURB)
-        got = scintillation_loss(1550.0, cn2, 20000.0 / math.sin(DEG45))
+        got = scintillation_loss(1550.0, cn2, 20000.0 / SIN45)
         assert got == pytest.approx(0.7223257588578063, rel=1e-12, abs=0)
 
     def test_5_km_slant(self):
         cn2 = refractive_index_structure(5000.0, TURB)
-        got = scintillation_loss(1550.0, cn2, 5000.0 / math.sin(DEG45))
+        got = scintillation_loss(1550.0, cn2, 5000.0 / SIN45)
         assert got == pytest.approx(0.8059186101328517, rel=1e-12, abs=0)
 
     @given(
@@ -473,7 +473,7 @@ class TestAtmosphericLossBreakdown:
         scenario = WeatherScenario(label="ref", turbulence=fixed)
         loss = atmospheric_losses(scenario)
         cn2 = refractive_index_structure(5000.0, fixed)
-        expected = scintillation_loss(1550.0, cn2, 20000.0 / math.sin(DEG45))
+        expected = scintillation_loss(1550.0, cn2, 20000.0 / SIN45)
         assert loss.scintillation_db == pytest.approx(expected, rel=1e-15, abs=0)
 
 

@@ -42,8 +42,8 @@ from vfso.hetnet_cost import (
     generate_layout,
 )
 from vfso.link_budget import (
+    _per_point,
     efficiencies_from_optical_loss,
-    evaluate_grid,
     evaluate_link,
     link_margin,
     optical_loss,
@@ -60,6 +60,7 @@ from vfso.scenario import (
     preset,
     run_sweep,
 )
+from golden import FixedGrid
 from test_config import KEYS
 
 TRANSCEIVER, GEOMETRY, _ = default_parameters()
@@ -179,16 +180,15 @@ def test_each_bound_names_its_field(valid, name, value, rule):
         replace(valid, **{name: value})
 
 
-# A valid call of each public function with a numeric argument. A list stands
-# for an array argument, whose entries are checked one by one.
+# A valid call of each public function with a numeric argument.
 LAYOUT = generate_layout(2, 3)
 TCO = compare_tco(LAYOUT)[0].tco
 LINK = {"tx": TRANSCEIVER, "geometry": GEOMETRY, "scenario": preset("cloud_and_fog")}
 VALID_CALLS = {
     kruse_size_exponent: {"visibility_km": 1.0},
     mie_specific_attenuation: {"visibility_km": 1.0, "wavelength_nm": 1550.0},
-    fog_attenuation: {"fog": DEFAULT_FOG, "elevation_rad": 0.5, "wavelength_nm": 1550.0},
-    rain_attenuation: {"rain": DEFAULT_RAIN, "elevation_rad": 0.5},
+    fog_attenuation: {"fog": DEFAULT_FOG, "elevation_deg": math.degrees(0.5), "wavelength_nm": 1550.0},
+    rain_attenuation: {"rain": DEFAULT_RAIN, "elevation_deg": math.degrees(0.5)},
     refractive_index_structure: {"altitude_m": 1000.0, "turbulence": DEFAULT_TURBULENCE},
     scintillation_loss: {"wavelength_nm": 1550.0, "cn2": 1e-15, "path_length_m": 1e4},
     capture_loss_db: {"fraction": 0.5},
@@ -198,12 +198,6 @@ VALID_CALLS = {
     received_power: {"tx": TRANSCEIVER, "geometry": GEOMETRY, "atmospheric_loss_db": 3.0},
     link_margin: {"rate_bps": 1e9, "target_rate_bps": 3e9},
     evaluate_link: {**LINK, "target_rate_bps": 3e9},
-    evaluate_grid: {
-        **LINK,
-        "target_rate_bps": 3e9,
-        "nfp_altitude_m": [1e4, 2e4],
-        "divergence_rad": [1e-3, 2e-3],
-    },
     run_sweep: {"spec": DEFAULT_SWEEP, **LINK, "target_rate_bps": 3e9},
     aggregated_demand: {"n_cells": 10, "profile": DEFAULT_TRAFFIC},
     supported_cells: {"link_rate_bps": 1e9, "profile": DEFAULT_TRAFFIC},
@@ -218,9 +212,9 @@ ARGUMENTS = [
     (kruse_size_exponent, "visibility_km", 0.0, "positive"),
     (mie_specific_attenuation, "visibility_km", -1.0, "positive"),
     (mie_specific_attenuation, "wavelength_nm", 0.0, "positive"),
-    (fog_attenuation, "elevation_rad", 0.0, "in [0.0001, pi/2]"),
+    (fog_attenuation, "elevation_deg", 0.0, "in [0.00572958, 90]"),
     (fog_attenuation, "wavelength_nm", -1.0, "positive"),
-    (rain_attenuation, "elevation_rad", 2.0, "in [0.0001, pi/2]"),
+    (rain_attenuation, "elevation_deg", math.degrees(2.0), "in [0.00572958, 90]"),
     (refractive_index_structure, "altitude_m", -1.0, "non-negative"),
     (scintillation_loss, "wavelength_nm", 0.0, "positive"),
     (scintillation_loss, "cn2", -1.0, "non-negative"),
@@ -234,9 +228,6 @@ ARGUMENTS = [
     (link_margin, "rate_bps", -1.0, "non-negative"),
     (link_margin, "target_rate_bps", 0.0, "positive"),
     (evaluate_link, "target_rate_bps", 0.0, "positive"),
-    (evaluate_grid, "target_rate_bps", -1.0, "positive"),
-    (evaluate_grid, "nfp_altitude_m", -5.0, "positive"),
-    (evaluate_grid, "divergence_rad", 0.0, "positive"),
     (run_sweep, "target_rate_bps", 0.0, "positive"),
     (aggregated_demand, "n_cells", 0, "in [1, 1e+30]"),
     (supported_cells, "link_rate_bps", -1.0, "non-negative"),
@@ -251,29 +242,18 @@ ARGUMENT_CASES = [
     for function, name, bad, rule in ARGUMENTS
     for value in (math.nan, math.inf, -math.inf, bad)
 ] + [
-    (function, name, big, "finite")
-    for function, name, _, _ in ARGUMENTS
-    if not isinstance(VALID_CALLS[function][name], list)  # an array holds no such int
-    for big in BEYOND_FLOATS
+    (function, name, big, "finite") for function, name, _, _ in ARGUMENTS for big in BEYOND_FLOATS
 ] + [
     (generate_layout, "n_macro", 2.5, "an integer"),
     (aggregated_demand, "n_cells", 2.5, "an integer"),
 ] + [
-    (function, name, value, "a number")
-    for function, name, _, _ in ARGUMENTS
-    if not isinstance(VALID_CALLS[function][name], list)
-    for value in NOT_NUMBERS
+    (function, name, value, "a number") for function, name, _, _ in ARGUMENTS for value in NOT_NUMBERS
 ]
 
 
 def call(function, **changes):
-    """function on its valid call, with `changes`; a list argument gets the
-    changed value as its first entry."""
-    arguments = dict(VALID_CALLS[function])
-    for name, value in changes.items():
-        valid = arguments[name]
-        arguments[name] = np.array([value, *valid[1:]]) if isinstance(valid, list) else value
-    return function(**arguments)
+    """function on its valid call, with `changes`."""
+    return function(**{**VALID_CALLS[function], **changes})
 
 
 @pytest.mark.parametrize(
@@ -430,23 +410,17 @@ def floats_in(result) -> list:
     return [result] if isinstance(result, float) else []
 
 
-def float_draws(function, length: int) -> dict:
-    """A strategy for every float or float-array argument of `function` in the
-    table; every array gets `length` entries, so that the arrays broadcast."""
-    draws = {}
-    for f, name, _, _ in ARGUMENTS:
-        valid = VALID_CALLS[f][name]
-        if f is function and isinstance(valid, list):
-            draws[name] = st.lists(st.floats(), min_size=length, max_size=length)
-        elif f is function and isinstance(valid, float):
-            draws[name] = st.floats()
-    return draws
+def float_draws(function) -> dict:
+    """A strategy for every float argument of `function` in the table."""
+    return {
+        name: st.floats()
+        for f, name, _, _ in ARGUMENTS
+        if f is function and isinstance(VALID_CALLS[f][name], float)
+    }
 
 
-FLOAT_CALLS = st.sampled_from([f for f in VALID_CALLS if float_draws(f, 1)]).flatmap(
-    lambda function: st.integers(1, 3).flatmap(
-        lambda length: st.tuples(st.just(function), st.fixed_dictionaries(float_draws(function, length)))
-    )
+FLOAT_CALLS = st.sampled_from([f for f in VALID_CALLS if float_draws(f)]).flatmap(
+    lambda function: st.tuples(st.just(function), st.fixed_dictionaries(float_draws(function)))
 )
 
 
@@ -454,7 +428,7 @@ FLOAT_CALLS = st.sampled_from([f for f in VALID_CALLS if float_draws(f, 1)]).fla
 def test_any_float_argument_is_rejected_or_answered_without_nan(drawn):
     function, changes = drawn
     try:
-        result = function(**{**VALID_CALLS[function], **changes})
+        result = call(function, **changes)
     except ValueError:
         return
     assert not any(math.isnan(x) for x in floats_in(result)), (function, changes)
@@ -463,7 +437,7 @@ def test_any_float_argument_is_rejected_or_answered_without_nan(drawn):
 def test_a_fog_of_zero_thickness_still_checks_the_wavelength():
     # It adds 0 dB, but 5e-324 nm / 550 would underflow to 0, which has no negative power.
     with pytest.raises(ValueError, match=r"^wavelength_nm must be in \[100, 100000\], got 5e-324$"):
-        fog_attenuation(replace(DEFAULT_FOG, layer_thickness_m=0.0), 0.5, 5e-324)
+        fog_attenuation(replace(DEFAULT_FOG, layer_thickness_m=0.0), math.degrees(0.5), 5e-324)
 
 
 # Every range of the model's domain, as its messages state it, with the fields
@@ -480,12 +454,11 @@ RANGES = {
     "receiver_sensitivity_photons_per_bit": ("[0.001, 1e+06]", [TRANSCEIVER]),
     "target_rate_bps": (
         "[1, 1e+12]",
-        [RunConfig(), link_margin, evaluate_link, evaluate_grid, run_sweep],
+        [RunConfig(), link_margin, evaluate_link, run_sweep],
     ),
-    "nfp_altitude_m": ("(0, 1e+06]", [GEOMETRY, evaluate_grid]),
-    "elevation_rad": ("[0.0001, pi/2]", [fog_attenuation, rain_attenuation]),
-    "elevation_deg": ("[0.00572958, 90]", [GEOMETRY]),
-    "divergence_rad": ("(0, pi]", [GEOMETRY, evaluate_grid]),
+    "nfp_altitude_m": ("(0, 1e+06]", [GEOMETRY]),
+    "elevation_deg": ("[0.00572958, 90]", [GEOMETRY, fog_attenuation, rain_attenuation]),
+    "divergence_rad": ("(0, pi]", [GEOMETRY]),
     "receiver_radius_m": ("[1e-06, 1e+06]", [GEOMETRY]),
     "path_length_m": ("(0, 1e+11]", [scintillation_loss]),
     "fraction": ("[0, 1]", [capture_loss_db]),
@@ -589,12 +562,29 @@ def test_each_domain_bound_is_accepted_and_the_next_double_rejected(name, owner)
             with_value(owner, name, value)
 
 
+@pytest.mark.parametrize("variable, name", [("altitude", "nfp_altitude_m"), ("divergence", "divergence_rad")])
+def test_a_sweep_masks_each_domain_edge_as_the_field_check_does(variable, name):
+    # The greatest and least values of the field are finite rows; the next double beyond
+    # either is a row error with the message the field's own check gives.
+    interval, _ = RANGES[name]
+    low, high = _DOMAIN[name]
+    least, beyond = math.nextafter(low, math.inf), math.nextafter(high, math.inf)
+    spec = FixedGrid(variable, 1.0, 2.0, 4, values=(high, beyond, least, low))
+    sweep = run_sweep(spec, **LINK)
+    assert sweep.errors == (
+        None, f"{name} must be in {interval}, got {beyond}", None, f"{name} must be positive, got {low}"
+    )
+    for column in _per_point(sweep.columns):
+        assert np.isfinite(column[[0, 2]]).all() and np.isnan(column[[1, 3]]).all()
+
+
 def test_the_fields_ranges_convert_onto_the_formula_arguments_ranges():
-    # The budget converts a field in its domain to a formula argument in the argument's; the
-    # next double out of the field's domain would convert out of the argument's.
+    # The budget converts a field in its domain to a formula argument in the argument's: the
+    # elevation's degrees to [1e-4, pi/2] rad, the visibility's metres to Kruse's km. The next
+    # double out of the field's domain would convert out of the argument's.
     low, high = _DOMAIN["elevation_deg"]
-    assert (math.radians(low), math.radians(high)) == _DOMAIN["elevation_rad"]
-    assert math.radians(math.nextafter(low, 0.0)) < _DOMAIN["elevation_rad"][0]
+    assert (math.radians(low), math.radians(high)) == (1e-4, math.pi / 2)
+    assert math.radians(math.nextafter(low, 0.0)) < 1e-4
     low, high = _DOMAIN["visibility_m"]
     assert (low / 1000.0, high / 1000.0) == _DOMAIN["visibility_km"]
 

@@ -3,7 +3,6 @@
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,7 +11,6 @@ from vfso.atmosphere import WeatherScenario, fog_attenuation, rain_attenuation
 from vfso.link_budget import (
     TransceiverParams,
     achievable_rate,
-    evaluate_grid,
     evaluate_link,
     link_margin,
     optical_loss,
@@ -223,10 +221,10 @@ class TestEvaluateLink:
         cloud_and_fog = preset("cloud_and_fog")
         evaluate_link(TX, GEOMETRY_20KM, cloud_and_fog)
         evaluate_link(TX, GEOMETRY_20KM, replace(cloud_and_fog, rain=DEFAULT_RAIN))
-        assert checked.count("elevation_rad") == 0
-        fog_attenuation(DEFAULT_FOG, 0.5, 1550.0)
-        rain_attenuation(DEFAULT_RAIN, 0.5)
-        assert checked.count("elevation_rad") == 2
+        assert checked.count("elevation_deg") == 0
+        fog_attenuation(DEFAULT_FOG, math.degrees(0.5), 1550.0)
+        rain_attenuation(DEFAULT_RAIN, math.degrees(0.5))
+        assert checked.count("elevation_deg") == 2
 
     def test_fastest_link_of_the_domain_has_a_finite_rate(self):
         # The most power per bit the domain allows, all of it captured and none lost.
@@ -248,11 +246,3 @@ class TestEvaluateLink:
             b.fog_db, b.rain_db, b.cloud_db, b.scintillation_db,
             b.geometrical_db, b.pointing_db, b.optical_db,
         ) >= 0.0
-
-
-class TestEvaluateGrid:
-    def test_terms_along_an_altitude_grid_are_arrays_without_weather(self):
-        altitudes = np.array([20000.0])
-        grid = evaluate_grid(TX, GEOMETRY_20KM, WeatherScenario("x"), nfp_altitude_m=altitudes)
-        assert grid.loss_breakdown.cloud_db.tolist() == [0.0]
-        assert grid.loss_breakdown.scintillation_db.tolist() == [0.0]

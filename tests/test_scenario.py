@@ -1,7 +1,7 @@
 """Tests of presets, reference defaults, and sweeps."""
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,10 +15,13 @@ from vfso.scenario import (
     preset,
     run_sweep,
 )
-from vfso.atmosphere import CloudLayer, FogDescriptor
-from vfso.link_budget import evaluate_grid, evaluate_link
+from vfso.atmosphere import CloudLayer, FogDescriptor, WeatherScenario
+from vfso.link_budget import evaluate_link
+
+from golden import FixedGrid
 
 TX, GEOMETRY, TURB = default_parameters()
+SWEPT_FIELD = {"altitude": "nfp_altitude_m", "divergence": "divergence_rad"}
 
 
 class TestDefaultParameters:
@@ -139,14 +142,21 @@ class TestRunSweep:
         rates = [row.result.data_rate_bps for row in result.rows]
         assert all(a >= b for a, b in zip(rates, rates[1:]))  # theta ascending, rate falling
 
+    @pytest.mark.parametrize("variable", SWEPT_FIELD)
+    def test_every_term_is_a_column_over_the_grid_even_without_weather(self, variable):
+        value = getattr(GEOMETRY, SWEPT_FIELD[variable])
+        spec = FixedGrid(variable, 1.0, 2.0, 2, values=(value, 2.0 * value))
+        sweep = run_sweep(spec, WeatherScenario("none"), TX, GEOMETRY)
+        for column in budget_numbers(sweep.columns)[:-1]:
+            assert type(column) is np.ndarray and column.shape == (2,)
+        assert sweep.columns.loss_breakdown.cloud_db.tolist() == [0.0, 0.0]
+        assert sweep.columns.loss_breakdown.scintillation_db.tolist() == [0.0, 0.0]
+
     def test_scenario_label_is_recorded(self):
         spec = SweepSpec(variable="altitude", start=1000.0, stop=2000.0, points=2)
         result = run_sweep(spec, preset("fog_dense"), TX, GEOMETRY)
         assert result.scenario_label == "fog_dense"
         assert all(row.error is None for row in result.rows)
-
-
-SWEPT_FIELD = {"altitude": "nfp_altitude_m", "divergence": "divergence_rad"}
 
 
 def per_point_reference(spec, scenario, tx, geometry):
@@ -225,16 +235,6 @@ class TestSweepMatchesPerPointEvaluation:
             assert any(error is not None for _, _, error in reference)
 
 
-@dataclass(frozen=True)
-class FixedGrid(SweepSpec):
-    """A sweep spec with a hand-written grid, to reach values no linspace yields."""
-
-    values: tuple = ()
-
-    def grid(self) -> list[float]:
-        return list(self.values)
-
-
 @pytest.mark.parametrize("variable", SWEPT_FIELD)
 def test_non_finite_grid_points_become_row_errors(variable):
     field = SWEPT_FIELD[variable]
@@ -253,8 +253,8 @@ def test_non_finite_grid_points_become_row_errors(variable):
 @pytest.mark.parametrize("variable", SWEPT_FIELD)
 def test_invalid_points_anywhere_leave_the_valid_rows_unchanged(variable):
     # Invalid points first, in the middle and last. Each valid row equals the
-    # grid evaluated at the valid points alone, bit for bit, and evaluate_link
-    # to 1e-12; each invalid row is NaN in every column.
+    # sweep over the valid points alone, bit for bit, and evaluate_link to
+    # 1e-12; each invalid row is NaN in every column.
     field = SWEPT_FIELD[variable]
     own = getattr(GEOMETRY, field)
     values = (-5.0, 0.5 * own, math.nan, 0.0, own, 2.0 * own, -0.0, math.inf)
@@ -262,9 +262,11 @@ def test_invalid_points_anywhere_leave_the_valid_rows_unchanged(variable):
     scenario = preset("cloud_and_fog")
     sweep = run_sweep(spec, scenario, TX, GEOMETRY)
     valid = np.array([v > 0 and math.isfinite(v) for v in values])
-    alone = evaluate_grid(TX, GEOMETRY, scenario, **{field: np.array(values)[valid]})
-    for got, want in zip(budget_numbers(sweep.columns)[:-1], budget_numbers(alone)[:-1], strict=True):
-        assert np.broadcast_to(want, valid.sum()).tobytes() == got[valid].tobytes()
+    kept = tuple(np.array(values)[valid].tolist())
+    alone = run_sweep(replace(spec, points=len(kept), values=kept), scenario, TX, GEOMETRY)
+    assert alone.errors == (None,) * len(kept)
+    for got, want in zip(budget_numbers(sweep.columns)[:-1], budget_numbers(alone.columns)[:-1], strict=True):
+        assert want.tobytes() == got[valid].tobytes()
         assert np.isnan(got[~valid]).all()
     reference = per_point_reference(spec, scenario, TX, GEOMETRY)
     for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
