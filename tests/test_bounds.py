@@ -562,20 +562,42 @@ def test_each_domain_bound_is_accepted_and_the_next_double_rejected(name, owner)
             with_value(owner, name, value)
 
 
-@pytest.mark.parametrize("variable, name", [("altitude", "nfp_altitude_m"), ("divergence", "divergence_rad")])
-def test_a_sweep_masks_each_domain_edge_as_the_field_check_does(variable, name):
-    # The greatest and least values of the field are finite rows; the next double beyond
-    # either is a row error with the message the field's own check gives.
+def sweep_values(name) -> list:
+    """(grid value, the rule it breaks or None) for a swept field: each value that an
+    argument row would try, both edges of the domain, and the next double beyond each."""
     interval, _ = RANGES[name]
     low, high = _DOMAIN[name]
-    least, beyond = math.nextafter(low, math.inf), math.nextafter(high, math.inf)
-    spec = FixedGrid(variable, 1.0, 2.0, 4, values=(high, beyond, least, low))
+    return [
+        *[(value, "finite") for value in (math.nan, math.inf, -math.inf)],
+        *[(value, "positive") for value in (-5.0, -0.0, low)],
+        (math.nextafter(low, math.inf), None),
+        (high, None),
+        (math.nextafter(high, math.inf), f"in {interval}"),
+    ]
+
+
+SWEEP_CASES = [
+    (variable, name, value, rule)
+    for variable, name in [("altitude", "nfp_altitude_m"), ("divergence", "divergence_rad")]
+    for value, rule in sweep_values(name)
+]
+
+
+@pytest.mark.parametrize(
+    "variable, name, value, rule",
+    SWEEP_CASES,
+    ids=[f"{name}={shown(value)}" for _, name, value, _ in SWEEP_CASES],
+)
+def test_a_sweep_masks_each_value_as_the_field_check_does(variable, name, value, rule):
+    # A value in the field's domain is a finite row; any other is a row error with the
+    # message the field's own check gives, NaN in every column. The row after it, at the
+    # geometry's own value, is unaffected.
+    message = None if rule is None else f"{name} must be {rule}, got {value}"
+    spec = FixedGrid(variable, 1.0, 2.0, 2, values=(value, getattr(GEOMETRY, name)))
     sweep = run_sweep(spec, **LINK)
-    assert sweep.errors == (
-        None, f"{name} must be in {interval}, got {beyond}", None, f"{name} must be positive, got {low}"
-    )
+    assert sweep.errors == (message, None)
     for column in _per_point(sweep.columns):
-        assert np.isfinite(column[[0, 2]]).all() and np.isnan(column[[1, 3]]).all()
+        assert np.isfinite(column[1]) and np.isfinite(column[0]) == (rule is None)
 
 
 def test_the_fields_ranges_convert_onto_the_formula_arguments_ranges():
