@@ -53,7 +53,6 @@ from .link_budget import (
     achievable_rate,
     evaluate_link,
     link_margin,
-    optical_loss,
     photon_energy,
     received_power,
 )
@@ -115,7 +114,6 @@ __all__ = [
     "link_margin",
     "load_config",
     "mie_specific_attenuation",
-    "optical_loss",
     "oversubscribes",
     "photon_energy",
     "preset",

@@ -35,7 +35,7 @@ from .atmosphere import (
 )
 from .geometry import LinkGeometry, _Checked, _require_bounds
 from .hetnet_cost import DEFAULT_AREA, Area, CostParams
-from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams, efficiencies_from_optical_loss
+from .link_budget import DEFAULT_TARGET_RATE_BPS, TransceiverParams
 from .scenario import (
     DEFAULT_CLOUD_PROFILE,
     DEFAULT_FOG,
@@ -186,25 +186,6 @@ def _build(factory, path: str, prefix: str = ""):
 # --- fields read by hand -------------------------------------------------------
 
 
-def _read_transceiver(default: TransceiverParams, raw: Any, path: str) -> TransceiverParams:
-    # optical_loss_db is a second spelling of the tx/rx efficiency pair.
-    section = _mapping(raw, path)
-    pair = {"tx_efficiency", "rx_efficiency"} & section.keys()
-    if "optical_loss_db" in section:
-        if pair:
-            raise ConfigError(
-                f"{path}: give either optical_loss_db or the "
-                "tx_efficiency/rx_efficiency pair, not both"
-            )
-        loss = _number(section.pop("optical_loss_db"))
-        etas = _build(lambda: efficiencies_from_optical_loss(loss), path)
-        section["tx_efficiency"], section["rx_efficiency"] = etas
-    elif pair:
-        for key in ("tx_efficiency", "rx_efficiency"):
-            section.setdefault(key, 1.0)  # the member left out is lossless
-    return _read(default, section, path)
-
-
 def _read_clouds(default: tuple, raw: Any, path: str) -> tuple[CloudLayer, ...]:
     if raw is None:
         return default
@@ -285,7 +266,6 @@ def _write(obj, out: dict, prefix: str = "") -> dict:
 # Fields read by hand, each written back by _emit: (owner, field) -> (YAML key, reader).
 # reader(default, raw, path) gives the field value.
 _SPECIAL = {
-    (RunConfig, "transceiver"): ("transceiver", _read_transceiver),
     (RunConfig, "clouds"): ("clouds", _read_clouds),
     (RunConfig, "scenario_names"): ("scenarios", _read_scenarios),
     (RunConfig, "divergence_values_rad"): ("divergence_values_rad", _read_divergences),

@@ -47,9 +47,7 @@ _PRICES = (
 _DOMAIN = {
     "wavelength_nm": (100.0, 1e5),
     "transmit_power_w": (0.0, 1e6),
-    "tx_efficiency": (1e-30, 1.0),
-    "rx_efficiency": (1e-30, 1.0),
-    "optical_loss_db": (0.0, 600.0),  # an efficiency pair of at least 1e-30 each
+    "optical_loss_db": (0.0, 600.0),
     "receiver_sensitivity_photons_per_bit": (1e-3, 1e6),
     "target_rate_bps": (1.0, 1e12),
     "nfp_altitude_m": (0.0, 1e6),

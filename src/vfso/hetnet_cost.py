@@ -200,7 +200,7 @@ class VerticalFsoCostParams(_Checked):
 
 
 @dataclass(frozen=True)
-class CostParams:
+class CostParams(_Checked):
     rf_nlos: RfNlosCostParams = field(default_factory=RfNlosCostParams)
     fiber: FiberCostParams = field(default_factory=FiberCostParams)
     terrestrial_fso: TerrestrialFsoCostParams = field(default_factory=TerrestrialFsoCostParams)

@@ -6,8 +6,8 @@ budget:
 
     R = P_received / (E_photon * N_b)   [bit/s]
 
-with P_received the transmit power scaled by the optical efficiencies, the
-pointing loss, the atmospheric loss and the geometric capture fraction.
+with P_received the transmit power less the optical, pointing and
+atmospheric losses and scaled by the geometric capture fraction.
 The link margin compares the achievable rate against a target rate in dB;
 a negative margin means the link cannot carry the target traffic.
 """
@@ -38,15 +38,14 @@ LIGHT_SPEED_M_PER_S = 3.0e8
 class TransceiverParams(_Checked):
     """Optical transceiver parameters of one link end-to-end.
 
-    Efficiencies are linear factors in [1e-30, 1]; pointing loss is a lumped
-    dB figure; receiver_sensitivity_photons_per_bit is the photon count the
-    detector needs per bit at its design error rate. Each number must lie in
-    the model's domain (geometry._DOMAIN).
+    Optical and pointing losses are lumped dB figures, the optical one the
+    loss of both ends' optics; receiver_sensitivity_photons_per_bit is the
+    photon count the detector needs per bit at its design error rate. Each
+    number must lie in the model's domain (geometry._DOMAIN).
     """
 
     transmit_power_w: float
-    tx_efficiency: float
-    rx_efficiency: float
+    optical_loss_db: float
     wavelength_nm: float
     pointing_loss_db: float
     receiver_sensitivity_photons_per_bit: float
@@ -106,23 +105,6 @@ def _from_per_point(numbers, target_rate_bps: float) -> LinkBudgetResult:
     return LinkBudgetResult(LossBreakdown(*losses), power_w, rate_bps, margin_db, target_rate_bps)
 
 
-def optical_loss(tx_efficiency: float, rx_efficiency: float) -> float:
-    """Loss in dB of the imperfect optics, -10*log10(eta_t * eta_r)."""
-    _require("tx_efficiency", tx_efficiency)
-    return -10.0 * math.log10(tx_efficiency * _require("rx_efficiency", rx_efficiency))
-
-
-def efficiencies_from_optical_loss(optical_loss_db: float) -> tuple[float, float]:
-    """Split a lumped optical loss figure evenly into (eta_t, eta_r).
-
-    Only the product enters the rate equation, so the even split is a
-    convention, not an assumption.
-    """
-    _require("optical_loss_db", optical_loss_db)
-    eta = 10.0 ** (-optical_loss_db / 20.0)
-    return eta, eta
-
-
 def photon_energy(wavelength_nm: float) -> float:
     """Energy of one photon in joules, h*c/lambda."""
     wavelength_m = _require("wavelength_nm", wavelength_nm) * 1e-9
@@ -134,8 +116,8 @@ def received_power(
 ) -> float:
     """Optical power at the detector in watts.
 
-    Transmit power scaled by both optical efficiencies, the pointing and
-    atmospheric losses (dB -> linear), and the geometric capture fraction.
+    Transmit power less the optical, pointing and atmospheric losses
+    (dB -> linear), scaled by the geometric capture fraction.
     """
     _require("atmospheric_loss_db", atmospheric_loss_db)
     return _received_power(tx, atmospheric_loss_db, geometrical_capture_fraction(geometry))
@@ -145,8 +127,7 @@ def _received_power(tx: TransceiverParams, atmospheric_loss_db, capture_fraction
     # Plain arithmetic, so the losses may be floats or arrays alike.
     return (
         tx.transmit_power_w
-        * tx.tx_efficiency
-        * tx.rx_efficiency
+        * 10.0 ** (-tx.optical_loss_db / 10.0)
         * 10.0 ** (-tx.pointing_loss_db / 10.0)
         * 10.0 ** (-atmospheric_loss_db / 10.0)
         * capture_fraction
@@ -186,8 +167,8 @@ def evaluate_link(
 
     The breakdown is mutually consistent with the rate: converting the
     per-mechanism dB entries back to linear factors reproduces the rate to
-    floating-point accuracy (optical lives in the efficiencies, geometrical
-    in the capture fraction, each counted exactly once).
+    floating-point accuracy (each mechanism counted exactly once, geometrical
+    through the capture fraction).
     """
     altitude_m, divergence_rad = geometry.nfp_altitude_m, geometry.divergence_rad
     return _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad, _SCALAR_MATH)
@@ -204,7 +185,7 @@ def _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad,
         *_atmospheric_terms(scenario, altitude_m, 1.0 / sine, wavelength, path_m, xp),
         geometrical_db=_capture_loss_db(fraction, xp),
         pointing_db=tx.pointing_loss_db,
-        optical_db=optical_loss(tx.tx_efficiency, tx.rx_efficiency),
+        optical_db=tx.optical_loss_db,
     )
     power_w = _received_power(tx, losses.atmospheric_db, fraction)
     rate_bps = power_w / (photon_energy(wavelength) * tx.receiver_sensitivity_photons_per_bit)

@@ -33,7 +33,6 @@ from .link_budget import (
     _budget,
     _from_per_point,
     _per_point,
-    efficiencies_from_optical_loss,
 )
 
 # Altitude range the simulations sweep by default, in meters.
@@ -74,11 +73,9 @@ PRESET_NAMES = tuple(_PRESETS)
 
 def default_parameters() -> tuple[TransceiverParams, LinkGeometry, TurbulenceDescriptor]:
     """The reference transceiver, geometry (at 20 km), and turbulence state."""
-    eta_t, eta_r = efficiencies_from_optical_loss(DEFAULT_OPTICAL_LOSS_DB)
     tx = TransceiverParams(
         transmit_power_w=0.2,
-        tx_efficiency=eta_t,
-        rx_efficiency=eta_r,
+        optical_loss_db=DEFAULT_OPTICAL_LOSS_DB,
         wavelength_nm=1550.0,
         pointing_loss_db=2.0,
         receiver_sensitivity_photons_per_bit=100.0,

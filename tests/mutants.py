@@ -74,6 +74,10 @@ MUTANTS = [
      "the rain power law's exponent is 0.76"),
     ("link_budget.py", "* 10.0 ** (-tx.pointing_loss_db / 10.0)", "* 10.0 ** (-tx.pointing_loss_db / 20.0)",
      "the pointing loss counts half its dB"),
+    ("link_budget.py", "* 10.0 ** (-tx.optical_loss_db / 10.0)", "* 10.0 ** (-tx.optical_loss_db / 20.0)",
+     "the optical loss counts half its dB"),
+    ("link_budget.py", "optical_db=tx.optical_loss_db,", "optical_db=tx.pointing_loss_db,",
+     "the breakdown reports the pointing loss as the optical one"),
     # hetnet_cost: the tiled nearest-hub search and the costings.
     ("hetnet_cost.py", "far_x = max(macro_x[p] - x0, x1 - macro_x[p])\n    far_y = max(macro_y[p] - y0, y1 - macro_y[p])",
      "far_x = min(macro_x[p] - x0, x1 - macro_x[p])\n    far_y = min(macro_y[p] - y0, y1 - macro_y[p])",
@@ -86,6 +90,8 @@ MUTANTS = [
      "x0, x1, y0, y1 = x.min(), x[:-1].max(initial=x[0]), y.min(), y.max()", "the tile's box misses one cell"),
     ("hetnet_cost.py", "return gap_x <= far_x * far_x + far_y * far_y", "return gap_x <= np.inf",
      "every tile keeps every macro"),
+    ("hetnet_cost.py", "class CostParams(_Checked):", "class CostParams:",
+     "CostParams takes None for a technology's prices"),
     ("hetnet_cost.py", "rng = np.random.default_rng(seed)", "rng = np.random.default_rng()", "the layout is unseeded"),
     ("hetnet_cost.py", "n_nlos = round(params.nlos_fraction * n_small)",
      "n_nlos = math.floor(params.nlos_fraction * n_small + 0.5)", "the NLOS count rounds half up"),
@@ -105,9 +111,6 @@ MUTANTS = [
      "a sweep whose rate underflows to 0 warns on its -inf margin"),
     ("config.py", "return [self.scenario(name) for name in self.scenario_names]",
      "return [self.scenario(name) for name in self.scenario_names[:1]]", "a command runs the first scenario only"),
-    ("config.py", 'section["tx_efficiency"], section["rx_efficiency"] = etas',
-     'section["tx_efficiency"], section["rx_efficiency"] = etas[0], 1.0',
-     "optical_loss_db is not split evenly into the efficiencies"),
     ("config.py", "if isinstance(value, dict) and isinstance(merged.get(key), dict):", "if False:",
      "an override replaces its whole section of the file"),
     ("config.py", '_read(DEFAULT_CLOUD_PROFILE[0], layer, f"{path}[{i}]")', "_read(DEFAULT_CLOUD_PROFILE[0], layer, path)",

@@ -43,10 +43,8 @@ from vfso.hetnet_cost import (
 )
 from vfso.link_budget import (
     _per_point,
-    efficiencies_from_optical_loss,
     evaluate_link,
     link_margin,
-    optical_loss,
     photon_energy,
     received_power,
 )
@@ -89,6 +87,7 @@ POSITIVE = [
     (CostConfig(), "n_small"),
 ]
 NON_NEGATIVE = [
+    (TRANSCEIVER, "optical_loss_db"),
     (TRANSCEIVER, "pointing_loss_db"),
     (DEFAULT_FOG, "layer_thickness_m"),
     (DEFAULT_RAIN, "rate_mm_per_hour"),
@@ -107,7 +106,7 @@ RANGED = [(GEOMETRY, "elevation_deg", "[0.00572958, 90]"), (DEFAULT_FOG, "visibi
 # A valid instance of every dataclass whose constructor runs _require_bounds.
 CHECKED = [
     TRANSCEIVER, GEOMETRY, DEFAULT_FOG, DEFAULT_RAIN, CLOUD, DEFAULT_TURBULENCE, DEFAULT_AREA,
-    *COST_PARAMS, CostConfig(), RunConfig(), DEFAULT_TRAFFIC, DEFAULT_SWEEP, preset("clear_sky"),
+    *COST_PARAMS, CostParams(), CostConfig(), RunConfig(), DEFAULT_TRAFFIC, DEFAULT_SWEEP, preset("clear_sky"),
 ]
 # Every numeric field of a checked dataclass, bounded or not.
 NUMERIC = [
@@ -192,8 +191,6 @@ VALID_CALLS = {
     refractive_index_structure: {"altitude_m": 1000.0, "turbulence": DEFAULT_TURBULENCE},
     scintillation_loss: {"wavelength_nm": 1550.0, "cn2": 1e-15, "path_length_m": 1e4},
     capture_loss_db: {"fraction": 0.5},
-    optical_loss: {"tx_efficiency": 0.8, "rx_efficiency": 0.8},
-    efficiencies_from_optical_loss: {"optical_loss_db": 2.0},
     photon_energy: {"wavelength_nm": 1550.0},
     received_power: {"tx": TRANSCEIVER, "geometry": GEOMETRY, "atmospheric_loss_db": 3.0},
     link_margin: {"rate_bps": 1e9, "target_rate_bps": 3e9},
@@ -220,9 +217,6 @@ ARGUMENTS = [
     (scintillation_loss, "cn2", -1.0, "non-negative"),
     (scintillation_loss, "path_length_m", 0.0, "positive"),
     (capture_loss_db, "fraction", 2.0, "in [0, 1]"),
-    (optical_loss, "tx_efficiency", 1.5, "in [1e-30, 1]"),
-    (optical_loss, "rx_efficiency", 0.0, "in [1e-30, 1]"),
-    (efficiencies_from_optical_loss, "optical_loss_db", -1.0, "non-negative"),
     (photon_energy, "wavelength_nm", 0.0, "positive"),
     (received_power, "atmospheric_loss_db", -1.0, "non-negative"),
     (link_margin, "rate_bps", -1.0, "non-negative"),
@@ -318,6 +312,10 @@ NESTED = {
     (RunConfig(), "cost"): "CostConfig",
     (CostConfig(), "area"): "Area",
     (CostConfig(), "params"): "CostParams",
+    (CostParams(), "rf_nlos"): "RfNlosCostParams",
+    (CostParams(), "fiber"): "FiberCostParams",
+    (CostParams(), "terrestrial_fso"): "TerrestrialFsoCostParams",
+    (CostParams(), "vertical_fso"): "VerticalFsoCostParams",
     (SCENARIO, "fog"): "FogDescriptor",
     (SCENARIO, "rain"): "RainDescriptor",
     (SCENARIO, "turbulence"): "TurbulenceDescriptor",
@@ -448,9 +446,7 @@ RANGES = {
         [TRANSCEIVER, mie_specific_attenuation, fog_attenuation, scintillation_loss, photon_energy],
     ),
     "transmit_power_w": ("(0, 1e+06]", [TRANSCEIVER]),
-    "tx_efficiency": ("[1e-30, 1]", [TRANSCEIVER, optical_loss]),
-    "rx_efficiency": ("[1e-30, 1]", [TRANSCEIVER, optical_loss]),
-    "optical_loss_db": ("[0, 600]", [efficiencies_from_optical_loss]),
+    "optical_loss_db": ("[0, 600]", [TRANSCEIVER]),
     "receiver_sensitivity_photons_per_bit": ("[0.001, 1e+06]", [TRANSCEIVER]),
     "target_rate_bps": (
         "[1, 1e+12]",

@@ -61,6 +61,12 @@ class TestEvaluate:
         run(tmp_path, "evaluate", "--set=geometry.elevation_deg=33.25")
         assert "  elevation            : 33.25 deg\n" in capsys.readouterr().out
 
+    def test_the_optical_loss_is_reported_as_given(self, tmp_path, capsys):
+        # Pointing and optical loss both default to 2 dB; only one of them is set here.
+        _, outdir = run(tmp_path, "evaluate", "--set=transceiver.optical_loss_db=3.7")
+        (row,) = read_csv(os.path.join(outdir, "evaluate.csv"))
+        assert (row["l_opt_db"], row["l_poi_db"]) == ("3.7", "2.0")
+
     def test_bundle_contains_echo_and_summary(self, tmp_path):
         _, outdir = run(tmp_path, "evaluate")
         assert os.path.exists(os.path.join(outdir, "resolved_config.yaml"))

@@ -64,20 +64,8 @@ class TestDefaults:
         monkeypatch.delenv("VFSO_OUTDIR", raising=False)
         assert load_config().output_dir == "out"
 
-    def test_optical_loss_resolves_to_even_split(self):
-        config = load_config()
-        assert config.transceiver.tx_efficiency == pytest.approx(10 ** -0.1, rel=1e-12, abs=0)
-        product = config.transceiver.tx_efficiency * config.transceiver.rx_efficiency
-        assert -10 * math.log10(product) == pytest.approx(2.0, rel=1e-12)
-
 
 class TestValidation:
-    def test_efficiencies_and_optical_loss_are_exclusive(self):
-        with pytest.raises(ConfigError, match="not both"):
-            config_from_mapping(
-                {"transceiver": {"optical_loss_db": 2.0, "tx_efficiency": 0.8}}
-            )
-
     def test_string_field_given_a_number(self):
         with pytest.raises(ConfigError, match="^sweep: variable must be a string, got 5$"):
             config_from_mapping(parse_overrides(["sweep.variable=5"]))
@@ -231,6 +219,11 @@ class TestEveryKey:
         assert leaves(resolved_mapping(config)) == {**CHANGED, path: KEYS[path]}
 
     @pytest.mark.parametrize("path", KEYS)
+    def test_set_to_its_echoed_default_alone_changes_nothing(self, monkeypatch, path):
+        monkeypatch.delenv("VFSO_OUTDIR", raising=False)
+        assert load_config(None, [setting(path, KEYS[path])]) == RunConfig()
+
+    @pytest.mark.parametrize("path", KEYS)
     def test_the_yaml_echo_holds_the_value_read(self, path):
         config = load_config(None, [setting(path, CHANGED[path])])
         echo = yaml.safe_load(resolved_yaml(config))
@@ -265,7 +258,7 @@ class TestNonFiniteNumbers:
     # with one spelling, and each spelling at one key.
     @pytest.mark.parametrize(
         "key, text",
-        [(key, ".nan") for key in [*NUMERIC_KEYS, "transceiver.optical_loss_db"]]
+        [(key, ".nan") for key in NUMERIC_KEYS]
         + [("fog.visibility_m", text) for text in NON_FINITE[1:]],
     )
     def test_rejected_with_the_key_path(self, key, text):
@@ -421,13 +414,5 @@ class TestOneSourceOfDefaults:
         section = readme.split("\n## Configuration\n", 1)[1]
         block = re.search(r"```yaml\n(.*?)```", section, re.DOTALL).group(1)
         assert config_from_mapping(yaml.safe_load(block)) == load_config()
-        # It names every key the echo writes, the efficiency pair by its other spelling; so the
-        # tests that walk KEYS walk every key.
-        spelled = {"transceiver.tx_efficiency", "transceiver.rx_efficiency", "transceiver.optical_loss_db"}
-        assert set(leaves(yaml.safe_load(block))) ^ set(KEYS) == spelled
-
-
-class TestRoundTrip:
-    def test_lone_efficiency_pairs_with_a_lossless_one(self):
-        config = config_from_mapping({"transceiver": {"tx_efficiency": 0.9}})
-        assert (config.transceiver.tx_efficiency, config.transceiver.rx_efficiency) == (0.9, 1.0)
+        # It names every key the echo writes, so the tests that walk KEYS walk every key.
+        assert set(leaves(yaml.safe_load(block))) == set(KEYS)

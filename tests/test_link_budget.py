@@ -13,7 +13,6 @@ from vfso.link_budget import (
     achievable_rate,
     evaluate_link,
     link_margin,
-    optical_loss,
     photon_energy,
     received_power,
 )
@@ -22,21 +21,6 @@ from vfso.scenario import DEFAULT_FOG, DEFAULT_RAIN, PRESET_NAMES, default_param
 TX, GEOMETRY_20KM, TURB = default_parameters()
 GEOMETRY_5KM = replace(GEOMETRY_20KM, nfp_altitude_m=5000.0)
 CLEAR = preset("clear_sky")
-
-
-class TestOpticalLoss:
-    def test_two_db_product(self):
-        assert optical_loss(0.631, 1.0) == pytest.approx(2.0, abs=1e-3)
-
-    def test_ideal_optics(self):
-        assert optical_loss(1.0, 1.0) == 0.0
-
-    def test_half_efficiencies(self):
-        assert optical_loss(0.5, 0.5) == pytest.approx(6.020599913279624, rel=1e-12)
-
-    def test_least_efficiencies_lose_600_db(self):
-        # The domain's least pair: their product is a normal double, 1e-60.
-        assert optical_loss(1e-30, 1e-30) == pytest.approx(600.0, rel=1e-15, abs=0)
 
 
 class TestPhotonEnergy:
@@ -60,7 +44,7 @@ class TestReceivedPower:
         assert received_power(TX, GEOMETRY_20KM, 10000.0) == 0.0
 
     def test_lossless_link_delivers_transmit_power(self):
-        tx = replace(TX, tx_efficiency=1.0, rx_efficiency=1.0, pointing_loss_db=0.0)
+        tx = replace(TX, optical_loss_db=0.0, pointing_loss_db=0.0)
         narrow = replace(GEOMETRY_20KM, divergence_rad=1e-9)
         assert received_power(tx, narrow, 0.0) == tx.transmit_power_w
 
@@ -160,7 +144,7 @@ class TestEvaluateLink:
         assert result.link_viable
 
     def test_lossless_ceiling(self):
-        tx = replace(TX, tx_efficiency=1.0, rx_efficiency=1.0, pointing_loss_db=0.0)
+        tx = replace(TX, optical_loss_db=0.0, pointing_loss_db=0.0)
         narrow = replace(GEOMETRY_20KM, divergence_rad=1e-9)
         result = evaluate_link(tx, narrow, WeatherScenario(label="none"))
         ceiling = tx.transmit_power_w / (
@@ -191,8 +175,7 @@ class TestEvaluateLink:
         )
         reconstructed = (
             TX.transmit_power_w
-            * TX.tx_efficiency
-            * TX.rx_efficiency
+            * 10.0 ** (-TX.optical_loss_db / 10.0)
             * 10.0 ** (-total_db / 10.0)
             / (photon_energy(TX.wavelength_nm) * TX.receiver_sensitivity_photons_per_bit)
         )
@@ -228,7 +211,7 @@ class TestEvaluateLink:
 
     def test_fastest_link_of_the_domain_has_a_finite_rate(self):
         # The most power per bit the domain allows, all of it captured and none lost.
-        tx = TransceiverParams(1e6, 1.0, 1.0, 1e5, 0.0, 1e-3)
+        tx = TransceiverParams(1e6, 0.0, 1e5, 0.0, 1e-3)
         narrow = replace(GEOMETRY_20KM, divergence_rad=1e-9)
         result = evaluate_link(tx, narrow, WeatherScenario(label="none"), 1.0)
         assert result.received_power_w == 1e6

@@ -125,13 +125,13 @@ def oracle(tx, geometry, scenario, target_rate_bps) -> dict:
             wavenumber = 2 * PI * Decimal("1e9") / wavelength
             product = Decimal("23.17") * wavenumber ** (Decimal(7) / 6) * cn2
             out["scintillation_db"] = 2 * (product * path ** (Decimal(11) / 6)).sqrt()
-        efficiency = d(tx.tx_efficiency) * d(tx.rx_efficiency)
         out["geometrical_db"] = -10 * fraction.log10()
         out["pointing_db"] = d(tx.pointing_loss_db)
-        out["optical_db"] = -10 * efficiency.log10()
+        out["optical_db"] = d(tx.optical_loss_db)
         atmospheric_db = out["fog_db"] + out["rain_db"] + out["cloud_db"] + out["scintillation_db"]
         power = (
-            d(tx.transmit_power_w) * efficiency * Decimal(10) ** (-out["pointing_db"] / 10)
+            d(tx.transmit_power_w) * Decimal(10) ** (-out["optical_db"] / 10)
+            * Decimal(10) ** (-out["pointing_db"] / 10)
             * Decimal(10) ** (-atmospheric_db / 10) * fraction
         )
         photon_j = d(PLANCK_J_S) * d(LIGHT_SPEED_M_PER_S) / (wavelength * Decimal("1e-9"))
@@ -181,21 +181,15 @@ def small_or_any(small_high):
     return st.one_of(floats(0.0, small_high), floats(0.0, FLOAT_MAX))
 
 
-OPTICS = st.one_of(
-    st.fixed_dictionaries({"optical_loss_db": floats(0.0, 600.0)}),
-    st.fixed_dictionaries({"tx_efficiency": floats(1e-30, 1.0), "rx_efficiency": floats(1e-30, 1.0)}),
+TRANSCEIVER = st.fixed_dictionaries(
+    {
+        "transmit_power_w": floats(0.0, 1e6, exclude_min=True),
+        "optical_loss_db": floats(0.0, 600.0),
+        "wavelength_nm": floats(100.0, 1e5),
+        "pointing_loss_db": small_or_any(50.0),
+        "receiver_sensitivity_photons_per_bit": floats(1e-3, 1e6),
+    }
 )
-TRANSCEIVER = st.tuples(
-    st.fixed_dictionaries(
-        {
-            "transmit_power_w": floats(0.0, 1e6, exclude_min=True),
-            "wavelength_nm": floats(100.0, 1e5),
-            "pointing_loss_db": small_or_any(50.0),
-            "receiver_sensitivity_photons_per_bit": floats(1e-3, 1e6),
-        }
-    ),
-    OPTICS,
-).map(lambda parts: {**parts[0], **parts[1]})
 GEOMETRY = st.fixed_dictionaries(
     {
         "nfp_altitude_m": floats(0.0, 1e6, exclude_min=True),
@@ -322,8 +316,8 @@ CONFIGS = st.fixed_dictionaries(
 # double instead (a count is then rejected as no integer).
 BUDGET_KEYS = [
     ("target_rate_bps",),
-    *[("transceiver", key) for key in ("transmit_power_w", "wavelength_nm", "pointing_loss_db")],
-    ("transceiver", "receiver_sensitivity_photons_per_bit"),
+    *[("transceiver", key) for key in ("transmit_power_w", "optical_loss_db", "wavelength_nm")],
+    *[("transceiver", key) for key in ("pointing_loss_db", "receiver_sensitivity_photons_per_bit")],
     *[("geometry", key) for key in ("nfp_altitude_m", "elevation_deg", "divergence_rad", "receiver_radius_m")],
     *[("turbulence", key) for key in ("wind_speed_m_per_s", "structure_constant_a", "reference_altitude_m")],
     ("fog", "visibility_m"),

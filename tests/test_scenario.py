@@ -38,9 +38,7 @@ class TestDefaultParameters:
         assert TX.pointing_loss_db == 2.0
         assert TX.wavelength_nm == 1550.0
         assert TX.receiver_sensitivity_photons_per_bit == 100.0
-        assert -10.0 * math.log10(TX.tx_efficiency * TX.rx_efficiency) == pytest.approx(
-            2.0, rel=1e-12
-        )
+        assert TX.optical_loss_db == 2.0
         assert GEOMETRY.divergence_rad == 1e-3
         assert GEOMETRY.elevation_deg == pytest.approx(45.0, rel=1e-15, abs=0)
         assert TURB.structure_constant_a == 1.7e-14
