@@ -23,15 +23,16 @@ import numpy as np
 from .aggregation import aggregated_demand, oversubscribes, supported_cells
 from .config import ConfigError, RunConfig, _theta_tag, load_config, resolved_yaml
 from .hetnet_cost import TcoResult, compare_tco, generate_layout
-from .link_budget import LinkBudgetResult, LossBreakdown, evaluate_link
-from .scenario import run_sweep
+from .link_budget import LinkBudgetResult, LossBreakdown, _from_per_point, evaluate_link
+from .scenario import _SWEPT_FIELD, _sweep_columns
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_LINK_FAILURE = 2
 
-# Rows formatted at a time by _write_csv, so the text of a large CSV is never
-# held all at once.
+# Rows formatted at a time by _write_csv, and evaluated, formatted and written
+# at a time by cmd_sweep, so neither the text of a large CSV nor a sweep's
+# columns over its whole grid are ever held at once.
 CSV_CHUNK_ROWS = 2048
 
 # CSV column -> LossBreakdown field, in the order both CSV layouts use.
@@ -91,16 +92,14 @@ def _format_column(chunk) -> list:
     return [_fmt(cell) for cell in chunk]
 
 
-def _reused_or_formatted(chunk, key, reuse: Optional[dict]) -> list:
-    """_format_column(chunk), taken from the reuse map where it can be.
+def _reused_or_formatted(chunk: np.ndarray, key, reuse: dict) -> list:
+    """_format_column of a float64 chunk, taken from the reuse map where it can be.
 
-    The map holds, per (column index, first row), the bytes of the last
-    float64 chunk written there and its cells joined by commas (a float repr
-    never contains one). Equal bytes are equal doubles with equal reprs.
-    Equal values are not: 0.0 == -0.0, and repr prints them differently.
+    The map holds, per key (cmd_sweep's column index), the bytes of the last
+    chunk formatted there and its cells joined by commas (a float repr never
+    contains one). Equal bytes are equal doubles with equal reprs. Equal
+    values are not: 0.0 == -0.0, and repr prints them differently.
     """
-    if reuse is None or not (isinstance(chunk, np.ndarray) and chunk.dtype == np.float64):
-        return _format_column(chunk)
     data = chunk.tobytes()
     stored = reuse.get(key)
     if stored is not None and stored[0] == data:
@@ -110,27 +109,24 @@ def _reused_or_formatted(chunk, key, reuse: Optional[dict]) -> list:
     return cells
 
 
-def _write_csv(path: str, table: Mapping[str, Sequence], reuse: Optional[dict] = None) -> None:
+def _write_rows(handle, cells: Sequence[list]) -> None:
+    """Write rows given column by column, as lists of formatted cells."""
+    handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+
+
+def _write_csv(path: str, table: Mapping[str, Sequence]) -> None:
     """Write a CSV from a {column name: cells} table of equal-length columns,
     byte for byte what csv.writer writes for the rows of _fmt cells.
 
     Each column is formatted a chunk at a time by _format_column: a float64
     array as the repr of each double, a list or tuple with _fmt.
-    Calls that share a reuse map (one per command, starting empty) format a
-    float64 chunk only when it differs from the last one written at the same
-    column and rows; the map then holds one entry per chunk of one file.
     """
     columns = list(table.values())
-    n_rows = len(columns[0])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(map(_fmt, table)) + "\r\n")
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+        _write_rows(handle, [[_fmt(name)] for name in table])
+        for start in range(0, len(columns[0]), CSV_CHUNK_ROWS):
             stop = start + CSV_CHUNK_ROWS
-            cells = [
-                _reused_or_formatted(column[start:stop], (index, start), reuse)
-                for index, column in enumerate(columns)
-            ]
-            handle.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+            _write_rows(handle, [_format_column(column[start:stop]) for column in columns])
 
 
 def _table(rows: list) -> dict:
@@ -212,28 +208,45 @@ def cmd_evaluate(config: RunConfig) -> int:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    """Run the configured sweep for every scenario (and divergence variant)."""
+    """Run the configured sweep for every scenario (and divergence variant).
+
+    The sweep is streamed a CSV_CHUNK_ROWS block of the grid at a time: each
+    block is evaluated, formatted and appended to every file in turn, each
+    file opened and closed again, so memory holds one block's columns and
+    cells whatever the grid size, and at most one file is open. The warnings
+    of failed rows and the summary follow the last block, file by file.
+    """
     geometries = [("", config.geometry)]
     if config.divergence_values_rad:
         geometries = [
             (f"_{_theta_tag(theta)}", replace(config.geometry, divergence_rad=theta))
             for theta in config.divergence_values_rad
         ]
+    scenarios = config.scenarios()
+    files = [
+        (f"sweep_{scenario.label}{suffix}.csv", scenario, geometry)
+        for suffix, geometry in geometries
+        for scenario in scenarios
+    ]
+    paths = [_bundle_path(config, filename) for filename, _, _ in files]
 
+    field = _SWEPT_FIELD[config.sweep.variable]
+    values = np.array(config.sweep.grid())
+    failed: list[list] = [[] for _ in files]  # per file, (value, error) of each failed row
     # Weather leaves the grid and the geometric (and, along altitude, the
-    # scintillation) columns unchanged, so most files repeat those chunks.
+    # scintillation) columns unchanged, so most files repeat the last file's
+    # chunk of a column: the map, keyed on the column index, holds one block.
     reuse: dict = {}
-    summary_lines = []
-    for suffix, geometry in geometries:
-        for scenario in config.scenarios():
-            sweep = run_sweep(
-                config.sweep, scenario, config.transceiver, geometry, config.target_rate_bps
+    for start in range(0, len(values), CSV_CHUNK_ROWS):
+        block = values[start : start + CSV_CHUNK_ROWS]
+        for (_, scenario, geometry), path, failures in zip(files, paths, failed):
+            columns, errors = _sweep_columns(
+                field, block, scenario, config.transceiver, geometry, config.target_rate_bps
             )
-            filename = f"sweep_{scenario.label}{suffix}.csv"
-            # Float64 arrays over the grid; failed rows are NaN.
-            c = sweep.columns
+            # Float64 arrays over the block; failed rows are NaN.
+            c = _from_per_point(columns, config.target_rate_bps)
             table = {
-                "variable": sweep.values,
+                "variable": block,
                 "data_rate_bps": c.data_rate_bps,
                 "link_margin_db": c.link_margin_db,
                 **_loss_cells(
@@ -241,18 +254,24 @@ def cmd_sweep(config: RunConfig) -> int:
                     ("l_fog_db", "l_rain_db", "l_cloud_db", "l_sci_db", "l_geo_db"),
                 ),
             }
-            _write_csv(_bundle_path(config, filename), table, reuse)
-            failed = [
-                (sweep.values[i].item(), error)
-                for i, error in enumerate(sweep.errors)
-                if error is not None
+            cells = [
+                _reused_or_formatted(column, index, reuse)
+                for index, column in enumerate(table.values())
             ]
-            summary_lines.append(
-                f"{filename}: {len(sweep.values)} rows ({sweep.spec.variable} sweep)"
-                + (f", {len(failed)} rows failed" if failed else "")
-            )
-            for value, error in failed:
-                print(f"warning: {filename} @ {value!r}: {error}", file=sys.stderr)
+            with open(path, "a" if start else "w", encoding="utf-8", newline="") as handle:
+                if not start:
+                    _write_rows(handle, [[name] for name in table])
+                _write_rows(handle, cells)
+            failures += [(block[i].item(), error) for i, error in enumerate(errors) if error is not None]
+
+    summary_lines = []
+    for (filename, _, _), failures in zip(files, failed):
+        summary_lines.append(
+            f"{filename}: {len(values)} rows ({config.sweep.variable} sweep)"
+            + (f", {len(failures)} rows failed" if failures else "")
+        )
+        for value, error in failures:
+            print(f"warning: {filename} @ {value!r}: {error}", file=sys.stderr)
     return _finish(config, "\n".join(summary_lines) + "\n")
 
 

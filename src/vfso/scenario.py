@@ -224,8 +224,27 @@ def run_sweep(
     within the rounding of numpy's vectorised exp/log/pow (tests hold it to
     1e-12). Identical inputs produce identical results.
     """
-    field = _SWEPT_FIELD[spec.variable]
     values = np.array(spec.grid())
+    columns, errors = _sweep_columns(
+        _SWEPT_FIELD[spec.variable], values, scenario, tx, geometry, target_rate_bps
+    )
+    return SweepResult(
+        spec, scenario.label, values, _from_per_point(columns, target_rate_bps), tuple(errors)
+    )
+
+
+def _sweep_columns(
+    field: str,
+    values: np.ndarray,
+    scenario: WeatherScenario,
+    tx: TransceiverParams,
+    geometry: LinkGeometry,
+    target_rate_bps: float,
+) -> tuple[list, list[Optional[str]]]:
+    """run_sweep's body over any float64 values of the swept LinkGeometry field:
+    the ten _per_point columns (NaN on failed rows) and each row's error
+    message, None where the row is valid. Rows are independent, so the CLI
+    evaluates a grid block by block and writes the same bits as one pass."""
     valid = _valid_entries(field, values)  # LinkGeometry's rule for the swept field
     errors: list[Optional[str]] = [None] * len(values)
     for i in np.flatnonzero(~valid).tolist():
@@ -240,6 +259,4 @@ def run_sweep(
     with np.errstate(divide="ignore"):
         grid = _budget(tx, geometry, scenario, target_rate_bps, altitude, divergence, np)
     columns = [np.where(valid, column, np.nan) for column in _per_point(grid)]
-    return SweepResult(
-        spec, scenario.label, values, _from_per_point(columns, target_rate_bps), tuple(errors)
-    )
+    return columns, errors

@@ -108,7 +108,7 @@ MUTANTS = [
     ("scenario.py", "columns = [np.where(valid, column, np.nan) for column in _per_point(grid)]",
      "columns = list(_per_point(grid))", "a sweep's failed rows keep the parked point's numbers"),
     ("scenario.py", 'with np.errstate(divide="ignore"):', "with np.errstate():",
-     "a sweep whose rate underflows to 0 warns on its -inf margin"),
+     "_sweep_columns warns on the -inf margin of a rate that underflows to 0"),
     ("config.py", "return [self.scenario(name) for name in self.scenario_names]",
      "return [self.scenario(name) for name in self.scenario_names[:1]]", "a command runs the first scenario only"),
     ("config.py", "if isinstance(value, dict) and isinstance(merged.get(key), dict):", "if False:",
@@ -124,8 +124,8 @@ MUTANTS = [
     ("cli.py", "{config.geometry.elevation_deg:.2f} deg", "{config.geometry.elevation_deg:.1f} deg",
      "the report gives the elevation to one decimal"),
     ("cli.py", "    if oversub:\n", "    if False:\n", "the aggregate report drops its oversubscription advisory"),
-    ("cli.py", 'filename = f"sweep_{scenario.label}{suffix}.csv"', 'filename = f"sweep_{scenario.label}.csv"',
-     "sweep file names lose the divergence suffix"),
+    ("cli.py", '(f"sweep_{scenario.label}{suffix}.csv", scenario, geometry)',
+     '(f"sweep_{scenario.label}.csv", scenario, geometry)', "sweep file names lose the divergence suffix"),
     ("cli.py", "        return repr(value)\n", '        return f"{value:.16g}"\n', "a float cell has 16 digits"),
     ("cli.py", "bits = chunk.view(np.uint64)", "bits = chunk", "runs compare values, not bits (0.0 == -0.0)"),
     ("cli.py", "if 2 * np.count_nonzero(starts) > len(chunk):", "if True:", "the run path is never taken"),
@@ -144,10 +144,16 @@ MUTANTS = [
     ("cli.py", "if stored is not None and stored[0] == data:", "if False:", "the reuse map never fires"),
     ("cli.py", "reuse[key] = (data, \",\".join(cells))", "reuse[key] = (data, \",\".join(cells[::-1]))",
      "the reuse map stores another chunk's cells"),
-    ("cli.py", "_reused_or_formatted(column[start:stop], (index, start), reuse)",
-     "_reused_or_formatted(column[start:stop], start, reuse)", "the reuse key drops the column"),
-    ("cli.py", "_reused_or_formatted(column[start:stop], (index, start), reuse)",
-     "_reused_or_formatted(column[start:stop], index, reuse)", "the reuse key drops the row"),
+    ("cli.py", "_reused_or_formatted(column, index, reuse)", "_reused_or_formatted(column, start, reuse)",
+     "the reuse key drops the column"),
+    ("cli.py", "_reused_or_formatted(column, index, reuse)", "_reused_or_formatted(column, (index, start), reuse)",
+     "the reuse map holds every block's cells, not one block's"),
+    # cli: the sweep's stream of blocks.
+    ("cli.py", "failures += [(block[i].item(), error)", "failures += [(values[i].item(), error)",
+     "a failed row's warning reads its value from the whole grid, not from its block"),
+    ("cli.py", "for start in range(0, len(values), CSV_CHUNK_ROWS):",
+     "for start in range(0, len(values) - CSV_CHUNK_ROWS + 1, CSV_CHUNK_ROWS):", "the last, partial block is dropped"),
+    ("cli.py", 'open(path, "a" if start else "w"', 'open(path, "w"', "each block overwrites the file"),
 ]
 
 

@@ -4,6 +4,9 @@ import csv
 import io
 import math
 import os
+import subprocess
+import sys
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -119,6 +122,37 @@ class TestSweep:
         assert len(rows) == 4
         assert math.isnan(float(rows[0]["data_rate_bps"]))
         assert not math.isnan(float(rows[-1]["data_rate_bps"]))
+
+    def test_peak_memory_holds_one_block_not_the_grid(self, tmp_path):
+        """A 5-preset 200 000-point sweep peaks within 25 MB of `vfso evaluate`;
+        holding each file's columns over the whole grid added ~96 MB.
+        Each child reports its own peak, VmHWM: Linux carries the peak of the
+        image that exec replaced (here pytest's) into the child's ru_maxrss."""
+        child = (
+            "import sys\n"
+            "from vfso.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "with open('/proc/self/status') as status:\n"
+            "    print(next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+            "sys.exit(code)\n"
+        )
+        # The vfso under test, also when PYTHONPATH names another copy.
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+
+        def peak_mb(*argv):
+            done = subprocess.run(
+                [sys.executable, "-c", child, *argv, f"--set=output_dir={tmp_path / argv[0]}"],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert done.returncode == EXIT_OK, done.stderr
+            return int(done.stdout.splitlines()[-1]) / 1024  # kB
+
+        sweep = peak_mb(
+            "sweep",
+            "--set=scenarios=[clear_sky, fog_dense, heavy_rain, cloud_and_fog, rain_and_cloud]",
+            "--set=sweep.points=200000",
+        )
+        assert sweep - peak_mb("evaluate") < 25.0
 
 
 class TestCost:
@@ -445,10 +479,10 @@ def tables(draw):
 
 @st.composite
 def sweep_files(draw):
-    """The float64 columns of a run of CSV files that share a reuse map. Each
-    column of a file after the first repeats the last file's, repeats it but
-    for twin cells, or is new; row counts span more than one chunk and are
-    not a multiple of it."""
+    """The float64 columns of a run of sweep files that share a reuse map.
+    Each column of a file after the first repeats the last file's, repeats it
+    but for twin cells, or is new; row counts span more than one chunk and
+    are not a multiple of it."""
     n_rows = draw(st.sampled_from([SMALL_CHUNK + 1, 2 * SMALL_CHUNK - 1, 2 * SMALL_CHUNK + 3]))
     n_columns = draw(st.integers(min_value=1, max_value=3))
     floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
@@ -532,29 +566,29 @@ class TestColumnWriter:
 
     @settings(max_examples=150, deadline=None)
     @given(sweep_files())
-    def test_reuse_map_writes_the_same_bytes(self, csv_dir, files):
-        header = [f"c{index}" for index in range(len(files[0]))]
+    def test_reuse_map_writes_the_same_bytes(self, files):
+        # In cmd_sweep's order: each block through every file, keyed on the column.
         reuse = {}
-        with mock.patch.object(cli, "CSV_CHUNK_ROWS", SMALL_CHUNK):
+        for start in range(0, len(files[0][0]), SMALL_CHUNK):
             for columns in files:
-                path = csv_dir / "reused.csv"
-                cli._write_csv(str(path), dict(zip(header, columns)), reuse)
-                assert path.read_bytes() == column_writer_bytes(csv_dir, header, columns)
+                for index, column in enumerate(columns):
+                    chunk = column[start : start + SMALL_CHUNK]
+                    assert cli._reused_or_formatted(chunk, index, reuse) == cli._format_column(chunk)
 
-    def test_repeated_chunks_are_formatted_once(self, tmp_path):
+    def test_repeated_chunks_are_formatted_once(self):
         n_rows = 2 * cli.CSV_CHUNK_ROWS + 3
         grid = np.linspace(0.0, 1.0, n_rows)
         zeros = np.zeros(n_rows)
         reuse = {}
         with mock.patch.object(cli, "_format_column", wraps=cli._format_column) as formatter:
-            cli._write_csv(str(tmp_path / "a.csv"), {"x": grid, "y": zeros}, reuse)
-            assert formatter.call_count == 6
-            cli._write_csv(str(tmp_path / "b.csv"), {"x": grid.copy(), "y": -zeros}, reuse)
-            assert formatter.call_count == 9
-        assert len(reuse) == 6
-        got = (tmp_path / "b.csv").read_bytes()
-        assert got == row_writer_bytes(["x", "y"], as_rows([grid, -zeros]))
-        assert b",-0.0\r\n" in got and b",0.0\r\n" not in got
+            for start in range(0, n_rows, cli.CSV_CHUNK_ROWS):
+                block = slice(start, start + cli.CSV_CHUNK_ROWS)
+                a = [cli._reused_or_formatted(c[block], i, reuse) for i, c in enumerate((grid, zeros))]
+                b = [cli._reused_or_formatted(c[block], i, reuse) for i, c in enumerate((grid.copy(), -zeros))]
+                assert b[0] == a[0] == list(map(repr, grid[block].tolist()))
+                assert b[1] == ["-0.0"] * len(a[1]) and a[1] == ["0.0"] * len(a[1])
+        assert formatter.call_count == 9  # per block: the grid once, each sign of zero once
+        assert len(reuse) == 2
 
     @pytest.mark.parametrize(
         "lengths, repr_calls",
@@ -599,42 +633,60 @@ class TestColumnWriter:
     @pytest.mark.parametrize(
         "sweep",
         [
-            ["--set=sweep.start=0", "--set=sweep.stop=20000"],  # row 0 fails
-            [
-                "--set=sweep.variable=divergence",
-                "--set=sweep.scale=log",
-                "--set=sweep.start=1e-6",
-                "--set=sweep.stop=1e-2",
-            ],
+            ["sweep.start=-5", "sweep.stop=1.0003e6"],  # rows fail below 0 m and above 1e6 m
+            ["sweep.variable=divergence", "sweep.start=-1e-3", "sweep.stop=3.2"],  # and at 0 and above pi
         ],
-        ids=["altitude_from_0_m", "log_divergence"],
+        ids=["altitude_beyond_both_ends", "divergence_across_pi"],
     )
-    def test_sweep_bundle_matches_a_run_without_reuse(self, tmp_path, capsys, sweep):
-        argv = [
-            "sweep",
-            "--set=scenarios=[clear_sky, fog_dense, heavy_rain, cloud_and_fog, rain_and_cloud]",
-            "--set=sweep.points=10000",
+    def test_a_streamed_sweep_matches_each_file_written_whole(self, tmp_path, capsys, sweep):
+        overrides = [
+            "scenarios=[clear_sky, fog_dense, cloud_and_fog]",
+            "divergence_values_rad=[1e-4, 1e-3]",
+            "sweep.points=5000",  # blocks of 2048, 2048 and 904 rows
             *sweep,
         ]
-        write_csv = cli._write_csv
-
-        def without_reuse(path, table, reuse=None):
-            write_csv(path, table)
-
         with mock.patch.object(cli, "_format_column", wraps=cli._format_column) as formatter:
-            code, outdir = run(tmp_path / "reused", *argv)
-            assert code == EXIT_OK
-            reused_calls = formatter.call_count
-            with mock.patch.object(cli, "_write_csv", without_reuse):
-                code, plain_outdir = run(tmp_path / "plain", *argv)
-            assert code == EXIT_OK
-            plain_calls = formatter.call_count - reused_calls
-        assert reused_calls < plain_calls
-        names = sorted(os.listdir(outdir))
-        assert names == sorted(os.listdir(plain_outdir)) and len(names) == 7
-        for name in names:
-            if name != "resolved_config.yaml":  # differs in output_dir alone
-                with open(os.path.join(outdir, name), "rb") as a, open(
-                    os.path.join(plain_outdir, name), "rb"
-                ) as b:
-                    assert a.read() == b.read(), name
+            code, outdir = run(tmp_path, "sweep", *(f"--set={o}" for o in overrides))
+        assert code == EXIT_OK
+        stderr = capsys.readouterr().err
+
+        config = load_config(None, overrides)
+        header = [
+            "variable", "data_rate_bps", "link_margin_db",
+            "l_fog_db", "l_rain_db", "l_cloud_db", "l_sci_db", "l_geo_db",
+        ]
+        files, warnings, summary = [], [], []
+        for theta, tag in ((1e-4, "theta_100urad"), (1e-3, "theta_1000urad")):
+            geometry = replace(config.geometry, divergence_rad=theta)
+            for scenario in config.scenarios():
+                sweep = run_sweep(
+                    config.sweep, scenario, config.transceiver, geometry, config.target_rate_bps
+                )
+                name = f"sweep_{scenario.label}_{tag}.csv"
+                c, b = sweep.columns, sweep.columns.loss_breakdown
+                columns = (
+                    sweep.values, c.data_rate_bps, c.link_margin_db,
+                    b.fog_db, b.rain_db, b.cloud_db, b.scintillation_db, b.geometrical_db,
+                )
+                whole = tmp_path / "whole.csv"
+                cli._write_csv(str(whole), dict(zip(header, columns)))
+                with open(os.path.join(outdir, name), "rb") as handle:
+                    assert handle.read() == whole.read_bytes(), name
+                failed = [i for i, error in enumerate(sweep.errors) if error is not None]
+                assert failed[0] < cli.CSV_CHUNK_ROWS <= 2 * cli.CSV_CHUNK_ROWS <= failed[-1]
+                warnings += [f"warning: {name} @ {sweep.values[i].item()!r}: {sweep.errors[i]}" for i in failed]
+                summary.append(f"{name}: 5000 rows ({config.sweep.variable} sweep), {len(failed)} rows failed")
+                files.append(columns)
+        assert stderr.splitlines() == warnings
+        with open(os.path.join(outdir, "summary.txt"), encoding="utf-8") as handle:
+            assert handle.read().splitlines() == summary
+
+        # A chunk is formatted unless the last file formatted or reused the same bytes at its column.
+        last, formatted = {}, 0
+        for start in range(0, 5000, cli.CSV_CHUNK_ROWS):
+            for columns in files:
+                for index, column in enumerate(columns):
+                    data = column[start : start + cli.CSV_CHUNK_ROWS].tobytes()
+                    formatted += last.get(index) != data
+                    last[index] = data
+        assert formatter.call_count == formatted < 3 * len(files) * len(header)

@@ -20,7 +20,8 @@ A second property runs the CLI on the same drawn configs: a config the loader
 accepts never fails a command, and its bundle reproduces itself. The echo
 reloads to the same config, a rerun from it writes the same bytes, no command
 writes a bundle path twice, and every float CSV cell reads back as the double
-the library handed the writer.
+the library handed the writer; a sweep's, which the CLI streams a block at a
+time, as the double of run_sweep over the whole grid.
 """
 
 import contextlib
@@ -431,12 +432,35 @@ def recorded_writes():
         names.append(name)
         return bundle_path(config, name)
 
-    def record_table(path, table, reuse=None):
+    def record_table(path, table):
         tables.append((path, table))
-        write_csv(path, table, reuse)
+        write_csv(path, table)
 
     with mock.patch.object(cli, "_bundle_path", record_name), mock.patch.object(cli, "_write_csv", record_table):
         yield names, tables
+
+
+def sweep_tables(config) -> list:
+    """(file name, {column: cells}) of each file `vfso sweep` writes for config, from
+    run_sweep over the whole grid."""
+    variants = [("", config.geometry)]
+    if config.divergence_values_rad:
+        variants = [
+            (f"_{_theta_tag(theta)}", replace(config.geometry, divergence_rad=theta))
+            for theta in config.divergence_values_rad
+        ]
+    tables = []
+    for suffix, geometry in variants:
+        for scenario in config.scenarios():
+            sweep = run_sweep(config.sweep, scenario, config.transceiver, geometry, config.target_rate_bps)
+            c, b = sweep.columns, sweep.columns.loss_breakdown
+            table = {
+                "variable": sweep.values, "data_rate_bps": c.data_rate_bps, "link_margin_db": c.link_margin_db,
+                "l_fog_db": b.fog_db, "l_rain_db": b.rain_db, "l_cloud_db": b.cloud_db,
+                "l_sci_db": b.scintillation_db, "l_geo_db": b.geometrical_db,
+            }
+            tables.append((f"sweep_{scenario.label}{suffix}.csv", table))
+    return tables
 
 
 def bits(value: float) -> bytes:
@@ -518,6 +542,8 @@ def test_a_config_that_loads_never_fails_a_command(document, beyond):
         for command in COMMANDS:
             with recorded_writes() as (names, tables):
                 answers.append(run_main([command, "--config", path]))
+            if command == "sweep":  # streamed, not written through _write_csv
+                tables = [(os.path.join(outdir, name), table) for name, table in sweep_tables(config)]
             code, _, err = answers[-1]
             assert code == 0 or (command, code) == ("evaluate", 2), (command, code, err)
             for line in err.splitlines():
