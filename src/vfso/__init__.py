@@ -60,7 +60,6 @@ from .scenario import (
     ALTITUDE_SWEEP_BOUNDS_M,
     DEFAULT_CLOUD_PROFILE,
     SweepResult,
-    SweepRow,
     SweepSpec,
     default_parameters,
     preset,
@@ -87,7 +86,6 @@ __all__ = [
     "RfNlosCostParams",
     "RunConfig",
     "SweepResult",
-    "SweepRow",
     "SweepSpec",
     "TcoResult",
     "TerrestrialFsoCostParams",

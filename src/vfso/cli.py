@@ -16,14 +16,14 @@ import argparse
 import os
 import sys
 from dataclasses import fields, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .aggregation import aggregated_demand, oversubscribes, supported_cells
 from .config import ConfigError, RunConfig, _theta_tag, load_config, resolved_yaml
 from .hetnet_cost import TcoResult, compare_tco, generate_layout
-from .link_budget import LinkBudgetResult, LossBreakdown, _from_per_point, evaluate_link
+from .link_budget import LinkBudgetResult, evaluate_link
 from .scenario import _SWEPT_FIELD, _sweep_columns
 
 EXIT_OK = 0
@@ -35,7 +35,8 @@ EXIT_LINK_FAILURE = 2
 # columns over its whole grid are ever held at once.
 CSV_CHUNK_ROWS = 2048
 
-# CSV column -> LossBreakdown field, in the order both CSV layouts use.
+# CSV column -> budget column, which is its LossBreakdown field, in the order
+# both CSV layouts use.
 _LOSS_COLUMNS = {
     "l_fog_db": "fog_db",
     "l_rain_db": "rain_db",
@@ -44,6 +45,12 @@ _LOSS_COLUMNS = {
     "l_geo_db": "geometrical_db",
     "l_poi_db": "pointing_db",
     "l_opt_db": "optical_db",
+}
+# A sweep CSV's columns after the grid's "variable": CSV column -> budget column.
+_SWEEP_COLUMNS = {
+    "data_rate_bps": "data_rate_bps",
+    "link_margin_db": "link_margin_db",
+    **{name: _LOSS_COLUMNS[name] for name in ("l_fog_db", "l_rain_db", "l_cloud_db", "l_sci_db", "l_geo_db")},
 }
 
 
@@ -150,14 +157,6 @@ def _finish(config: RunConfig, summary: str, code: int = EXIT_OK) -> int:
     return code
 
 
-def _loss_cells(breakdown: LossBreakdown, names: Iterable[str] = _LOSS_COLUMNS) -> dict:
-    """{column: the breakdown's entry} for the named l_*_db columns.
-
-    The entries are floats for one evaluation, arrays for a sweep's columns.
-    """
-    return {name: getattr(breakdown, _LOSS_COLUMNS[name]) for name in names}
-
-
 def _first_evaluation(config: RunConfig) -> tuple[str, LinkBudgetResult]:
     """The first configured scenario's label and its link at the configured geometry."""
     label = config.scenario_names[0]
@@ -199,7 +198,7 @@ def cmd_evaluate(config: RunConfig) -> int:
         "data_rate_bps": result.data_rate_bps,
         "link_margin_db": result.link_margin_db,
         "received_power_w": result.received_power_w,
-        **_loss_cells(result.loss_breakdown),
+        **{name: getattr(result.loss_breakdown, field) for name, field in _LOSS_COLUMNS.items()},
         "link_viable": result.link_viable,
     }
     _write_csv(_bundle_path(config, "evaluate.csv"), _table([row]))
@@ -244,16 +243,7 @@ def cmd_sweep(config: RunConfig) -> int:
                 field, block, scenario, config.transceiver, geometry, config.target_rate_bps
             )
             # Float64 arrays over the block; failed rows are NaN.
-            c = _from_per_point(columns, config.target_rate_bps)
-            table = {
-                "variable": block,
-                "data_rate_bps": c.data_rate_bps,
-                "link_margin_db": c.link_margin_db,
-                **_loss_cells(
-                    c.loss_breakdown,
-                    ("l_fog_db", "l_rain_db", "l_cloud_db", "l_sci_db", "l_geo_db"),
-                ),
-            }
+            table = {"variable": block, **{name: columns[key] for name, key in _SWEEP_COLUMNS.items()}}
             cells = [
                 _reused_or_formatted(column, index, reuse)
                 for index, column in enumerate(table.values())

@@ -55,7 +55,6 @@ _DOMAIN = {
     "divergence_rad": (0.0, math.pi),
     "receiver_radius_m": (1e-6, 1e6),
     "path_length_m": (0.0, 1e11),  # 1e6 m at the least elevation is ~1e10 m
-    "fraction": (0.0, 1.0),
     "visibility_km": (1e-6, 1e12),
     "visibility_m": (1e-3, 1e15),  # / 1000 maps it onto visibility_km's
     "layer_thickness_m": (0.0, 1e6),
@@ -102,8 +101,13 @@ _RULES = {
         "cn2", "link_rate_bps", "years", *_PRICES, "modules_per_hub", "population",
         "spectrum_mhz", "routing_factor", "nlos_fraction", "nlos_hop_count", "n_platforms",
         "flight_hours_per_year",
+        # A budget's results: each loss, the received power and the rate.
+        "fog_db", "rain_db", "cloud_db", "scintillation_db", "geometrical_db", "pointing_db",
+        "optical_db", "received_power_w", "data_rate_bps",
     ), "non-negative"),
 }
+# The names that may also hold -inf: the margin of a link whose rate underflows to 0.
+_SENTINEL_MINUS_INF = ("link_margin_db",)
 _DOUBLES = (-_FLOAT_MAX, _FLOAT_MAX)
 _bounds = _DOMAIN.get  # looked up once, not on each of _require's many calls
 
@@ -128,15 +132,18 @@ def _interval(name: str) -> str:
 
 def _require(name: str, value):
     """The one check of a number: value, or a ValueError naming `name` if value is not a
-    real number (or is a bool), is NaN or infinite, breaks name's rule in _RULES or leaves
-    its range in _DOMAIN, checked in that order. Bounded by the largest double, not inf, so
-    a Python int beyond the float range counts as infinite."""
+    real number (or is a bool), is NaN or infinite (but the -inf of a name in
+    _SENTINEL_MINUS_INF), breaks name's rule in _RULES or leaves its range in _DOMAIN, checked
+    in that order. Bounded by the largest double, not inf, so a Python int beyond the float
+    range counts as infinite."""
     low, high = _bounds(name, _DOUBLES)
     if isinstance(value, float) and 0 < value and low <= value <= high:  # the common case
         return value
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        if value == -math.inf and name in _SENTINEL_MINUS_INF:
+            return value
         raise ValueError(f"{name} must be finite, got {_shown(value)}")
     rule = _RULES.get(name)
     if (rule == "positive" and value <= 0) or (rule == "non-negative" and value < 0):
@@ -254,12 +261,7 @@ def _capture_fraction(receiver_radius_m: float, divergence_rad, path_m, xp):
 
 def geometrical_loss(geometry: LinkGeometry) -> float:
     """Beam-spread loss in dB, -10*log10(capture fraction); 0 dB when capped."""
-    return capture_loss_db(geometrical_capture_fraction(geometry))
-
-
-def capture_loss_db(fraction: float) -> float:
-    """Loss in dB of a capture fraction in [0, 1]: -10*log10(fraction), inf at 0."""
-    return _capture_loss_db(_require("fraction", fraction), _SCALAR_MATH)
+    return _capture_loss_db(geometrical_capture_fraction(geometry), _SCALAR_MATH)
 
 
 def _capture_loss_db(fraction, xp):

@@ -52,8 +52,9 @@ class TransceiverParams(_Checked):
 
 
 @dataclass(frozen=True)
-class LossBreakdown:
-    """Every loss mechanism of one evaluation, in positive dB."""
+class LossBreakdown(_Checked):
+    """Every loss mechanism of one evaluation, in positive dB: each a finite,
+    non-negative number."""
 
     fog_db: float
     rain_db: float
@@ -65,17 +66,23 @@ class LossBreakdown:
 
     @property
     def atmospheric_db(self) -> float:
-        return self.fog_db + self.rain_db + self.cloud_db + self.scintillation_db
+        return _atmospheric_db(self.fog_db, self.rain_db, self.cloud_db, self.scintillation_db)
 
     @property
     def total_db(self) -> float:
         return self.atmospheric_db + self.geometrical_db + self.pointing_db + self.optical_db
 
 
+def _atmospheric_db(fog_db, rain_db, cloud_db, scintillation_db):
+    return fog_db + rain_db + cloud_db + scintillation_db
+
+
 @dataclass(frozen=True)
-class LinkBudgetResult:
+class LinkBudgetResult(_Checked):
     """Outcome of one link evaluation.
 
+    The power and rate are finite and non-negative; the margin is any float
+    but NaN and +inf, -inf being the sentinel of a rate that underflows to 0.
     link_viable is False when the margin is negative (achieved rate below
     the target); the margin itself is kept unclamped so failure depth stays
     visible.
@@ -92,17 +99,11 @@ class LinkBudgetResult:
         return self.link_margin_db >= 0.0
 
 
-def _per_point(result: LinkBudgetResult) -> tuple:
-    """The ten numbers of a result that vary over a grid: seven losses, power, rate, margin."""
-    b = result.loss_breakdown
-    losses = (getattr(b, f.name) for f in fields(LossBreakdown))
-    return (*losses, result.received_power_w, result.data_rate_bps, result.link_margin_db)
-
-
-def _from_per_point(numbers, target_rate_bps: float) -> LinkBudgetResult:
-    """The result whose _per_point is `numbers`, at target_rate_bps."""
-    *losses, power_w, rate_bps, margin_db = numbers
-    return LinkBudgetResult(LossBreakdown(*losses), power_w, rate_bps, margin_db, target_rate_bps)
+# The ten numbers of a budget, in the order _budget returns them: the seven
+# LossBreakdown fields, then the received power, the rate and the margin.
+_BUDGET_COLUMNS = (
+    *(f.name for f in fields(LossBreakdown)), "received_power_w", "data_rate_bps", "link_margin_db"
+)
 
 
 def photon_energy(wavelength_nm: float) -> float:
@@ -171,23 +172,26 @@ def evaluate_link(
     through the capture fraction).
     """
     altitude_m, divergence_rad = geometry.nfp_altitude_m, geometry.divergence_rad
-    return _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad, _SCALAR_MATH)
+    *losses, power_w, rate_bps, margin_db = _budget(
+        tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad, _SCALAR_MATH
+    )
+    return LinkBudgetResult(LossBreakdown(*losses), power_w, rate_bps, margin_db, target_rate_bps)
 
 
-def _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad, xp):
-    """The budget at altitude(s) altitude_m and divergence(s) divergence_rad,
-    the rest of `geometry` fixed, in math namespace xp: numpy for a sweep's
-    grid (scenario.run_sweep), geometry._SCALAR_MATH for one point."""
+def _budget(tx, geometry, scenario, target_rate_bps, altitude_m, divergence_rad, xp) -> tuple:
+    """The budget's ten numbers, in _BUDGET_COLUMNS' order, at altitude(s)
+    altitude_m and divergence(s) divergence_rad, the rest of `geometry` fixed,
+    in math namespace xp: geometry._SCALAR_MATH for one point (floats), numpy
+    for a sweep's grid (scenario._sweep_columns: arrays over the grid, or
+    floats for a term the grid leaves constant)."""
     sine, wavelength = math.sin(math.radians(geometry.elevation_deg)), tx.wavelength_nm
     path_m = altitude_m / sine
     fraction = _capture_fraction(geometry.receiver_radius_m, divergence_rad, path_m, xp)
-    losses = LossBreakdown(
-        *_atmospheric_terms(scenario, altitude_m, 1.0 / sine, wavelength, path_m, xp),
-        geometrical_db=_capture_loss_db(fraction, xp),
-        pointing_db=tx.pointing_loss_db,
-        optical_db=tx.optical_loss_db,
-    )
-    power_w = _received_power(tx, losses.atmospheric_db, fraction)
+    weather = _atmospheric_terms(scenario, altitude_m, 1.0 / sine, wavelength, path_m, xp)
+    power_w = _received_power(tx, _atmospheric_db(*weather), fraction)
     rate_bps = power_w / (photon_energy(wavelength) * tx.receiver_sensitivity_photons_per_bit)
     margin_db = _margin_db(rate_bps, target_rate_bps, xp)
-    return LinkBudgetResult(losses, power_w, rate_bps, margin_db, target_rate_bps)
+    return (
+        *weather, _capture_loss_db(fraction, xp), tx.pointing_loss_db, tx.optical_loss_db,
+        power_w, rate_bps, margin_db,
+    )

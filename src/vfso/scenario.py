@@ -13,7 +13,6 @@ one row per grid point; they are deterministic and rows are independent.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,14 +25,7 @@ from .atmosphere import (
     WeatherScenario,
 )
 from .geometry import LinkGeometry, _require, _require_bounds, _valid_entries
-from .link_budget import (
-    DEFAULT_TARGET_RATE_BPS,
-    LinkBudgetResult,
-    TransceiverParams,
-    _budget,
-    _from_per_point,
-    _per_point,
-)
+from .link_budget import _BUDGET_COLUMNS, DEFAULT_TARGET_RATE_BPS, TransceiverParams, _budget
 
 # Altitude range the simulations sweep by default, in meters.
 ALTITUDE_SWEEP_BOUNDS_M = (1000.0, 20000.0)
@@ -159,46 +151,30 @@ DEFAULT_SWEEP = SweepSpec(
 )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point: the variable value plus either a result or an error."""
-
-    value: float
-    result: Optional[LinkBudgetResult] = None
-    error: Optional[str] = None
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """One sweep, held as columns over the grid.
 
     values: the grid, one entry per row. columns: the link budget of every
-    row, a LinkBudgetResult whose fields are arrays over the grid (NaN on
-    failed rows), target_rate_bps aside. errors: the message of
-    each failed row, None elsewhere. rows presents the same data as one
-    SweepRow per grid point. Equality compares the columns bit for bit, so
-    a NaN equals itself and -0.0 differs from 0.0.
+    row, {name: float64 array over the grid} for each of the ten names of
+    link_budget._BUDGET_COLUMNS (the seven LossBreakdown fields, then
+    received_power_w, data_rate_bps and link_margin_db), NaN on failed rows.
+    errors: the message of each failed row, None elsewhere. target_rate_bps:
+    the rate the margins are taken against. Equality compares the arrays bit
+    for bit, so a NaN equals itself and -0.0 differs from 0.0.
     """
 
     spec: SweepSpec
     scenario_label: str
     values: np.ndarray
-    columns: LinkBudgetResult
+    columns: dict[str, np.ndarray]
     errors: tuple[Optional[str], ...]
-
-    @cached_property
-    def rows(self) -> tuple[SweepRow, ...]:
-        target = self.columns.target_rate_bps
-        columns = (c.tolist() for c in _per_point(self.columns))
-        return tuple(
-            SweepRow(value, _from_per_point(numbers, target) if error is None else None, error)
-            for value, error, *numbers in zip(self.values.tolist(), self.errors, *columns)
-        )
+    target_rate_bps: float
 
     def _key(self) -> tuple:
-        arrays = (self.values, *_per_point(self.columns))
-        target = self.columns.target_rate_bps
-        return (self.spec, self.scenario_label, self.errors, target, *(a.tobytes() for a in arrays))
+        columns = {name: column.tobytes() for name, column in self.columns.items()}
+        target = self.target_rate_bps
+        return (self.spec, self.scenario_label, self.errors, target, self.values.tobytes(), columns)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SweepResult):
@@ -219,18 +195,16 @@ def run_sweep(
     formulas, each invalid point (not finite, not positive, or outside the
     model's domain) standing in at the geometry's own value. Such a point is
     recorded as a row-level error carrying LinkGeometry's own message, which
-    names the rule or bound it breaks, instead of aborting the sweep; its
-    columns are NaN. Every other row agrees with evaluate_link at its point to
-    within the rounding of numpy's vectorised exp/log/pow (tests hold it to
-    1e-12). Identical inputs produce identical results.
+    names the rule or bound it breaks, instead of aborting the sweep; it is
+    NaN in every column. Every other row agrees with evaluate_link at its
+    point to within the rounding of numpy's vectorised exp/log/pow (tests
+    hold it to 1e-12). Identical inputs produce identical results.
     """
     values = np.array(spec.grid())
     columns, errors = _sweep_columns(
         _SWEPT_FIELD[spec.variable], values, scenario, tx, geometry, target_rate_bps
     )
-    return SweepResult(
-        spec, scenario.label, values, _from_per_point(columns, target_rate_bps), tuple(errors)
-    )
+    return SweepResult(spec, scenario.label, values, columns, tuple(errors), target_rate_bps)
 
 
 def _sweep_columns(
@@ -240,9 +214,10 @@ def _sweep_columns(
     tx: TransceiverParams,
     geometry: LinkGeometry,
     target_rate_bps: float,
-) -> tuple[list, list[Optional[str]]]:
+) -> tuple[dict[str, np.ndarray], list[Optional[str]]]:
     """run_sweep's body over any float64 values of the swept LinkGeometry field:
-    the ten _per_point columns (NaN on failed rows) and each row's error
+    {name: float64 array over values} for each of _budget's ten numbers, by
+    its name in _BUDGET_COLUMNS (NaN on failed rows), and each row's error
     message, None where the row is valid. Rows are independent, so the CLI
     evaluates a grid block by block and writes the same bits as one pass."""
     valid = _valid_entries(field, values)  # LinkGeometry's rule for the swept field
@@ -257,6 +232,6 @@ def _sweep_columns(
     divergence = parked if field == "divergence_rad" else geometry.divergence_rad
     # A rate that underflows to 0 has log10 -inf: the margin sentinel, as in evaluate_link.
     with np.errstate(divide="ignore"):
-        grid = _budget(tx, geometry, scenario, target_rate_bps, altitude, divergence, np)
-    columns = [np.where(valid, column, np.nan) for column in _per_point(grid)]
+        budget = _budget(tx, geometry, scenario, target_rate_bps, altitude, divergence, np)
+    columns = {name: np.where(valid, number, np.nan) for name, number in zip(_BUDGET_COLUMNS, budget)}
     return columns, errors

@@ -1,6 +1,6 @@
 """Golden reference data and test helpers shared by the unit and acceptance suites."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from vfso.scenario import SweepSpec
 
@@ -30,3 +30,20 @@ class FixedGrid(SweepSpec):
 
     def grid(self) -> list[float]:
         return list(self.values)
+
+
+def budget(result) -> dict:
+    """The ten numbers of a LinkBudgetResult under the names of a sweep's columns:
+    the seven losses, then the received power, the rate and the margin."""
+    b = result.loss_breakdown
+    return {
+        **{f.name: getattr(b, f.name) for f in fields(b)},
+        "received_power_w": result.received_power_w,
+        "data_rate_bps": result.data_rate_bps,
+        "link_margin_db": result.link_margin_db,
+    }
+
+
+def sweep_row(sweep, i: int) -> dict:
+    """Row i of a SweepResult: {column name: float}."""
+    return {name: column[i].item() for name, column in sweep.columns.items()}

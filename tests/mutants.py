@@ -55,6 +55,8 @@ MUTANTS = [
      "a range that opens at 0 is shown closed"),
     ("geometry.py", "if not -_FLOAT_MAX <= value <= _FLOAT_MAX:", "if value != value:",
      "an infinite value is judged by its rule or range, not as infinite"),
+    ("geometry.py", "if value == -math.inf and name in _SENTINEL_MINUS_INF:",
+     "if value != math.inf and name in _SENTINEL_MINUS_INF:", "a result takes a NaN margin"),
     ("geometry.py", "    digits += (magnitude >= 10**digits) - (magnitude < 10 ** (digits - 1))\n", "",
      "a huge int's digit count is off where log10 rounds across a power of 10"),
     ("geometry.py", 'values > 0.0 if rule == "positive"', 'values >= 0.0 if rule == "positive"',
@@ -76,8 +78,10 @@ MUTANTS = [
      "the pointing loss counts half its dB"),
     ("link_budget.py", "* 10.0 ** (-tx.optical_loss_db / 10.0)", "* 10.0 ** (-tx.optical_loss_db / 20.0)",
      "the optical loss counts half its dB"),
-    ("link_budget.py", "optical_db=tx.optical_loss_db,", "optical_db=tx.pointing_loss_db,",
+    ("link_budget.py", "tx.pointing_loss_db, tx.optical_loss_db,", "tx.pointing_loss_db, tx.pointing_loss_db,",
      "the breakdown reports the pointing loss as the optical one"),
+    ("link_budget.py", "*losses, power_w, rate_bps, margin_db = _budget(",
+     "*losses, rate_bps, power_w, margin_db = _budget(", "evaluate_link swaps the received power and the rate"),
     # hetnet_cost: the tiled nearest-hub search and the costings.
     ("hetnet_cost.py", "far_x = max(macro_x[p] - x0, x1 - macro_x[p])\n    far_y = max(macro_y[p] - y0, y1 - macro_y[p])",
      "far_x = min(macro_x[p] - x0, x1 - macro_x[p])\n    far_y = min(macro_y[p] - y0, y1 - macro_y[p])",
@@ -105,8 +109,8 @@ MUTANTS = [
     # scenario and config: presets, readers and the echo.
     ("scenario.py", '"cloud_and_fog": ("fog", "clouds"),', '"cloud_and_fog": ("fog",),',
      "cloud_and_fog has no clouds"),
-    ("scenario.py", "columns = [np.where(valid, column, np.nan) for column in _per_point(grid)]",
-     "columns = list(_per_point(grid))", "a sweep's failed rows keep the parked point's numbers"),
+    ("scenario.py", "np.where(valid, number, np.nan)", "np.where(valid, number, number)",
+     "a sweep's failed rows keep the parked point's numbers"),
     ("scenario.py", 'with np.errstate(divide="ignore"):', "with np.errstate():",
      "_sweep_columns warns on the -inf margin of a rate that underflows to 0"),
     ("config.py", "return [self.scenario(name) for name in self.scenario_names]",
@@ -148,6 +152,9 @@ MUTANTS = [
      "the reuse key drops the column"),
     ("cli.py", "_reused_or_formatted(column, index, reuse)", "_reused_or_formatted(column, (index, start), reuse)",
      "the reuse map holds every block's cells, not one block's"),
+    ("cli.py", '"data_rate_bps": "data_rate_bps",\n    "link_margin_db": "link_margin_db",',
+     '"data_rate_bps": "link_margin_db",\n    "link_margin_db": "data_rate_bps",',
+     "a sweep CSV writes the margin under the rate's header and the rate under the margin's"),
     # cli: the sweep's stream of blocks.
     ("cli.py", "failures += [(block[i].item(), error)", "failures += [(values[i].item(), error)",
      "a failed row's warning reads its value from the whole grid, not from its block"),

@@ -198,13 +198,13 @@ def test_criterion_9_byte_identical_reruns(tmp_path, capsys):
     ]
     assert main(list(argv)) == 0
     first = {
-        name: open(os.path.join(outdir, name), "rb").read()
+        name: (tmp_path / "bundle" / name).read_bytes()
         for name in sorted(os.listdir(outdir))
     }
     assert any(name.endswith(".csv") for name in first)
     assert main(list(argv)) == 0
     second = {
-        name: open(os.path.join(outdir, name), "rb").read()
+        name: (tmp_path / "bundle" / name).read_bytes()
         for name in sorted(os.listdir(outdir))
     }
     assert first == second

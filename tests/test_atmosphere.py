@@ -270,7 +270,7 @@ def cloud_db(layers, altitude_m):
     scenario = WeatherScenario("clouds", clouds=layers)
     got = evaluate_link(tx, replace(geometry, nfp_altitude_m=altitude_m), scenario).loss_breakdown.cloud_db
     sweep = run_sweep(FixedGrid("altitude", 1.0, 2.0, 2, values=(altitude_m,) * 2), scenario, tx, geometry)
-    assert sweep.columns.loss_breakdown.cloud_db.tolist() == [got] * 2
+    assert sweep.columns["cloud_db"].tolist() == [got] * 2
     return got
 
 
@@ -302,9 +302,9 @@ class TestCloudAttenuation:
         tx, geometry, _ = default_parameters()
         spec = FixedGrid("altitude", 1.0, 2.0, 4, values=(500.0, 1000.0, 1024.0, 20000.0))
         grid = run_sweep(spec, scenario, tx, geometry).columns
-        assert grid.loss_breakdown.cloud_db[:2].tolist() == [0.0, 0.0]
-        assert np.isfinite(grid.loss_breakdown.cloud_db).all()
-        assert grid.link_margin_db[2:].tolist() == [-math.inf, -math.inf]
+        assert grid["cloud_db"][:2].tolist() == [0.0, 0.0]
+        assert np.isfinite(grid["cloud_db"]).all()
+        assert grid["link_margin_db"][2:].tolist() == [-math.inf, -math.inf]
         with pytest.raises(ValueError, match=beyond("lwc_g_per_m3", "[1e-09, 1000]", 1e300)):
             CloudLayer(1000.0, 48.0, 1e300, 1e300)
 

@@ -28,7 +28,7 @@ from vfso.atmosphere import (
     scintillation_loss,
 )
 from vfso.config import CostConfig, RunConfig, config_from_mapping, parse_overrides
-from vfso.geometry import _DOMAIN, _RULES, capture_loss_db
+from vfso.geometry import _DOMAIN, _RULES
 from vfso.hetnet_cost import (
     DEFAULT_AREA,
     Area,
@@ -42,7 +42,7 @@ from vfso.hetnet_cost import (
     generate_layout,
 )
 from vfso.link_budget import (
-    _per_point,
+    LinkBudgetResult,
     evaluate_link,
     link_margin,
     photon_energy,
@@ -63,6 +63,8 @@ from test_config import KEYS
 
 TRANSCEIVER, GEOMETRY, _ = default_parameters()
 CLOUD = DEFAULT_CLOUD_PROFILE[0]
+RESULT = evaluate_link(TRANSCEIVER, GEOMETRY, preset("cloud_and_fog"))
+LOSSES = RESULT.loss_breakdown
 COST_PARAMS = [
     RfNlosCostParams(),
     FiberCostParams(),
@@ -81,6 +83,7 @@ POSITIVE = [
     (CLOUD, "droplet_density_per_cm3"),
     (DEFAULT_TRAFFIC, "busy_rate_bps"),
     (RunConfig(), "target_rate_bps"),
+    (RESULT, "target_rate_bps"),
     (DEFAULT_AREA, "width_m"),
     (DEFAULT_AREA, "height_m"),
     (CostConfig(), "n_macro"),
@@ -100,6 +103,9 @@ NON_NEGATIVE = [
     (RunConfig(), "seed"),
     (CostConfig(), "years"),
     *[(params, f.name) for params in COST_PARAMS for f in fields(params)],
+    *[(LOSSES, f.name) for f in fields(LOSSES)],
+    (RESULT, "received_power_w"),
+    (RESULT, "data_rate_bps"),
 ]
 # Fields with a range but no sign rule, whose 0 lies outside it.
 RANGED = [(GEOMETRY, "elevation_deg", "[0.00572958, 90]"), (DEFAULT_FOG, "visibility_m", "[0.001, 1e+15]")]
@@ -107,6 +113,7 @@ RANGED = [(GEOMETRY, "elevation_deg", "[0.00572958, 90]"), (DEFAULT_FOG, "visibi
 CHECKED = [
     TRANSCEIVER, GEOMETRY, DEFAULT_FOG, DEFAULT_RAIN, CLOUD, DEFAULT_TURBULENCE, DEFAULT_AREA,
     *COST_PARAMS, CostParams(), CostConfig(), RunConfig(), DEFAULT_TRAFFIC, DEFAULT_SWEEP, preset("clear_sky"),
+    LOSSES, RESULT,
 ]
 # Every numeric field of a checked dataclass, bounded or not.
 NUMERIC = [
@@ -154,10 +161,12 @@ CASES = [
         for value in (5, None, True)
     ],
     # Not finite, checked before any rule or range: NaN, +-inf and an int no double holds.
+    # A margin may be -inf, the sentinel of a rate that underflows to 0.
     *[
         (valid, name, value, f"must be finite, got {in_message(value)}")
         for valid, name in NUMERIC
         for value in (math.nan, math.inf, -math.inf, *BEYOND_FLOATS)
+        if value != -math.inf or name != "link_margin_db"
     ],
 ]
 
@@ -179,6 +188,12 @@ def test_each_bound_names_its_field(valid, name, value, rule):
         replace(valid, **{name: value})
 
 
+def test_a_link_that_carries_nothing_is_a_result():
+    # A rate that underflows to 0: zero power and rate, and the -inf margin sentinel.
+    result = LinkBudgetResult(LOSSES, 0.0, 0.0, -math.inf, 3e9)
+    assert result.data_rate_bps == 0.0 and not result.link_viable
+
+
 # A valid call of each public function with a numeric argument.
 LAYOUT = generate_layout(2, 3)
 TCO = compare_tco(LAYOUT)[0].tco
@@ -190,7 +205,6 @@ VALID_CALLS = {
     rain_attenuation: {"rain": DEFAULT_RAIN, "elevation_deg": math.degrees(0.5)},
     refractive_index_structure: {"altitude_m": 1000.0, "turbulence": DEFAULT_TURBULENCE},
     scintillation_loss: {"wavelength_nm": 1550.0, "cn2": 1e-15, "path_length_m": 1e4},
-    capture_loss_db: {"fraction": 0.5},
     photon_energy: {"wavelength_nm": 1550.0},
     received_power: {"tx": TRANSCEIVER, "geometry": GEOMETRY, "atmospheric_loss_db": 3.0},
     link_margin: {"rate_bps": 1e9, "target_rate_bps": 3e9},
@@ -216,7 +230,6 @@ ARGUMENTS = [
     (scintillation_loss, "wavelength_nm", 0.0, "positive"),
     (scintillation_loss, "cn2", -1.0, "non-negative"),
     (scintillation_loss, "path_length_m", 0.0, "positive"),
-    (capture_loss_db, "fraction", 2.0, "in [0, 1]"),
     (photon_energy, "wavelength_nm", 0.0, "positive"),
     (received_power, "atmospheric_loss_db", -1.0, "non-negative"),
     (link_margin, "rate_bps", -1.0, "non-negative"),
@@ -319,6 +332,7 @@ NESTED = {
     (SCENARIO, "fog"): "FogDescriptor",
     (SCENARIO, "rain"): "RainDescriptor",
     (SCENARIO, "turbulence"): "TurbulenceDescriptor",
+    (RESULT, "loss_breakdown"): "LossBreakdown",
 }
 # Every field annotated with a tuple: its items' dataclass, or None for a tuple of numbers
 # or names, whose items CONTAINERS' own rules check.
@@ -403,6 +417,8 @@ def floats_in(result) -> list:
         return [x for f in fields(result) for x in floats_in(getattr(result, f.name))]
     if isinstance(result, (tuple, list)):
         return [x for item in result for x in floats_in(item)]
+    if isinstance(result, dict):
+        return [x for item in result.values() for x in floats_in(item)]
     if isinstance(result, np.ndarray):
         return result.ravel().tolist()
     return [result] if isinstance(result, float) else []
@@ -450,14 +466,13 @@ RANGES = {
     "receiver_sensitivity_photons_per_bit": ("[0.001, 1e+06]", [TRANSCEIVER]),
     "target_rate_bps": (
         "[1, 1e+12]",
-        [RunConfig(), link_margin, evaluate_link, run_sweep],
+        [RunConfig(), RESULT, link_margin, evaluate_link, run_sweep],
     ),
     "nfp_altitude_m": ("(0, 1e+06]", [GEOMETRY]),
     "elevation_deg": ("[0.00572958, 90]", [GEOMETRY, fog_attenuation, rain_attenuation]),
     "divergence_rad": ("(0, pi]", [GEOMETRY]),
     "receiver_radius_m": ("[1e-06, 1e+06]", [GEOMETRY]),
     "path_length_m": ("(0, 1e+11]", [scintillation_loss]),
-    "fraction": ("[0, 1]", [capture_loss_db]),
     "visibility_km": ("[1e-06, 1e+12]", [kruse_size_exponent, mie_specific_attenuation]),
     "visibility_m": ("[0.001, 1e+15]", [DEFAULT_FOG]),
     "layer_thickness_m": ("[0, 1e+06]", [DEFAULT_FOG, DEFAULT_RAIN]),
@@ -592,8 +607,9 @@ def test_a_sweep_masks_each_value_as_the_field_check_does(variable, name, value,
     spec = FixedGrid(variable, 1.0, 2.0, 2, values=(value, getattr(GEOMETRY, name)))
     sweep = run_sweep(spec, **LINK)
     assert sweep.errors == (message, None)
-    for column in _per_point(sweep.columns):
-        assert np.isfinite(column[1]) and np.isfinite(column[0]) == (rule is None)
+    assert len(sweep.columns) == 10
+    for column in sweep.columns.values():
+        assert np.isfinite(column[1]) and (np.isfinite(column[0]) if rule is None else np.isnan(column[0]))
 
 
 def test_the_fields_ranges_convert_onto_the_formula_arguments_ranges():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,10 @@ from vfso.config import load_config
 from vfso.hetnet_cost import generate_layout
 from vfso.scenario import run_sweep
 
+# The sweep columns a sweep CSV holds after its "variable", in file order.
+SWEEP_COLUMNS = (
+    "data_rate_bps", "link_margin_db", "fog_db", "rain_db", "cloud_db", "scintillation_db", "geometrical_db"
+)
 
 def run(tmp_path, *argv):
     outdir = str(tmp_path / "out")
@@ -182,8 +187,8 @@ class TestCost:
     def test_seed_changes_layout_but_not_ordering(self, tmp_path):
         _, outdir1 = run(tmp_path / "a", "cost", "--set=seed=1")
         _, outdir2 = run(tmp_path / "b", "cost", "--set=seed=2")
-        layout1 = open(os.path.join(outdir1, "layout.csv")).read()
-        layout2 = open(os.path.join(outdir2, "layout.csv")).read()
+        layout1 = Path(outdir1, "layout.csv").read_text()
+        layout2 = Path(outdir2, "layout.csv").read_text()
         assert layout1 != layout2
         order1 = [r["technology"] for r in read_csv(os.path.join(outdir1, "cost_summary.csv"))]
         order2 = [r["technology"] for r in read_csv(os.path.join(outdir2, "cost_summary.csv"))]
@@ -540,11 +545,7 @@ class TestColumnWriter:
             sweep = run_sweep(
                 config.sweep, scenario, config.transceiver, config.geometry, config.target_rate_bps
             )
-            c, b = sweep.columns, sweep.columns.loss_breakdown
-            columns = (
-                sweep.values, c.data_rate_bps, c.link_margin_db,
-                b.fog_db, b.rain_db, b.cloud_db, b.scintillation_db, b.geometrical_db,
-            )
+            columns = (sweep.values, *(sweep.columns[name] for name in SWEEP_COLUMNS))
             header = [
                 "variable", "data_rate_bps", "link_margin_db",
                 "l_fog_db", "l_rain_db", "l_cloud_db", "l_sci_db", "l_geo_db",
@@ -663,11 +664,7 @@ class TestColumnWriter:
                     config.sweep, scenario, config.transceiver, geometry, config.target_rate_bps
                 )
                 name = f"sweep_{scenario.label}_{tag}.csv"
-                c, b = sweep.columns, sweep.columns.loss_breakdown
-                columns = (
-                    sweep.values, c.data_rate_bps, c.link_margin_db,
-                    b.fog_db, b.rain_db, b.cloud_db, b.scintillation_db, b.geometrical_db,
-                )
+                columns = (sweep.values, *(sweep.columns[name] for name in SWEEP_COLUMNS))
                 whole = tmp_path / "whole.csv"
                 cli._write_csv(str(whole), dict(zip(header, columns)))
                 with open(os.path.join(outdir, name), "rb") as handle:

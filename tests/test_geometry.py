@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from vfso.geometry import (
     LinkGeometry,
-    capture_loss_db,
     geometrical_capture_fraction,
     geometrical_loss,
     slant_path,
@@ -86,9 +85,9 @@ class TestGeometricalLoss:
             10.969100130080566, rel=1e-12
         )
 
-    def test_nothing_captured_is_an_infinite_loss(self):
-        assert capture_loss_db(0.0) == math.inf
-        # No geometry of the domain gets there: its widest beam loses ~324 dB.
+    def test_the_widest_beam_of_the_domain_is_a_finite_loss(self):
+        # Nothing captured would be an infinite loss; no geometry of the domain gets
+        # there: its widest beam loses ~324 dB.
         widest = geom(h=1e6, elevation=math.degrees(1e-4), theta=math.pi, r=1e-6)
         assert geometrical_loss(widest) == pytest.approx(323.9, abs=0.1)
 

@@ -51,6 +51,8 @@ from vfso.hetnet_cost import FiberCostParams, RfNlosCostParams, TerrestrialFsoCo
 from vfso.link_budget import LIGHT_SPEED_M_PER_S, PLANCK_J_S, LossBreakdown, evaluate_link
 from vfso.scenario import PRESET_NAMES, run_sweep
 
+from golden import budget, sweep_row
+
 REL = 1e-9
 ABS_DB = 1e-9
 SMALLEST_NORMAL = sys.float_info.min
@@ -146,13 +148,10 @@ def oracle(tx, geometry, scenario, target_rate_bps) -> dict:
 LOSSES = [f.name for f in fields(LossBreakdown)]
 
 
-def assert_within_the_oracle(result, want: dict) -> None:
-    got = {name: getattr(result.loss_breakdown, name) for name in LOSSES}
-    got.update(
-        received_power_w=result.received_power_w,
-        data_rate_bps=result.data_rate_bps,
-        link_margin_db=result.link_margin_db,
-    )
+def assert_within_the_oracle(got: dict, want: dict) -> None:
+    """got, the ten numbers of one point by name (golden.budget, golden.sweep_row), against
+    the oracle's."""
+    assert list(got) == [*LOSSES, "received_power_w", "data_rate_bps", "link_margin_db"], got
     assert not any(math.isnan(value) for value in got.values()), got
     for name in LOSSES:
         assert 0.0 <= got[name] < math.inf, (name, got[name])
@@ -397,14 +396,16 @@ def test_every_config_is_rejected_naming_a_bound_or_answered_within_the_oracle(d
     field = {"altitude": "nfp_altitude_m", "divergence": "divergence_rad"}[config.sweep.variable]
     for scenario in config.scenarios():
         point = evaluate_link(tx, config.geometry, scenario, target)
-        assert_within_the_oracle(point, oracle(tx, config.geometry, scenario, target))
+        assert_within_the_oracle(budget(point), oracle(tx, config.geometry, scenario, target))
         sweep = run_sweep(config.sweep, scenario, tx, config.geometry, target)
-        for row in sweep.rows:
-            if row.error is not None:
-                assert NAMED_BOUND.search(row.error), row.error
+        for i, (value, error) in enumerate(zip(sweep.values.tolist(), sweep.errors, strict=True)):
+            row = sweep_row(sweep, i)
+            if error is not None:
+                assert NAMED_BOUND.search(error), error
+                assert all(math.isnan(x) for x in row.values()), (value, row)
                 continue
-            geometry = replace(config.geometry, **{field: row.value})
-            assert_within_the_oracle(row.result, oracle(tx, geometry, scenario, target))
+            geometry = replace(config.geometry, **{field: value})
+            assert_within_the_oracle(row, oracle(tx, geometry, scenario, target))
 
 
 # --- every command on every config ----------------------------------------------------
@@ -453,11 +454,11 @@ def sweep_tables(config) -> list:
     for suffix, geometry in variants:
         for scenario in config.scenarios():
             sweep = run_sweep(config.sweep, scenario, config.transceiver, geometry, config.target_rate_bps)
-            c, b = sweep.columns, sweep.columns.loss_breakdown
+            c = sweep.columns
             table = {
-                "variable": sweep.values, "data_rate_bps": c.data_rate_bps, "link_margin_db": c.link_margin_db,
-                "l_fog_db": b.fog_db, "l_rain_db": b.rain_db, "l_cloud_db": b.cloud_db,
-                "l_sci_db": b.scintillation_db, "l_geo_db": b.geometrical_db,
+                "variable": sweep.values, "data_rate_bps": c["data_rate_bps"], "link_margin_db": c["link_margin_db"],
+                "l_fog_db": c["fog_db"], "l_rain_db": c["rain_db"], "l_cloud_db": c["cloud_db"],
+                "l_sci_db": c["scintillation_db"], "l_geo_db": c["geometrical_db"],
             }
             tables.append((f"sweep_{scenario.label}{suffix}.csv", table))
     return tables

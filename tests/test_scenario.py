@@ -16,9 +16,9 @@ from vfso.scenario import (
     run_sweep,
 )
 from vfso.atmosphere import CloudLayer, FogDescriptor, WeatherScenario
-from vfso.link_budget import evaluate_link
+from vfso.link_budget import LossBreakdown, evaluate_link
 
-from golden import FixedGrid
+from golden import FixedGrid, budget, sweep_row
 
 TX, GEOMETRY, TURB = default_parameters()
 SWEPT_FIELD = {"altitude": "nfp_altitude_m", "divergence": "divergence_rad"}
@@ -130,14 +130,16 @@ class TestRunSweep:
     def test_altitude_sweep_rate_decreases(self):
         spec = SweepSpec(variable="altitude", start=1000.0, stop=20000.0, points=40)
         result = run_sweep(spec, preset("clear_sky"), TX, GEOMETRY)
-        rates = [row.result.data_rate_bps for row in result.rows]
+        assert result.errors == (None,) * 40
+        rates = result.columns["data_rate_bps"].tolist()
         assert len(rates) == 40
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_divergence_sweep_rate_increases_as_beam_narrows(self):
         spec = SweepSpec(variable="divergence", start=1e-6, stop=1e-3, points=4, scale="log")
         result = run_sweep(spec, preset("cloud_and_fog"), TX, GEOMETRY)
-        rates = [row.result.data_rate_bps for row in result.rows]
+        assert result.errors == (None,) * 4
+        rates = result.columns["data_rate_bps"].tolist()
         assert all(a >= b for a, b in zip(rates, rates[1:]))  # theta ascending, rate falling
 
     @pytest.mark.parametrize("variable", SWEPT_FIELD)
@@ -145,16 +147,17 @@ class TestRunSweep:
         value = getattr(GEOMETRY, SWEPT_FIELD[variable])
         spec = FixedGrid(variable, 1.0, 2.0, 2, values=(value, 2.0 * value))
         sweep = run_sweep(spec, WeatherScenario("none"), TX, GEOMETRY)
-        for column in budget_numbers(sweep.columns)[:-1]:
-            assert type(column) is np.ndarray and column.shape == (2,)
-        assert sweep.columns.loss_breakdown.cloud_db.tolist() == [0.0, 0.0]
-        assert sweep.columns.loss_breakdown.scintillation_db.tolist() == [0.0, 0.0]
+        assert list(sweep.columns) == BUDGET
+        for column in sweep.columns.values():
+            assert type(column) is np.ndarray and column.dtype == np.float64 and column.shape == (2,)
+        assert sweep.columns["cloud_db"].tolist() == [0.0, 0.0]
+        assert sweep.columns["scintillation_db"].tolist() == [0.0, 0.0]
 
     def test_scenario_label_is_recorded(self):
         spec = SweepSpec(variable="altitude", start=1000.0, stop=2000.0, points=2)
         result = run_sweep(spec, preset("fog_dense"), TX, GEOMETRY)
         assert result.scenario_label == "fog_dense"
-        assert all(row.error is None for row in result.rows)
+        assert result.errors == (None, None)
 
 
 def per_point_reference(spec, scenario, tx, geometry):
@@ -170,14 +173,26 @@ def per_point_reference(spec, scenario, tx, geometry):
     return rows
 
 
-def budget_numbers(result):
-    b = result.loss_breakdown
-    return [getattr(b, f.name) for f in fields(b)] + [
-        result.received_power_w,
-        result.data_rate_bps,
-        result.link_margin_db,
-        result.target_rate_bps,
-    ]
+# The ten columns of a sweep, in order: the seven LossBreakdown fields, then
+# the received power, the rate and the margin.
+BUDGET = [*(f.name for f in fields(LossBreakdown)), "received_power_w", "data_rate_bps", "link_margin_db"]
+
+
+def assert_rows_match(sweep, reference) -> None:
+    """Each row of the sweep against per_point_reference's: the same error; where
+    that is one, NaN in all ten columns, else each column within 1e-12 of
+    evaluate_link at the row's point, the same verdict and the same target."""
+    assert sweep.errors == tuple(error for _, _, error in reference)
+    assert list(sweep.columns) == BUDGET
+    for i, (value, result, error) in enumerate(reference):
+        row = sweep_row(sweep, i)
+        if result is None:
+            assert all(math.isnan(x) for x in row.values()), (value, row)
+            continue
+        assert (row["link_margin_db"] >= 0.0) == result.link_viable
+        assert sweep.target_rate_bps == result.target_rate_bps
+        for name, want in budget(result).items():
+            assert math.isclose(row[name], want, rel_tol=1e-12), (value, name, row[name], want)
 
 
 class TestSweepMatchesPerPointEvaluation:
@@ -219,16 +234,8 @@ class TestSweepMatchesPerPointEvaluation:
         scenario = self.SCENARIOS[name]
         sweep = run_sweep(spec, scenario, TX, GEOMETRY)
         reference = per_point_reference(spec, scenario, TX, GEOMETRY)
-        assert len(sweep.rows) == len(reference)
-        for row, (value, result, error) in zip(sweep.rows, reference):
-            assert row.value == value
-            assert row.error == error
-            if result is None:
-                assert row.result is None
-                continue
-            assert row.result.link_viable == result.link_viable
-            for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
-                assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
+        assert sweep.values.tolist() == [value for value, _, _ in reference]
+        assert_rows_match(sweep, reference)
         if grid != "log_divergence":
             assert any(error is not None for _, _, error in reference)
 
@@ -239,13 +246,15 @@ def test_non_finite_grid_points_become_row_errors(variable):
     finite = getattr(GEOMETRY, field)
     spec = FixedGrid(variable, 1.0, 2.0, 4, values=(math.nan, math.inf, -math.inf, finite))
     result = run_sweep(spec, preset("cloud_and_fog"), TX, GEOMETRY)
-    assert [row.error for row in result.rows[:3]] == [
-        f"{field} must be finite, got {value}" for value in (math.nan, math.inf, -math.inf)
-    ]
-    assert result.rows[3].error is None
-    assert result.rows[3].result == evaluate_link(TX, GEOMETRY, preset("cloud_and_fog"))
-    assert np.isnan(result.columns.data_rate_bps[:3]).all()
-    assert np.isfinite(result.columns.data_rate_bps[3])
+    assert result.errors == (
+        *(f"{field} must be finite, got {value}" for value in (math.nan, math.inf, -math.inf)),
+        None,
+    )
+    point = evaluate_link(TX, GEOMETRY, preset("cloud_and_fog"))
+    assert sweep_row(result, 3) == budget(point) and result.target_rate_bps == point.target_rate_bps
+    for column in result.columns.values():
+        assert np.isnan(column[:3]).all()
+    assert np.isfinite(result.columns["data_rate_bps"][3])
 
 
 @pytest.mark.parametrize("variable", SWEPT_FIELD)
@@ -263,16 +272,12 @@ def test_invalid_points_anywhere_leave_the_valid_rows_unchanged(variable):
     kept = tuple(np.array(values)[valid].tolist())
     alone = run_sweep(replace(spec, points=len(kept), values=kept), scenario, TX, GEOMETRY)
     assert alone.errors == (None,) * len(kept)
-    for got, want in zip(budget_numbers(sweep.columns)[:-1], budget_numbers(alone.columns)[:-1], strict=True):
-        assert want.tobytes() == got[valid].tobytes()
+    assert list(sweep.columns) == list(alone.columns) == BUDGET
+    for name, got in sweep.columns.items():
+        assert alone.columns[name].tobytes() == got[valid].tobytes()
         assert np.isnan(got[~valid]).all()
-    reference = per_point_reference(spec, scenario, TX, GEOMETRY)
-    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
-        assert row.error == error
-        if result is not None:
-            for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
-                assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
-    assert [row.error is None for row in sweep.rows] == valid.tolist()
+    assert_rows_match(sweep, per_point_reference(spec, scenario, TX, GEOMETRY))
+    assert [error is None for error in sweep.errors] == valid.tolist()
 
 
 class TestSweepEquality:
@@ -284,14 +289,14 @@ class TestSweepEquality:
         assert a == b and not a != b
 
     def test_a_column_cell_of_minus_zero_is_unequal(self):
-        spec = FixedGrid("altitude", 1.0, 2.0, 2, values=(1000.0, 5000.0))  # no NaN: rows compare equal
+        spec = FixedGrid("altitude", 1.0, 2.0, 2, values=(1000.0, 5000.0))  # no NaN: cells compare equal
         a = run_sweep(spec, preset("clear_sky"), TX, GEOMETRY)
-        fog = a.columns.loss_breakdown.fog_db.copy()
+        fog = a.columns["fog_db"].copy()
         assert fog[1] == 0.0 and math.copysign(1.0, fog[1]) == 1.0
         fog[1] = -0.0
-        losses = replace(a.columns.loss_breakdown, fog_db=fog)
-        b = replace(a, columns=replace(a.columns, loss_breakdown=losses))
-        assert a.rows == b.rows  # 0.0 == -0.0
+        b = replace(a, columns={**a.columns, "fog_db": fog})
+        assert list(b.columns) == list(a.columns)
+        assert all((a.columns[name] == b.columns[name]).all() for name in a.columns)  # 0.0 == -0.0
         assert a != b
 
     def test_other_fields_take_part(self):
@@ -299,7 +304,8 @@ class TestSweepEquality:
         assert a != replace(a, spec=replace(self.SPEC, points=3))
         assert a != replace(a, scenario_label="other")
         assert a != replace(a, errors=(None, None))
-        assert a != replace(a, columns=replace(a.columns, target_rate_bps=1.0))
+        assert a != replace(a, target_rate_bps=1.0)
+        assert a != replace(a, columns={**a.columns, "data_rate_bps": a.columns["data_rate_bps"][::-1].copy()})
         assert a != run_sweep(self.SPEC, preset("clear_sky"), TX, GEOMETRY, 1e9)
 
     def test_is_not_equal_to_another_type(self):
@@ -313,11 +319,7 @@ def matching_per_point_evaluation(spec, scenario, tx=TX, geometry=GEOMETRY):
     1e-12, or the error LinkGeometry gives there; and those per-point results."""
     sweep = run_sweep(spec, scenario, tx, geometry)
     reference = per_point_reference(spec, scenario, tx, geometry)
-    for row, (value, result, error) in zip(sweep.rows, reference, strict=True):
-        assert row.error == error
-        if result is not None:
-            for got, want in zip(budget_numbers(row.result), budget_numbers(result)):
-                assert math.isclose(got, want, rel_tol=1e-12), (value, got, want)
+    assert_rows_match(sweep, reference)
     return sweep, [result for _, result, _ in reference]
 
 
